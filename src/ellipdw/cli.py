@@ -48,8 +48,14 @@ def _load_config(args) -> str:
     return "{}"
 
 
-def _apply_overrides(text: str, args) -> "RunConfig":
-    cfg = parse_config(text)
+def _sweep_entry(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return text  # left for parse_config to reject
+
+
+def _overrides(args) -> dict:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -58,21 +64,16 @@ def _apply_overrides(text: str, args) -> "RunConfig":
     if args.output is not None:
         overrides["output"] = args.output
     if getattr(args, "routes", None):
-        overrides["routes"] = tuple(args.routes)
+        overrides["routes"] = args.routes
     if getattr(args, "n_sweep", None):
-        overrides["n_sweep"] = tuple(int(v) for v in args.n_sweep.split(","))
-    if not overrides:
-        return cfg
-    import dataclasses
-    fields = {"seed": "seed", "tol": "tol", "output": "output",
-              "routes": "routes", "n_sweep": "n_sweep"}
-    return dataclasses.replace(cfg, **{fields[k]: v for k, v in overrides.items()})
+        overrides["n_sweep"] = [_sweep_entry(v) for v in args.n_sweep.split(",")]
+    return overrides
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(_load_config(args), args)
+        cfg = parse_config(_load_config(args), _overrides(args))
     except (ParseError, ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -90,8 +90,12 @@ def default_routes(n: int) -> tuple:
                              "determinant") if n <= ROUTE_GUARDS[r])
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration document."""
+def parse_config(text: str, overrides: dict = None) -> RunConfig:
+    """Parse and validate a configuration document.
+
+    ``overrides`` (command-line values) replace the document's fields before
+    validation, so they pass the same checks.
+    """
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -100,6 +104,7 @@ def parse_config(text: str) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ParseError(f"config must be a mapping, got {type(raw).__name__}")
+    raw = {**raw, **(overrides or {})}
     known = {"mode", "N", "seed", "tau", "eta", "zeta", "lambda1", "lambda2",
              "routes", "output", "tol", "series_tol", "n_max", "u", "xi",
              "n_sweep"}
@@ -156,11 +161,15 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(f"{key} has {len(pts)} entries but N = {n}")
         return pts
 
-    n_sweep = tuple(int(v) for v in merged.get("n_sweep", ()))
+    n_sweep = merged.get("n_sweep", ())
+    if not isinstance(n_sweep, (list, tuple)) \
+            or not all(isinstance(v, int) and v >= 0 for v in n_sweep):
+        raise ValidationError(
+            f"n_sweep must be a list of non-negative integers, got {n_sweep!r}")
     return RunConfig(mode=mode, n=n, seed=seed, setup=setup, bc=bc,
                      routes=routes, output=output, tol=tol,
                      explicit_u=parse_points("u"), explicit_xi=parse_points("xi"),
-                     n_sweep=n_sweep)
+                     n_sweep=tuple(n_sweep))
 
 
 def draw_spectral(n: int, seed: int, setup: ModularSetup, bc: BoundaryConfig,

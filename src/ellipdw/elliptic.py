@@ -13,10 +13,14 @@ functions) is assembled from three families evaluated here:
   re-indexes the defining sum, so theta^(0) == theta^(2)).
 
 All evaluators accept scalars or numpy arrays for the spectral argument.
+Python scalars (numpy float64/complex128 included) are summed with cmath,
+bit-identical to the numpy path that serves arrays.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +61,18 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
 
     Terms are added in the order n = 0, +-1, +-2, ...; the loop stops once
     the last pair of terms is below series_tol * max(1, |partial sum|)
-    everywhere (u may be an array).
+    everywhere (u may be an array).  A Python scalar u (int, float, complex,
+    or their numpy subclasses) is summed with cmath, bit-identical to the
+    numpy path taken by arrays.
     """
     tau = complex(tau)
     if tau.imag < MIN_IM_TAU:
         raise DomainError(f"Im(tau) = {tau.imag} below {MIN_IM_TAU}")
+    if isinstance(u, (int, float, complex)):
+        try:
+            return _theta_scalar(a, b, complex(u), tau, series_tol, n_max)
+        except (OverflowError, ValueError):
+            pass  # cmath refuses overflowing or non-finite terms; numpy sums them
     u_arr = np.asarray(u, dtype=complex)
     ipi = 1j * np.pi
 
@@ -76,6 +87,33 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
         last = max(np.max(np.abs(tp)), np.max(np.abs(tm)))
         if last < series_tol * max(1.0, float(np.max(np.abs(total)))):
             return total if u_arr.ndim else complex(total)
+    _not_converged(a, b, n_max, last)
+
+
+def _theta_scalar(a, b, u, tau, series_tol, n_max):
+    """The numpy loop on one complex u: the same terms, sums and comparisons
+    in the same order, with a real operand promoted to complex as numpy
+    promotes it.  Inlined, and max() spelled out, because here a Python call
+    costs about as much as a cmath.exp."""
+    exp, ipi, ub = cmath.exp, 1j * math.pi, u + b
+    na = 0 + a
+    total = exp(ipi * (na * na * tau + 2.0 * na * ub))
+    for n in range(1, n_max + 1):
+        na = n + a
+        tp = exp(ipi * (na * na * tau + 2.0 * na * ub))
+        na = -n + a
+        tm = exp(ipi * (na * na * tau + 2.0 * na * ub))
+        total = total + tp + tm
+        last, last_m = abs(tp), abs(tm)
+        if last_m > last:
+            last = last_m
+        size = abs(total)
+        if last < series_tol * (size if size > 1.0 else 1.0):
+            return total
+    _not_converged(a, b, n_max, last)
+
+
+def _not_converged(a, b, n_max, last):
     raise ConvergenceError(
         f"theta[{a};{b}] series not converged at |n| = {n_max} "
         f"(last term {last:.3e})"

@@ -149,6 +149,15 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     bad.write_text("tau: [0, 0.01]")
     assert main(["compare", "--config", str(bad)]) == 2
 
+    # Command-line overrides pass the same validation as the document.
+    assert main(["bench", "--n-sweep", "8,x"]) == 2
+    assert main(["bench", "--n-sweep", "-3"]) == 2
+    assert main(["compare", "--route", "nonsense"]) == 2
+    assert main(["compare", "--tol", "-1"]) == 2
+    bad_sweep = tmp_path / "bad_sweep.yaml"
+    bad_sweep.write_text("{mode: bench, n_sweep: [a]}")
+    assert main(["bench", "--config", str(bad_sweep)]) == 2
+
 
 def test_cli_single_route_determinant(capsys):
     assert main(["compare", "--route", "determinant", "--seed", "5"]) == 0

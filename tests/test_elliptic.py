@@ -1,5 +1,6 @@
 """Theta-engine tests: golden values against the 50-digit direct-summation
-reference, the defining symmetries, and the Riemann identity."""
+reference, the defining symmetries, the Riemann identity, and the agreement
+of the scalar (cmath) and array (numpy) summation paths."""
 
 import numpy as np
 import pytest
@@ -133,3 +134,60 @@ def test_convergence_error():
     tight = ModularSetup(tau=0.05j, eta=0.31, n_max=3, series_tol=1e-15)
     with pytest.raises(ConvergenceError):
         sigma(1.9j, tight)
+
+
+BIT_IDENTITY_TAUS = (1j, 0.3 + 0.9j, 0.06j, 2.5j)
+
+
+def _entry_points(setup):
+    """Every public theta evaluator as a function of u alone."""
+    tau = complex(setup.tau)
+    fns = [lambda u: sigma(u, setup)]
+    fns += [lambda u, a1=a1, a2=a2: sigma_char(a1, a2, u, setup)
+            for a1 in (0, 1) for a2 in (0, 1)]
+    fns += [lambda u, j=j: theta_level2(j, u, setup) for j in (0, 1, 2)]
+    fns += [lambda u, ch=ch: theta_char(ch, u, tau, setup)
+            for ch in (ThetaChar(0.2, 0.3), ThetaChar(-0.37, 0.81))]
+    return fns
+
+
+@pytest.mark.parametrize("tau", BIT_IDENTITY_TAUS)
+def test_scalar_path_bit_identical_to_numpy(tau):
+    """Python scalars take the cmath loop; a 0-d array takes the numpy loop.
+    (Multi-point grids may differ from both in the last bits.)"""
+    setup = ModularSetup(tau=tau, eta=0.31)
+    rng = np.random.default_rng(2024)
+    zs = rng.uniform(-1.2, 1.2, 12) + 1j * rng.uniform(-0.5, 0.5, 12)
+    inputs = [int(k) for k in rng.integers(-2, 3, 4)]
+    inputs += [float(z.real) for z in zs[:6]] + [complex(z) for z in zs[6:]]
+    inputs += [np.float64(z.real) for z in zs[6:]] + [np.complex128(z) for z in zs[:6]]
+    for f in _entry_points(setup):
+        for u in inputs:
+            value = f(u)
+            assert type(value) is complex
+            # repr round-trips a double and also tells the sign of a zero
+            assert repr(value) == repr(f(np.asarray(u)))
+
+
+def _outcome(f, u):
+    try:
+        return repr(f(u))
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc).__name__
+
+
+def test_scalar_and_numpy_paths_fail_alike():
+    tight = ModularSetup(tau=0.06j, eta=0.31, n_max=2)
+    for u in (0.3 + 0.1j, np.asarray(0.3 + 0.1j)):
+        with pytest.raises(ConvergenceError):
+            sigma(u, tight)
+    setup = ModularSetup(tau=1j, eta=0.31)
+    for u in (0.3, np.asarray(0.3)):
+        with pytest.raises(DomainError):
+            theta_char(ThetaChar(0.5, 0.5), u, 0.01j, setup)
+    # Terms past the double range: cmath raises where numpy overflows, so
+    # the scalar falls back to the numpy loop and ends as it does.
+    f = lambda u: sigma(u, setup)
+    with np.errstate(all="ignore"):
+        for u in (20j, 40j, complex("inf")):
+            assert _outcome(f, u) == _outcome(f, np.asarray(u))
