@@ -22,8 +22,8 @@ routes = {
     "enumeration": lambda: partition_enumeration(spec, bc, setup),
     "bruteforce": lambda: partition_bruteforce(spec, bc, setup),
     "face": lambda: partition_face_route(spec, bc, setup),
-    "permsum": lambda: full_z(spec, bc, setup, "permsum")[0],
-    "determinant": lambda: full_z(spec, bc, setup, "determinant")[0],
+    "permsum": lambda: full_z(spec, bc, setup, "permsum"),
+    "determinant": lambda: full_z(spec, bc, setup, "determinant"),
 }
 print("N = 2, seeded draw:")
 values = {}

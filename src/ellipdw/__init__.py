@@ -13,8 +13,7 @@ from .boundary import (BoundaryConfig, Intertwiner, boundary_states,
                        dual_intertwiners, face_K, face_vertex_residual,
                        intertwiner, k_factorization_residual, re_residual,
                        vertex_K)
-from .closedform import (NormalizedZ, empirical_lambda_factor,
-                         f_quasi_period_residual, full_z,
+from .closedform import (NormalizedZ, f_quasi_period_residual, full_z,
                          normalized_z_determinant, normalized_z_permsum,
                          partition_prefactor, pole_matching_pair, pole_scan,
                          recursion_residual, residue_estimate)
@@ -22,8 +21,8 @@ from .config import RunConfig, draw_spectral, parse_config
 from .elliptic import (ModularSetup, ThetaChar, riemann_residual, sigma,
                        sigma_char, theta_char, theta_level2)
 from .errors import (ConditioningWarning, ConvergenceError, DomainError,
-                     EllipdwError, OddSizeError, ParseError, SingularityError,
-                     SizeError, ValidationError)
+                     EllipdwError, ParseError, SingularityError, SizeError,
+                     ValidationError)
 from .fbasis import (PermutationWord, extremal_invariance_residual, f_matrix,
                      r_s_operator, reduced_word, twisted_creation_residual)
 from .oracle import (SpectralConfig, double_row_monodromy,

@@ -15,7 +15,7 @@ import yaml
 
 from .boundary import BoundaryConfig
 from .elliptic import MIN_IM_TAU, ModularSetup, sigma
-from .errors import ParseError, SingularityError, ValidationError
+from .errors import DomainError, ParseError, SingularityError, ValidationError
 from .oracle import (MAX_BRUTEFORCE_N, MAX_ENUMERATION_N, MAX_FACE_N,
                      SpectralConfig)
 from .closedform import MAX_DETERMINANT_N, MAX_PERMSUM_N
@@ -85,6 +85,13 @@ def _as_complex(raw, where: str) -> complex:
     raise ValidationError(f"{where}: expected a number or [re, im] pair, got {raw!r}")
 
 
+def _as_number(raw, where: str, kind=float):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: expected a number, got {raw!r}") from exc
+
+
 def default_routes(n: int) -> tuple:
     return tuple(r for r in ("enumeration", "bruteforce", "face", "permsum",
                              "determinant") if n <= ROUTE_GUARDS[r])
@@ -126,9 +133,12 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
     tau = _as_complex(merged["tau"], "tau")
     if tau.imag < MIN_IM_TAU:
         raise ValidationError(f"Im(tau) below {MIN_IM_TAU}: {tau.imag}")
-    setup = ModularSetup(tau=tau, eta=_as_complex(merged["eta"], "eta"),
-                         series_tol=float(merged["series_tol"]),
-                         n_max=int(merged["n_max"]))
+    try:
+        setup = ModularSetup(tau=tau, eta=_as_complex(merged["eta"], "eta"),
+                             series_tol=_as_number(merged["series_tol"], "series_tol"),
+                             n_max=_as_number(merged["n_max"], "n_max", int))
+    except DomainError as exc:
+        raise ValidationError(str(exc)) from exc
     bc = BoundaryConfig(lambda1=_as_complex(merged["lambda1"], "lambda1"),
                         lambda2=_as_complex(merged["lambda2"], "lambda2"),
                         zeta=_as_complex(merged["zeta"], "zeta"))
@@ -137,16 +147,18 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
     if routes is None:
         routes = default_routes(n)
     else:
+        if not isinstance(routes, (list, tuple)):
+            raise ValidationError(f"routes must be a list, got {routes!r}")
         routes = tuple(routes)
         for r in routes:
-            if r not in ROUTE_GUARDS:
+            if not isinstance(r, str) or r not in ROUTE_GUARDS:
                 raise ValidationError(f"unknown route {r!r}")
             if n > ROUTE_GUARDS[r]:
                 raise ValidationError(f"{r} limited to N <= {ROUTE_GUARDS[r]}, got N={n}")
     if mode == "single-route" and len(routes) != 1:
         raise ValidationError("single-route mode needs exactly one route")
 
-    tol = float(merged["tol"])
+    tol = _as_number(merged["tol"], "tol")
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     output = merged["output"]
@@ -156,6 +168,8 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
     def parse_points(key):
         if key not in raw:
             return None
+        if not isinstance(raw[key], (list, tuple)):
+            raise ValidationError(f"{key} must be a list, got {raw[key]!r}")
         pts = tuple(_as_complex(v, key) for v in raw[key])
         if len(pts) != n:
             raise ValidationError(f"{key} has {len(pts)} entries but N = {n}")

@@ -61,7 +61,8 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
 
     Terms are added in the order n = 0, +-1, +-2, ...; the loop stops once
     the last pair of terms is below series_tol * max(1, |partial sum|)
-    everywhere (u may be an array).  A Python scalar u (int, float, complex,
+    everywhere (u may be an array); a sum left inf or nan by overflowing
+    terms raises ConvergenceError.  A Python scalar u (int, float, complex,
     or their numpy subclasses) is summed with cmath, bit-identical to the
     numpy path taken by arrays.
     """
@@ -86,6 +87,8 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
         total = total + tp + tm
         last = max(np.max(np.abs(tp)), np.max(np.abs(tm)))
         if last < series_tol * max(1.0, float(np.max(np.abs(total)))):
+            if not np.all(np.isfinite(total)):
+                _not_finite(a, b)
             return total if u_arr.ndim else complex(total)
     _not_converged(a, b, n_max, last)
 
@@ -109,6 +112,8 @@ def _theta_scalar(a, b, u, tau, series_tol, n_max):
             last = last_m
         size = abs(total)
         if last < series_tol * (size if size > 1.0 else 1.0):
+            if not cmath.isfinite(total):
+                _not_finite(a, b)
             return total
     _not_converged(a, b, n_max, last)
 
@@ -118,6 +123,12 @@ def _not_converged(a, b, n_max, last):
         f"theta[{a};{b}] series not converged at |n| = {n_max} "
         f"(last term {last:.3e})"
     )
+
+
+def _not_finite(a, b):
+    # overflowing terms leave an inf or nan partial sum, which the stopping
+    # rule cannot see (max(1, nan) is 1)
+    raise ConvergenceError(f"theta[{a};{b}] series sum is not finite")
 
 
 def theta_char(ch: ThetaChar, u, modular_tau, setup: ModularSetup):

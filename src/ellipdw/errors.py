@@ -21,10 +21,6 @@ class SizeError(EllipdwError):
     """Requested system size exceeds a route's cost guard."""
 
 
-class OddSizeError(SizeError):
-    """Closed-form prefactor requested for odd N (M = N/2 not integral)."""
-
-
 class ParseError(EllipdwError):
     """Configuration document could not be parsed."""
 

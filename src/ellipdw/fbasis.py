@@ -8,6 +8,7 @@ operators are checked against their polarization-free tensor-product forms.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -15,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .boundary import BoundaryConfig
+from .closedform import _sigma_tables
 from .elliptic import ModularSetup, sigma
 from .errors import SingularityError, SizeError
 from .oracle import SpectralConfig, face_creation_operator, face_one_row_monodromy
@@ -287,8 +289,10 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
                               setup: ModularSetup) -> np.ndarray:
     """Completely symmetric polarization-free form of the creation operator.
 
-    scalar * sum_i A_i E_12^i (x) dressing, right-multiplied by a diagonal
-    weight sigma(l12)/sigma(l12 - k eta) on input sectors with k up spins.
+    scalar * sum_i A[0, i] E_12^i (x) prod_{j != i} diag(B[0, j] G[i, j], 1)_j,
+    with A, B, G the closed-form permutation-sum tables at the single point
+    u, right-multiplied by a diagonal weight sigma(l12)/sigma(l12 - k eta)
+    on input sectors with k up spins.
     Both the scalar sigma(m12)/sigma(l12) and the sector weight are fixed by
     direct conjugation with the factorizing twist (machine precision at
     N <= 4).
@@ -296,27 +300,17 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
     n = spectral.n
     lam = bc.weight
     eta = setup.eta
-    xi = spectral.xi
-    scalar = sigma(m.m12, setup) / sigma(lam.m12, setup)
-    for xk in xi:
-        scalar *= sigma(u + xk, setup) / sigma(u + xk + eta, setup)
+    tables = _sigma_tables((u,), spectral.xi, bc, setup, GENERICITY_FLOOR)
+    table_a, table_b = tables.permsum_ab()
+    table_g = tables.xi_ratio()
+    scalar = (sigma(m.m12, setup) / sigma(lam.m12, setup)
+              * cmath.exp(tables.log_uxi_ratio()))
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i in range(1, n + 1):
-        coeff = (sigma(bc.lambda1 + bc.zeta - xi[i - 1], setup)
-                 * sigma(bc.lambda2 + bc.zeta + xi[i - 1], setup)
-                 * sigma(2 * u, setup) * sigma(eta, setup)
-                 / (sigma(bc.lambda1 + bc.zeta + u, setup)
-                    * sigma(bc.lambda2 + bc.zeta + u, setup)
-                    * sigma(u - xi[i - 1] + eta, setup)
-                    * sigma(u + xi[i - 1], setup)))
-        dress = _diag_dressing({
-            j: (sigma(u - xi[j - 1], setup) * sigma(u + xi[j - 1] + eta, setup)
-                * sigma(xi[i - 1] - xi[j - 1] + eta, setup)
-                / (sigma(u - xi[j - 1] + eta, setup) * sigma(u + xi[j - 1], setup)
-                   * sigma(xi[i - 1] - xi[j - 1], setup)))
-            for j in range(1, n + 1) if j != i}, n)
-        e12 = embed_matrix(np.array([[0, 1], [0, 0]], dtype=complex), (i - 1,), n)
-        out += coeff * (e12 * dress[None, :])
+    for i in range(n):
+        dress = _diag_dressing({j + 1: table_b[0, j] * table_g[i, j]
+                                for j in range(n) if j != i}, n)
+        e12 = embed_matrix(np.array([[0, 1], [0, 0]], dtype=complex), (i,), n)
+        out += table_a[0, i] * (e12 * dress[None, :])
     states = np.arange(2 ** n)
     ups = np.array([n - bin(x).count("1") for x in states])
     weight = np.array([sigma(lam.m12, setup) / sigma(lam.m12 - k * eta, setup)

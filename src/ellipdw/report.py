@@ -35,7 +35,6 @@ class RouteResult:
     value: complex = None
     seconds: float = 0.0
     status: str = "ok"
-    empirical_prefactor: bool = False
     digest: str = ""
 
     def as_dict(self):
@@ -44,8 +43,6 @@ class RouteResult:
             "seconds": self.seconds,
             "status": self.status,
         }
-        if self.empirical_prefactor:
-            out["empirical_prefactor"] = True
         if self.digest:
             out["digest"] = self.digest
         return out

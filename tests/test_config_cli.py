@@ -115,6 +115,22 @@ def test_run_compare_determinant_only_large_n():
     assert report.residuals == {}
 
 
+def test_cli_identities_json(tmp_path, capsys):
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text("{mode: identities, seed: 7}")
+    assert main(["identities", "--config", str(cfg_file)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert all(c["pass"] is True for c in payload["checks"])
+
+
+def test_run_compare_determinant_odd_beyond_oracles():
+    """Odd N past every oracle guard needs no oracle."""
+    report = run_compare(parse_config("{N: 13, routes: [determinant]}"))
+    assert report.passed is True
+    assert report.routes["determinant"].status == "ok"
+
+
 def test_run_identities_seed_sweep():
     """No seed-sensitive failures across ten seeds."""
     for seed in range(1, 11):
@@ -157,6 +173,12 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     bad_sweep = tmp_path / "bad_sweep.yaml"
     bad_sweep.write_text("{mode: bench, n_sweep: [a]}")
     assert main(["bench", "--config", str(bad_sweep)]) == 2
+
+    # Malformed field types are configuration errors, not tracebacks.
+    for text in ("tol: abc", "series_tol: abc", "n_max: abc", "routes: [[a]]",
+                 "u: 5", "routes: 5", "n_max: 0", "series_tol: 1"):
+        bad.write_text(text)
+        assert main(["compare", "--config", str(bad)]) == 2, text
 
 
 def test_cli_single_route_determinant(capsys):

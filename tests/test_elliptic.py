@@ -186,8 +186,11 @@ def test_scalar_and_numpy_paths_fail_alike():
         with pytest.raises(DomainError):
             theta_char(ThetaChar(0.5, 0.5), u, 0.01j, setup)
     # Terms past the double range: cmath raises where numpy overflows, so
-    # the scalar falls back to the numpy loop and ends as it does.
+    # the scalar falls back to the numpy loop and ends as it does; an
+    # overflowed (inf or nan) sum is refused, never returned.
     f = lambda u: sigma(u, setup)
     with np.errstate(all="ignore"):
-        for u in (20j, 40j, complex("inf")):
-            assert _outcome(f, u) == _outcome(f, np.asarray(u))
+        for u in (20j, 27j, 40j, complex("inf")):
+            assert _outcome(f, u) == _outcome(f, np.asarray(u)) == "ConvergenceError"
+        with pytest.raises(ConvergenceError):
+            f(np.array([0.3, 20j]))
