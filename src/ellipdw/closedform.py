@@ -1,8 +1,9 @@
 """Closed-form evaluations of the partition function and their proof steps.
 
 Every consumer reads its sigma values from one builder, ``_sigma_tables``,
-which evaluates each shared grid once; the xi-difference ratio G and the
-pair products are evaluated only by the consumers that need them.
+on top of the configuration's ``SpectralGrids`` (the (u, xi) grids the
+genericity check has already evaluated for a drawn configuration); the
+xi-difference ratio G is evaluated only by the consumers that need it.
 
 * ``normalized_z_permsum`` -- the symmetric sum over S_N of per-permutation
   sigma-products (O(N!), vectorized over permutations in fixed chunks),
@@ -32,7 +33,7 @@ import scipy.linalg
 from .boundary import BoundaryConfig
 from .elliptic import ModularSetup, sigma
 from .errors import ConditioningWarning, SingularityError, SizeError
-from .oracle import SpectralConfig
+from .oracle import SpectralConfig, SpectralGrids
 from .rmatrices import GENERICITY_FLOOR
 
 MAX_PERMSUM_N = 9
@@ -91,14 +92,12 @@ class _SigmaTables:
     """Sigma grids read by every closed-form consumer.
 
     Vectors are indexed by u_a (``s2u``, ``lam_u``) or xi_k (``lam_xi``), the
-    (u, xi) grids by [a, k].  Each grid is its own sigma call: the numpy
-    series stops on the largest term of the whole array, so merging grids
-    would move their bits.
+    (u, xi) grids, read from ``grids``, by [a, k].  Each table is its own
+    sigma call: the numpy series stops on the largest term of the whole
+    array, so merging tables would move their bits.
     """
 
-    u: np.ndarray
-    xi: np.ndarray
-    setup: ModularSetup
+    grids: SpectralGrids
     floor: float
     s_eta: complex
     s2u: np.ndarray        # sigma(2 u)
@@ -118,47 +117,45 @@ class _SigmaTables:
 
     def xi_ratio(self):
         """G[j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k), diagonal 1."""
-        n = len(self.xi)
+        xi, setup = self.grids.xi, self.grids.setup
+        n = len(xi)
         off = ~np.eye(n, dtype=bool)
-        xd = self.xi[:, None] - self.xi[None, :]
+        xd = xi[:, None] - xi[None, :]
         np.fill_diagonal(xd, 1.0)  # placeholder, overwritten below
-        g_den = sigma(xd, self.setup)
+        g_den = sigma(xd, setup)
         if n > 1 and float(np.min(np.abs(g_den[off]))) < self.floor:
             raise SingularityError("|sigma(xi_i - xi_j)| below genericity floor")
-        return np.where(off, sigma(xd + self.setup.eta, self.setup) / g_den, 1.0)
+        return np.where(off, sigma(xd + setup.eta, setup) / g_den, 1.0)
 
     def log_pair_products(self) -> complex:
         """log prod_{a<b} s(u_b-u_a) s(u_a+u_b+eta) s(xi_a-xi_b) s(xi_a+xi_b)."""
-        n = len(self.u)
-        if n < 2:
+        g = self.grids
+        if len(g.u) < 2:
             return 0.0 + 0.0j
-        u, xi, eta = self.u, self.xi, self.setup.eta
-        ia, ib = np.triu_indices(n, k=1)
-        grid = lambda z, what: _log_product(_sigma_grid(z, self.setup, self.floor, what))
-        return (grid(u[ib] - u[ia], "sigma(ua-ub)")
-                + grid(u[ib] + u[ia] + eta, "sigma(ua+ub+eta)")
-                + grid(xi[ia] - xi[ib], "sigma(xk-xl)")
-                + grid(xi[ia] + xi[ib], "sigma(xk+xl)"))
+        grid = lambda vals, what: _log_product(_require_floor(vals, self.floor, what))
+        return (grid(g.u_diff, "sigma(ua-ub)")
+                + grid(g.u_sum_eta, "sigma(ua+ub+eta)")
+                + grid(g.xi_diff, "sigma(xk-xl)")
+                + grid(g.xi_sum, "sigma(xk+xl)"))
 
     def log_uxi_ratio(self) -> complex:
         """log prod_{a,k} sigma(u_a + xi_k) / sigma(u_a + xi_k + eta)."""
         return _log_product(self.plus) - _log_product(self.plus_eta)
 
 
-def _sigma_tables(u, xi, bc: BoundaryConfig, setup: ModularSetup,
+def _sigma_tables(grids: SpectralGrids, bc: BoundaryConfig,
                   floor: float) -> _SigmaTables:
-    """Evaluate each shared grid once; every grid that some consumer divides
-    by is checked against the genericity floor."""
-    u = np.asarray(u, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
+    """The boundary vectors evaluated once, the (u, xi) grids read from
+    ``grids``; every table that some consumer divides by is checked against
+    the genericity floor."""
+    u, xi, setup = grids.u, grids.xi, grids.setup
     eta = setup.eta
-    uu, xx = u[:, None], xi[None, :]
     return _SigmaTables(
-        u=u, xi=xi, setup=setup, floor=floor,
-        minus=_sigma_grid(uu - xx, setup, floor, "sigma(u-xi)"),
-        plus_eta=_sigma_grid(uu + xx + eta, setup, floor, "sigma(u+xi+eta)"),
-        minus_eta=_sigma_grid(uu - xx + eta, setup, floor, "sigma(u-xi+eta)"),
-        plus=_sigma_grid(uu + xx, setup, floor, "sigma(u+xi)"),
+        grids=grids, floor=floor,
+        minus=_require_floor(grids.minus, floor, "sigma(u-xi)"),
+        plus_eta=_require_floor(grids.plus_eta, floor, "sigma(u+xi+eta)"),
+        minus_eta=_require_floor(grids.minus_eta, floor, "sigma(u-xi+eta)"),
+        plus=_require_floor(grids.plus, floor, "sigma(u+xi)"),
         s2u=sigma(2 * u, setup),
         lam_u=(_sigma_grid(bc.lambda1 + bc.zeta + u, setup, floor, "sigma(l1+z+u)")
                * _sigma_grid(bc.lambda2 + bc.zeta + u, setup, floor, "sigma(l2+z+u)")),
@@ -172,7 +169,7 @@ def _sigma_tables(u, xi, bc: BoundaryConfig, setup: ModularSetup,
 # ---------------------------------------------------------------------------
 
 def _permsum(tables: _SigmaTables) -> complex:
-    n = len(tables.u)
+    n = len(tables.grids.u)
     table_a, table_b = tables.permsum_ab()
     table_g = tables.xi_ratio()
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -195,7 +192,7 @@ def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,
     _require_size("permsum", spectral.n)
     if spectral.n == 0:
         return 1.0 + 0.0j
-    return _permsum(_sigma_tables(spectral.u, spectral.xi, bc, setup, floor))
+    return _permsum(_sigma_tables(spectral.grids(setup), bc, floor))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +227,7 @@ def _log_z_det(tables: _SigmaTables) -> complex:
 def _log_normalized_z_determinant(spectral, bc, setup, floor) -> complex:
     if spectral.n == 0:
         return 0.0 + 0.0j
-    return _log_z_det(_sigma_tables(spectral.u, spectral.xi, bc, setup, floor))
+    return _log_z_det(_sigma_tables(spectral.grids(setup), bc, floor))
 
 
 def _exp_saturating(log_value: complex) -> complex:
@@ -284,7 +281,7 @@ def partition_prefactor(bc: BoundaryConfig, spectral: SpectralConfig,
                         setup: ModularSetup,
                         floor: float = GENERICITY_FLOOR) -> complex:
     """lambda product times the (u, xi) ratio product."""
-    tables = _sigma_tables(spectral.u, spectral.xi, bc, setup, floor)
+    tables = _sigma_tables(spectral.grids(setup), bc, floor)
     return cmath.exp(_log_lambda_factor(spectral.n, bc, setup, floor)
                      + tables.log_uxi_ratio())
 
@@ -298,7 +295,7 @@ def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
     if route not in _SIZE_GUARDS:
         raise ValueError(f"unknown closed-form route: {route!r}")
     _require_size(route, n)
-    tables = _sigma_tables(spectral.u, spectral.xi, bc, setup, floor)
+    tables = _sigma_tables(spectral.grids(setup), bc, floor)
     if route == "permsum":
         log_norm = cmath.log(_permsum(tables))
     else:
@@ -323,7 +320,7 @@ def recursion_residual(spectral: SpectralConfig, bc: BoundaryConfig,
     if n < 1:
         raise SizeError("recursion needs N >= 1")
     _require_size("determinant", n)
-    tables = _sigma_tables(spectral.u, spectral.xi, bc, setup, floor)
+    tables = _sigma_tables(spectral.grids(setup), bc, floor)
     z_n = _exp_saturating(_log_z_det(tables))
     table_a, table_b = tables.permsum_ab()
     coeff = table_a[n - 1] * table_b[:n - 1].prod(axis=0) * tables.xi_ratio().prod(axis=0)
@@ -347,7 +344,8 @@ def pole_matching_pair(order: int, spectral: SpectralConfig,
     """
     if not 1 <= order <= min(spectral.n, 8):
         raise SizeError(f"pole-matching pair limited to 1 <= I <= min(N, 8), got {order}")
-    tables = _sigma_tables(spectral.u[:order], spectral.xi[:order], bc, setup, floor)
+    sub = SpectralConfig(u=spectral.u[:order], xi=spectral.xi[:order])
+    tables = _sigma_tables(sub.grids(setup), bc, floor)
     scale = complex(np.prod(tables.lam_u / (tables.lam_xi * tables.s2u)))
     return (scale * _permsum(tables),
             scale * _exp_saturating(_log_z_det(tables)))

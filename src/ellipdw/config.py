@@ -8,6 +8,8 @@ lambda2 = -0.23, seed = 7.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,18 +80,25 @@ class RunConfig:
 
 def _as_complex(raw, where: str) -> complex:
     if isinstance(raw, (int, float, complex)):
-        return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2 \
+        value = complex(raw)
+    elif isinstance(raw, (list, tuple)) and len(raw) == 2 \
             and all(isinstance(v, (int, float)) for v in raw):
-        return complex(raw[0], raw[1])
-    raise ValidationError(f"{where}: expected a number or [re, im] pair, got {raw!r}")
+        value = complex(raw[0], raw[1])
+    else:
+        raise ValidationError(f"{where}: expected a number or [re, im] pair, got {raw!r}")
+    if not cmath.isfinite(value):
+        raise ValidationError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_number(raw, where: str, kind=float):
     try:
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def default_routes(n: int) -> tuple:

@@ -75,19 +75,27 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
         except (OverflowError, ValueError):
             pass  # cmath refuses overflowing or non-finite terms; numpy sums them
     u_arr = np.asarray(u, dtype=complex)
+    ub = u_arr + b
     ipi = 1j * np.pi
 
     def term(n):
         na = n + a
-        return np.exp(ipi * (na * na * tau + 2.0 * na * (u_arr + b)))
+        return np.exp(ipi * (na * na * tau + 2.0 * na * ub))
 
     total = term(0)
+    # bound >= max|total| (triangle inequality, with room for rounding): while
+    # the stopping rule fails on it, it fails on max|total| too, which is then
+    # not computed
+    bound = float(np.abs(total).max())
     for n in range(1, n_max + 1):
         tp, tm = term(n), term(-n)
         total = total + tp + tm
-        last = max(np.max(np.abs(tp)), np.max(np.abs(tm)))
-        if last < series_tol * max(1.0, float(np.max(np.abs(total)))):
-            if not np.all(np.isfinite(total)):
+        lp, lm = float(np.abs(tp).max()), float(np.abs(tm).max())
+        last = max(lp, lm)
+        bound += lp + lm
+        if last < series_tol * max(1.0, bound * (1.0 + 1e-12)) \
+                and last < series_tol * max(1.0, float(np.abs(total).max())):
+            if not np.isfinite(total).all():
                 _not_finite(a, b)
             return total if u_arr.ndim else complex(total)
     _not_converged(a, b, n_max, last)

@@ -19,7 +19,8 @@ from .boundary import BoundaryConfig
 from .closedform import _sigma_tables
 from .elliptic import ModularSetup, sigma
 from .errors import SingularityError, SizeError
-from .oracle import SpectralConfig, face_creation_operator, face_one_row_monodromy
+from .oracle import (SpectralConfig, SpectralGrids, face_creation_operator,
+                     face_one_row_monodromy)
 from .rmatrices import GENERICITY_FLOOR, WeightVector, sos_R_matrix
 from .tensor import DenseOperator, embed_matrix
 
@@ -300,7 +301,8 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
     n = spectral.n
     lam = bc.weight
     eta = setup.eta
-    tables = _sigma_tables((u,), spectral.xi, bc, setup, GENERICITY_FLOOR)
+    tables = _sigma_tables(SpectralGrids((u,), spectral.xi, setup), bc,
+                           GENERICITY_FLOOR)
     table_a, table_b = tables.permsum_ab()
     table_g = tables.xi_ratio()
     scalar = (sigma(m.m12, setup) / sigma(lam.m12, setup)

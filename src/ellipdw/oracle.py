@@ -15,7 +15,9 @@ Three independent evaluators of the same quantity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +34,79 @@ MAX_ENUMERATION_N = 2
 MAX_FACE_N = 10
 
 
+class SpectralGrids:
+    """The (u, xi) sigma grids shared by the genericity check and the closed
+    forms, each evaluated on first use and then kept read-only.
+
+    ``minus``, ``plus``, ``minus_eta``, ``plus_eta`` are sigma(u_a -+ xi_k)
+    and sigma(u_a -+ xi_k + eta), indexed [a, k]; ``u_diff``, ``u_sum_eta``,
+    ``xi_diff``, ``xi_sum`` are sigma(u_b - u_a), sigma(u_b + u_a + eta),
+    sigma(xi_a - xi_b) and sigma(xi_a + xi_b) over the pairs a < b.  Each grid
+    is its own sigma call: the numpy series stops on the largest term of the
+    whole array, so merging grids would move their bits.
+    """
+
+    def __init__(self, u, xi, setup: ModularSetup):
+        self.u = np.asarray(u, dtype=complex)
+        self.xi = np.asarray(xi, dtype=complex)
+        self.setup = setup
+        self.u_pairs = np.triu_indices(len(self.u), k=1)
+        self.xi_pairs = (self.u_pairs if len(self.xi) == len(self.u)
+                         else np.triu_indices(len(self.xi), k=1))
+
+    def _sigma(self, z):
+        vals = sigma(z, self.setup) if z.size else z
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def minus(self):
+        return self._sigma(self.u[:, None] - self.xi[None, :])
+
+    @cached_property
+    def plus(self):
+        return self._sigma(self.u[:, None] + self.xi[None, :])
+
+    @cached_property
+    def minus_eta(self):
+        return self._sigma(self.u[:, None] - self.xi[None, :] + self.setup.eta)
+
+    @cached_property
+    def plus_eta(self):
+        return self._sigma(self.u[:, None] + self.xi[None, :] + self.setup.eta)
+
+    @cached_property
+    def u_diff(self):
+        ia, ib = self.u_pairs
+        return self._sigma(self.u[ib] - self.u[ia])
+
+    @cached_property
+    def u_sum_eta(self):
+        ia, ib = self.u_pairs
+        return self._sigma(self.u[ib] + self.u[ia] + self.setup.eta)
+
+    @cached_property
+    def xi_diff(self):
+        ia, ib = self.xi_pairs
+        return self._sigma(self.xi[ia] - self.xi[ib])
+
+    @cached_property
+    def xi_sum(self):
+        ia, ib = self.xi_pairs
+        return self._sigma(self.xi[ia] + self.xi[ib])
+
+
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Spectral data: N vertical-line parameters u and N inhomogeneities xi."""
+    """Spectral data: N vertical-line parameters u and N inhomogeneities xi.
+
+    A configuration keeps one ``SpectralGrids`` per setup, so the genericity
+    check and every closed form evaluate each (u, xi) grid once.
+    """
 
     u: tuple
     xi: tuple
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.u) != len(self.xi):
@@ -47,25 +116,29 @@ class SpectralConfig:
     def n(self) -> int:
         return len(self.u)
 
+    def grids(self, setup: ModularSetup) -> SpectralGrids:
+        if setup not in self._grids:
+            self._grids[setup] = SpectralGrids(self.u, self.xi, setup)
+        return self._grids[setup]
+
     def require_generic(self, setup: ModularSetup, floor: float = GENERICITY_FLOOR):
-        """All sigma combinations entering denominators must clear the floor."""
-        u = np.asarray(self.u, dtype=complex)
-        xi = np.asarray(self.xi, dtype=complex)
-        eta = setup.eta
-        pairs = []
+        """All sigma combinations entering denominators must clear the floor.
+
+        The eight shared grids come from ``grids(setup)``; the three pair
+        families only this check needs are one further call.
+        """
+        g = self.grids(setup)
+        vals = [g.minus, g.plus, g.minus_eta, g.plus_eta,
+                g.u_diff, g.u_sum_eta, g.xi_diff, g.xi_sum]
         if self.n > 1:
-            iu, ju = np.triu_indices(self.n, k=1)
-            pairs += [xi[iu] - xi[ju], xi[iu] + xi[ju],
-                      u[iu] - u[ju], u[iu] + u[ju],
-                      u[iu] - u[ju] + eta, u[ju] - u[iu] + eta,
-                      u[iu] + u[ju] + eta]
-        um, xm = np.meshgrid(u, xi, indexing="ij")
-        pairs += [(um - xm).ravel(), (um + xm).ravel(),
-                  (um - xm + eta).ravel(), (um + xm + eta).ravel()]
-        vals = np.abs(sigma(np.concatenate(pairs), setup))
-        if float(vals.min()) < floor:
+            u, eta = g.u, setup.eta
+            ia, ib = g.u_pairs
+            vals.append(sigma(np.concatenate(
+                [u[ia] + u[ib], u[ia] - u[ib] + eta, u[ib] - u[ia] + eta]), setup))
+        low = min((float(np.abs(v).min()) for v in vals if v.size), default=math.inf)
+        if low < floor:
             raise SingularityError(
-                f"spectral configuration degenerate: min |sigma| = {vals.min():.2e}")
+                f"spectral configuration degenerate: min |sigma| = {low:.2e}")
 
 
 # ---------------------------------------------------------------------------

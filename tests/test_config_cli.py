@@ -180,6 +180,12 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         bad.write_text(text)
         assert main(["compare", "--config", str(bad)]) == 2, text
 
+    # Non-finite numbers are refused before any route runs.
+    for text in ("tol: .nan", "zeta: .nan", "eta: [.nan, 0]", "tau: [0, .inf]",
+                 "lambda1: .inf", "n_max: .inf"):
+        bad.write_text(text)
+        assert main(["compare", "--config", str(bad)]) == 2, text
+
 
 def test_cli_single_route_determinant(capsys):
     assert main(["compare", "--route", "determinant", "--seed", "5"]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ellipdw import ModularSetup, ThetaChar, riemann_residual, sigma, sigma_char, theta_char, theta_level2
+from ellipdw.elliptic import _not_converged, _not_finite, _theta_series
 from ellipdw.errors import ConvergenceError, DomainError
 
 from highprec import ref_theta, ref_theta_level2
@@ -194,3 +195,50 @@ def test_scalar_and_numpy_paths_fail_alike():
             assert _outcome(f, u) == _outcome(f, np.asarray(u)) == "ConvergenceError"
         with pytest.raises(ConvergenceError):
             f(np.array([0.3, 20j]))
+
+
+def _reference_numpy_loop(a, b, u, tau, series_tol, n_max):
+    """The numpy loop of _theta_series before its stopping test was made
+    lazy, kept verbatim as the reference for the current one."""
+    u_arr = np.asarray(u, dtype=complex)
+    ipi = 1j * np.pi
+
+    def term(n):
+        na = n + a
+        return np.exp(ipi * (na * na * tau + 2.0 * na * (u_arr + b)))
+
+    total = term(0)
+    for n in range(1, n_max + 1):
+        tp, tm = term(n), term(-n)
+        total = total + tp + tm
+        last = max(np.max(np.abs(tp)), np.max(np.abs(tm)))
+        if last < series_tol * max(1.0, float(np.max(np.abs(total)))):
+            if not np.all(np.isfinite(total)):
+                _not_finite(a, b)
+            return total if u_arr.ndim else complex(total)
+    _not_converged(a, b, n_max, last)
+
+
+def _loop_outcome(f, *args):
+    try:
+        return f(*args).tobytes()
+    except ConvergenceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("tau", BIT_IDENTITY_TAUS)
+def test_numpy_loop_bit_identical_to_reference(tau):
+    """Arrays give the reference loop's bits, or its error, at every
+    size, characteristic and series cap, overflowing inputs included."""
+    rng = np.random.default_rng(77)
+    grids = [rng.uniform(-1.2, 1.2, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+             for shape in ((1,), (7,), (200, 200))]
+    grids += [np.array([z]) for z in (20j, 27j, 40j)]
+    grids += [np.array([0.3, z]) for z in (20j, 27j, 40j)]
+    with np.errstate(all="ignore"):
+        for a, b in [(0.5 + 0.5 * a1, 0.5 + 0.5 * a2) for a1 in (0, 1) for a2 in (0, 1)]:
+            for u in grids:
+                for n_max in (60, 3):
+                    args = (a, b, u, tau, 1e-15, n_max)
+                    assert (_loop_outcome(_theta_series, *args)
+                            == _loop_outcome(_reference_numpy_loop, *args))

@@ -1,14 +1,16 @@
 """Brute-force routes: monodromy contraction, configuration enumeration,
-and the face-type creation-operator route."""
+the face-type creation-operator route, and the spectral configuration's
+shared sigma grids."""
 
 import numpy as np
 import pytest
 
-from ellipdw import (SpectralConfig, double_row_monodromy,
-                     face_creation_operator, face_one_row_monodromy,
+from ellipdw import (ModularSetup, SpectralConfig, closedform, double_row_monodromy,
+                     face_creation_operator, face_one_row_monodromy, oracle,
                      partition_bruteforce, partition_enumeration,
                      partition_face_route)
 from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
+from ellipdw.elliptic import sigma
 from ellipdw.errors import SizeError
 from ellipdw.rmatrices import sos_R_matrix, vertex_R_matrix
 from ellipdw.tensor import embed_matrix
@@ -234,3 +236,68 @@ def test_bruteforce_size_guard(bc, setup):
     spec = SpectralConfig(u=(0.1,) * 13, xi=(0.2,) * 13)
     with pytest.raises(SizeError):
         partition_bruteforce(spec, bc, setup)
+
+
+# ---------------------------------------------------------------------------
+# The shared (u, xi) sigma grids.
+# ---------------------------------------------------------------------------
+
+def _grid_expressions(spec, setup):
+    """Each shared grid's argument, spelled as the determinant spells it."""
+    u = np.asarray(spec.u, dtype=complex)
+    xi = np.asarray(spec.xi, dtype=complex)
+    eta = setup.eta
+    ia, ib = np.triu_indices(spec.n, k=1)
+    return {"minus": u[:, None] - xi[None, :], "plus": u[:, None] + xi[None, :],
+            "minus_eta": u[:, None] - xi[None, :] + eta,
+            "plus_eta": u[:, None] + xi[None, :] + eta,
+            "u_diff": u[ib] - u[ia], "u_sum_eta": u[ib] + u[ia] + eta,
+            "xi_diff": xi[ia] - xi[ib], "xi_sum": xi[ia] + xi[ib]}
+
+
+def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
+    spec = draw(5, 401, setup, bc)
+    grids = spec.grids(setup)
+    for name, z in _grid_expressions(spec, setup).items():
+        vals = getattr(grids, name)
+        assert vals.tobytes() == sigma(z, setup).tobytes(), name
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+    assert spec.grids(setup) is grids
+
+
+def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypatch):
+    """After the draw's genericity check, no closed form evaluates a shared
+    (u, xi) grid again; a fresh configuration with the same points does."""
+    spec = draw(5, 402, setup, bc)
+    shared = {z.tobytes() for z in _grid_expressions(spec, setup).values()}
+    seen = []
+
+    def counting_sigma(u, s):
+        if np.ndim(u) and np.asarray(u).tobytes() in shared:
+            seen.append(u)
+        return sigma(u, s)
+
+    for module in (oracle, closedform):
+        monkeypatch.setattr(module, "sigma", counting_sigma)
+    closedform.normalized_z_permsum(spec, bc, setup)
+    closedform.normalized_z_determinant(spec, bc, setup)
+    for route in ("permsum", "determinant"):
+        closedform.full_z(spec, bc, setup, route)
+    closedform.recursion_residual(spec, bc, setup)
+    spec.require_generic(setup)
+    assert seen == []
+    closedform.normalized_z_determinant(SpectralConfig(spec.u, spec.xi), bc, setup)
+    assert len(seen) == 8
+
+
+def test_spectral_grids_per_setup_and_identity_unchanged(draw, bc, setup):
+    spec = draw(4, 403, setup, bc)
+    other = ModularSetup(tau=1.1j, eta=0.31)
+    assert spec.grids(setup) is not spec.grids(other)
+    assert spec.grids(other).minus.tobytes() != spec.grids(setup).minus.tobytes()
+    twin = SpectralConfig(spec.u, spec.xi)
+    assert spec == twin and hash(spec) == hash(twin) == hash((spec.u, spec.xi))
+    assert repr(spec) == f"SpectralConfig(u={spec.u!r}, xi={spec.xi!r})"
+    assert {spec: 1}[twin] == 1
