@@ -30,7 +30,7 @@ ROUTE_GUARDS = {
     "permsum": MAX_PERMSUM_N,
     "determinant": MAX_DETERMINANT_N,
 }
-MODES = ("compare", "identities", "bench", "single-route")
+MODES = ("compare", "identities", "bench")
 
 DEFAULTS = {
     "mode": "compare",
@@ -49,6 +49,7 @@ DEFAULTS = {
 
 DRAW_BOX = {"u_re": (0.08, 0.45), "u_im": (-0.12, 0.12),
             "xi_re": (-0.38, -0.05), "xi_im": (-0.12, 0.12)}
+DRAW_TRIES = 200
 
 
 @dataclass
@@ -78,11 +79,16 @@ class RunConfig:
         }
 
 
+def _is_integer(raw) -> bool:
+    """YAML reads true/yes as bool, a subclass of int; a bool is no number."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _as_complex(raw, where: str) -> complex:
-    if isinstance(raw, (int, float, complex)):
+    if isinstance(raw, (int, float, complex)) and not isinstance(raw, bool):
         value = complex(raw)
     elif isinstance(raw, (list, tuple)) and len(raw) == 2 \
-            and all(isinstance(v, (int, float)) for v in raw):
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
         value = complex(raw[0], raw[1])
     else:
         raise ValidationError(f"{where}: expected a number or [re, im] pair, got {raw!r}")
@@ -92,6 +98,8 @@ def _as_complex(raw, where: str) -> complex:
 
 
 def _as_number(raw, where: str, kind=float):
+    if isinstance(raw, bool):
+        raise ValidationError(f"{where}: expected a number, got {raw!r}")
     try:
         value = kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -133,10 +141,10 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
     if mode not in MODES:
         raise ValidationError(f"mode {mode!r} not one of {MODES}")
     n = merged["N"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise ValidationError(f"N must be a non-negative integer, got {n!r}")
     seed = merged["seed"]
-    if not isinstance(seed, int):
+    if not _is_integer(seed):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
 
     tau = _as_complex(merged["tau"], "tau")
@@ -164,8 +172,6 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
                 raise ValidationError(f"unknown route {r!r}")
             if n > ROUTE_GUARDS[r]:
                 raise ValidationError(f"{r} limited to N <= {ROUTE_GUARDS[r]}, got N={n}")
-    if mode == "single-route" and len(routes) != 1:
-        raise ValidationError("single-route mode needs exactly one route")
 
     tol = _as_number(merged["tol"], "tol")
     if tol <= 0:
@@ -184,9 +190,11 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
             raise ValidationError(f"{key} has {len(pts)} entries but N = {n}")
         return pts
 
+    if ("u" in raw) != ("xi" in raw):
+        raise ValidationError("u and xi must be given together")
     n_sweep = merged.get("n_sweep", ())
     if not isinstance(n_sweep, (list, tuple)) \
-            or not all(isinstance(v, int) and v >= 0 for v in n_sweep):
+            or not all(_is_integer(v) and v >= 0 for v in n_sweep):
         raise ValidationError(
             f"n_sweep must be a list of non-negative integers, got {n_sweep!r}")
     return RunConfig(mode=mode, n=n, seed=seed, setup=setup, bc=bc,
@@ -196,14 +204,13 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
 
 
 def draw_spectral(n: int, seed: int, setup: ModularSetup, bc: BoundaryConfig,
-                  floor: float = GENERICITY_FLOOR, max_tries: int = 200,
-                  box: dict = None) -> SpectralConfig:
+                  floor: float = GENERICITY_FLOOR) -> SpectralConfig:
     """Seeded rejection sampling of a generic spectral configuration."""
-    box = box or DRAW_BOX
+    box = DRAW_BOX
     rng = np.random.default_rng(seed)
     if n == 0:
         return SpectralConfig(u=(), xi=())
-    for _ in range(max_tries):
+    for _ in range(DRAW_TRIES):
         u = tuple(rng.uniform(*box["u_re"], n) + 1j * rng.uniform(*box["u_im"], n))
         xi = tuple(rng.uniform(*box["xi_re"], n) + 1j * rng.uniform(*box["xi_im"], n))
         spectral = SpectralConfig(u=u, xi=xi)
@@ -218,12 +225,10 @@ def draw_spectral(n: int, seed: int, setup: ModularSetup, bc: BoundaryConfig,
         except SingularityError:
             continue
         return spectral
-    raise SingularityError(f"no generic draw found in {max_tries} tries")
+    raise SingularityError(f"no generic draw found in {DRAW_TRIES} tries")
 
 
 def spectral_for(cfg: RunConfig) -> SpectralConfig:
-    if cfg.explicit_u is not None and cfg.explicit_xi is not None:
+    if cfg.explicit_u is not None:
         return SpectralConfig(u=cfg.explicit_u, xi=cfg.explicit_xi)
-    if (cfg.explicit_u is None) != (cfg.explicit_xi is None):
-        raise ValidationError("u and xi must be given together")
     return draw_spectral(cfg.n, cfg.seed, cfg.setup, cfg.bc)

@@ -1,8 +1,9 @@
 """Factorizing twist of the dynamical model at desk scale (N <= 5).
 
-``r_s_operator`` composes elementary dynamical R-factors along a reduced
-word; ``f_matrix`` assembles the lower-triangular factorizing twist as the
-projected permutation sum; the twisted one-row and double-row (creation)
+``r_s_operator`` applies the elementary dynamical R-factors of a reduced
+word, each through ``rmatrices.apply_sos_R``, to the identity as a batch of
+basis kets; ``f_matrix`` assembles the lower-triangular factorizing twist
+as the projected permutation sum; the twisted one-row and double-row (creation)
 operators are checked against their polarization-free tensor-product forms.
 """
 
@@ -21,7 +22,7 @@ from .elliptic import ModularSetup, sigma
 from .errors import SingularityError, SizeError
 from .oracle import (SpectralConfig, SpectralGrids, face_creation_operator,
                      face_one_row_monodromy)
-from .rmatrices import GENERICITY_FLOOR, WeightVector, sos_R_matrix
+from .rmatrices import GENERICITY_FLOOR, WeightVector, apply_sos_R
 from .tensor import DenseOperator, embed_matrix
 
 MAX_F_N = 5
@@ -67,35 +68,6 @@ def reduced_word(seq) -> PermutationWord:
     return PermutationWord(target, word)
 
 
-def _elementary_factor(position: int, seq, l: WeightVector,
-                       spectral: SpectralConfig, setup: ModularSetup,
-                       floor: float) -> np.ndarray:
-    """R acting on sites (seq[pos], seq[pos+1]) with the dynamical shift
-    carried by the joint weight of sites seq[1..pos-1]."""
-    n = spectral.n
-    a, b = seq[position - 1], seq[position]
-    u_arg = spectral.xi[a - 1] - spectral.xi[b - 1]
-    spectators = [s - 1 for s in seq[:position - 1]]
-    dim = 2 ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    k = len(spectators)
-    if k == 0:
-        return embed_matrix(sos_R_matrix(u_arg, l, setup, floor), (a - 1, b - 1), n)
-    # group basis states by the spectator-subset popcount
-    idx = np.arange(dim)
-    n2 = np.zeros(dim, dtype=np.int64)
-    for s in spectators:
-        n2 += (idx >> (n - 1 - s)) & 1
-    for twos in range(k + 1):
-        ones = k - twos
-        mask = n2 == twos
-        r_emb = embed_matrix(
-            sos_R_matrix(u_arg, l.shifted(1, setup.eta, ones - twos), setup, floor),
-            (a - 1, b - 1), n)
-        out[:, mask] = r_emb[:, mask]
-    return out
-
-
 def _apply_to_seq(base, rel):
     return tuple(base[r - 1] for r in rel)
 
@@ -114,15 +86,20 @@ def r_s_operator(s: PermutationWord, l: WeightVector, spectral: SpectralConfig,
     if n > MAX_F_N:
         raise SizeError(f"permutation operators limited to N <= {MAX_F_N}, got {n}")
     dim = 2 ** n
-    op = np.eye(dim, dtype=complex)
+    # the identity as a batch of basis kets; letter beta is R on sites
+    # (seq[beta], seq[beta+1]) shifted by the spins of seq[1..beta-1]
+    op = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     seq = tuple(base) if base is not None else tuple(range(1, n + 1))
     target = _apply_to_seq(seq, s.seq)
     for beta in s.word:
-        op = _elementary_factor(beta, seq, l, spectral, setup, floor) @ op
+        a, b = seq[beta - 1], seq[beta]
+        op = apply_sos_R(op, spectral.xi[a - 1] - spectral.xi[b - 1], l, setup,
+                         a - 1, b - 1, spectators=tuple(c - 1 for c in seq[:beta - 1]),
+                         floor=floor)
         seq = seq[:beta - 1] + (seq[beta], seq[beta - 1]) + seq[beta + 1:]
     if seq != target:
         raise ValueError(f"word {s.word} does not produce sequence {target}")
-    return DenseOperator(tuple(range(1, n + 1)), op)
+    return DenseOperator(tuple(range(1, n + 1)), op.reshape(dim, dim))
 
 
 def _valid_chains(seq):

@@ -11,6 +11,10 @@ Three independent evaluators of the same quantity:
 * ``partition_face_route`` -- the face-type route: a product of double-row
   pseudo-particle creation operators between the all-up bra and all-down
   ket, built from the dynamical one-row monodromy matrix.
+
+Every dynamical R factor goes through ``rmatrices.apply_sos_R``; dense
+operators apply it to the identity reshaped as a batch of basis kets, as
+``double_row_monodromy`` does with the vertex factors.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from .boundary import BoundaryConfig, boundary_state_factors, vertex_K_matrix
 from .elliptic import ModularSetup, sigma
 from .errors import SingularityError, SizeError
 from .rmatrices import (GENERICITY_FLOOR, WeightVector, _checked_sigma,
-                        sos_R_matrix, vertex_R_matrix)
-from .tensor import (DenseOperator, apply_one_site, apply_two_site,
-                     popcount_groups, product_state)
+                        apply_sos_R, vertex_R_matrix)
+from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state
 
 MAX_BRUTEFORCE_N = 12
 MAX_ENUMERATION_N = 2
@@ -288,36 +291,18 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
 # Face-type route: dynamical one-row monodromy and creation operators.
 # ---------------------------------------------------------------------------
 
-def _face_layer(phi, l: WeightVector, u_arg, k, n, setup, floor):
-    """Apply R_{0,k}(u - xi_k; l - eta*sum_{m<k} h^(m)) to phi.
-
-    phi axes: (aux, site1..siteN); the dynamical argument on each popcount
-    class of the preceding sites is l shifted by (n1 - n2) steps of e_hat_1.
-    """
-    prefix_bits = k - 1
-    blk = phi.reshape(2, 2 ** prefix_bits, 2, 2 ** (n - k))
-    out = np.empty_like(blk)
-    groups = popcount_groups(prefix_bits)
-    for n2, idx in enumerate(groups):
-        n1 = prefix_bits - n2
-        r = sos_R_matrix(u_arg, l.shifted(1, setup.eta, n1 - n2), setup, floor)
-        r4 = r.reshape(2, 2, 2, 2)
-        out[:, idx] = np.einsum("ABas,apsS->ApBS", r4, blk[:, idx])
-    return out.reshape(phi.shape)
-
-
-def face_monodromy_apply(l: WeightVector, u: complex, j_in: int, psi,
+def face_monodromy_apply(l: WeightVector, u: complex, phi,
                          spectral: SpectralConfig, setup: ModularSetup,
                          floor: float = GENERICITY_FLOOR):
-    """Apply the one-row monodromy to ``psi``; returns both auxiliary rows.
+    """Apply the one-row monodromy T(l|u) to ``phi``.
 
-    Output ``out[i-1]`` is T(l|u)^i_{j_in} psi.
+    ``phi`` has axes (aux, site1..siteN, batch...); entry i-1 of the result's
+    aux axis is sum_j T(l|u)^i_j phi[j-1].  Layer k is R_{0,k}(u - xi_k) with
+    the weight shifted by the spins of sites 1..k-1.
     """
-    n = spectral.n
-    phi = np.zeros((2,) + (2,) * n, dtype=complex)
-    phi[j_in - 1] = np.asarray(psi, dtype=complex).reshape((2,) * n)
-    for k in range(1, n + 1):
-        phi = _face_layer(phi, l, u - spectral.xi[k - 1], k, n, setup, floor)
+    for k in range(1, spectral.n + 1):
+        phi = apply_sos_R(phi, u - spectral.xi[k - 1], l, setup, 0, k,
+                          spectators=tuple(range(1, k)), floor=floor)
     return phi
 
 
@@ -327,17 +312,12 @@ def face_one_row_monodromy(l: WeightVector, u: complex,
     """The four entries T(l|u)^i_j as dense operators on the quantum space."""
     n = spectral.n
     dim = 2 ** n
-    mats = {(i, j): np.zeros((dim, dim), dtype=complex)
-            for i in (1, 2) for j in (1, 2)}
-    for col in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[col] = 1.0
-        for j in (1, 2):
-            phi = face_monodromy_apply(l, u, j, basis, spectral, setup, floor)
-            for i in (1, 2):
-                mats[(i, j)][:, col] = phi[i - 1].ravel()
+    # the identity on (aux, sites) as a batch of basis kets
+    eye = np.eye(2 * dim, dtype=complex).reshape((2,) * (n + 1) + (2 * dim,))
+    mat = face_monodromy_apply(l, u, eye, spectral, setup, floor).reshape(2, dim, 2, dim)
     sites = tuple(range(1, n + 1))
-    return {key: DenseOperator(sites, mat) for key, mat in mats.items()}
+    return {(i, j): DenseOperator(sites, mat[i - 1, :, j - 1])
+            for i in (1, 2) for j in (1, 2)}
 
 
 def _creation_scalars(m: WeightVector, bc: BoundaryConfig, u: complex,
@@ -357,17 +337,23 @@ def _creation_scalars(m: WeightVector, bc: BoundaryConfig, u: complex,
 def face_creation_apply(m: WeightVector, bc: BoundaryConfig, u: complex, psi,
                         spectral: SpectralConfig, setup: ModularSetup,
                         floor: float = GENERICITY_FLOOR):
-    """Apply the double-row creation operator to a state vector."""
+    """Apply the double-row creation operator to ``psi``.
+
+    ``psi`` has axes (site1..siteN, batch...).  The two outer factors are
+    both T(lambda|u), so they run as one batch of two.
+    """
     lam = bc.weight
     eta = setup.eta
     pref, k1, k2 = _creation_scalars(m, bc, u, spectral, setup, floor)
-    t = face_monodromy_apply(lam.shifted(2, eta, -1), -u - eta, 2, psi,
+    psi = np.asarray(psi, dtype=complex)
+    zero = np.zeros_like(psi)
+    t = face_monodromy_apply(lam.shifted(2, eta, -1), -u - eta, np.stack([zero, psi]),
                              spectral, setup, floor)[1]
-    t = face_monodromy_apply(lam, u, 1, t, spectral, setup, floor)[1]
-    s = face_monodromy_apply(lam.shifted(1, eta, -1), -u - eta, 1, psi,
+    s = face_monodromy_apply(lam.shifted(1, eta, -1), -u - eta, np.stack([psi, zero]),
                              spectral, setup, floor)[1]
-    s = face_monodromy_apply(lam, u, 2, s, spectral, setup, floor)[1]
-    return pref * (k1 * t - k2 * s)
+    phi = np.stack([np.stack([t, zero], axis=-1), np.stack([zero, s], axis=-1)])
+    ts = face_monodromy_apply(lam, u, phi, spectral, setup, floor)[1]
+    return pref * (k1 * ts[..., 0] - k2 * ts[..., 1])
 
 
 def face_creation_operator(m: WeightVector, bc: BoundaryConfig, u: complex,
@@ -376,12 +362,8 @@ def face_creation_operator(m: WeightVector, bc: BoundaryConfig, u: complex,
     """The creation operator as a dense matrix on the quantum space."""
     n = spectral.n
     dim = 2 ** n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[col] = 1.0
-        mat[:, col] = face_creation_apply(m, bc, u, basis, spectral, setup,
-                                          floor).ravel()
+    eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    mat = face_creation_apply(m, bc, u, eye, spectral, setup, floor).reshape(dim, dim)
     return DenseOperator(tuple(range(1, n + 1)), mat)
 
 

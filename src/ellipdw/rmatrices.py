@@ -2,9 +2,10 @@
 
 The 4x4 matrices act on V (x) V with basis order (11, 12, 21, 22).  The
 dynamical shift convention: acting on a site in spin state i shifts the
-weight by -eta * e_hat_i, with e_hat_1 = (1/2, -1/2) and e_hat_2 = -e_hat_1.
-Relations (QYBE, dynamical YBE, crossing, unitarity) are exposed as
-normalized max-norm residuals.
+weight by -eta * e_hat_i, with e_hat_1 = (1/2, -1/2) and e_hat_2 = -e_hat_1;
+``apply_sos_R`` applies that convention for the face route, the twist and
+the dynamical YBE check alike.  Relations (QYBE, dynamical YBE, crossing,
+unitarity) are exposed as normalized max-norm residuals.
 """
 
 from __future__ import annotations
@@ -120,6 +121,28 @@ def sos_R_matrix(u: complex, m: WeightVector, setup: ModularSetup,
     ], dtype=complex)
 
 
+def apply_sos_R(tensor: np.ndarray, u: complex, m: WeightVector, setup: ModularSetup,
+                ax1: int, ax2: int, spectators=(),
+                floor: float = GENERICITY_FLOOR) -> np.ndarray:
+    """Apply R(u; m - (n1 - n2) eta e_hat_1) to axes (ax1, ax2) of a tensor.
+
+    ``tensor`` is a (2,)*k state tensor with any trailing batch axes; n1 and
+    n2 count the ``spectators`` axes in spin 1 and spin 2, so every slice sees
+    the weight shifted by the spins of the sites it has passed.  R rows and
+    columns are ordered with the ax1 index most significant.  This is the one
+    place that maps spectator spins to a shifted weight.
+    """
+    k = len(spectators)
+    mats = np.stack([sos_R_matrix(u, m.shifted(1, setup.eta, k - 2 * n2), setup, floor)
+                     for n2 in range(k + 1)]).reshape(k + 1, 2, 2, 2, 2)
+    # spectator popcount over the remaining axes, broadcast along the others
+    rest = [ax for ax in range(tensor.ndim) if ax not in (ax1, ax2)]
+    twos = np.indices([2 if ax in spectators else 1 for ax in rest]).sum(axis=0)
+    out = np.einsum("...ABas,...as->...AB", mats[twos],
+                    np.moveaxis(tensor, (ax1, ax2), (-2, -1)))
+    return np.moveaxis(out, (-2, -1), (ax1, ax2))
+
+
 def _swap_sites(mat4: np.ndarray) -> np.ndarray:
     """P M P for a 4x4 two-site matrix."""
     p = [0, 2, 1, 3]
@@ -145,15 +168,9 @@ def qybe_residual(u1: complex, u2: complex, u3: complex,
 
 def _dynamical_embed(u, m, setup, active, spectator, floor=GENERICITY_FLOOR):
     """R on two of three sites with the weight shifted by the spectator spin."""
-    out = np.zeros((8, 8), dtype=complex)
-    for j in (1, 2):
-        rj = embed_matrix(sos_R_matrix(u, m.shifted(j, setup.eta), setup, floor),
-                          active, 3)
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[j - 1, j - 1] = 1.0
-        pj = embed_matrix(proj, (spectator,), 3)
-        out += rj @ pj
-    return out
+    eye = np.eye(8, dtype=complex).reshape(2, 2, 2, 8)
+    return apply_sos_R(eye, u, m, setup, *active, spectators=(spectator,),
+                       floor=floor).reshape(8, 8)
 
 
 def dybe_residual(u1: complex, u2: complex, u3: complex, m: WeightVector,

@@ -38,13 +38,6 @@ class DenseOperator:
         pos = tuple(sites.index(s) for s in self.sites)
         return DenseOperator(sites, embed_matrix(self.mat, pos, len(sites)))
 
-    def compose(self, other: "DenseOperator") -> "DenseOperator":
-        """self @ other on the union of site labels (self's order first)."""
-        sites = tuple(self.sites) + tuple(s for s in other.sites if s not in self.sites)
-        a = self.on_sites(sites)
-        b = other.on_sites(sites)
-        return DenseOperator(sites, a.mat @ b.mat)
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.mat)))
 
@@ -95,12 +88,3 @@ def product_state(factors) -> np.ndarray:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
 
-
-@lru_cache(maxsize=None)
-def popcount_groups(nbits: int):
-    """Index arrays of {0..2^nbits-1} grouped by popcount (read-only cache)."""
-    x = np.arange(2 ** nbits)
-    counts = np.zeros_like(x)
-    for b in range(nbits):
-        counts += (x >> b) & 1
-    return tuple(np.nonzero(counts == c)[0] for c in range(nbits + 1))

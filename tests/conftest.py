@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from ellipdw import BoundaryConfig, ModularSetup, WeightVector
 from ellipdw.config import draw_spectral
+from ellipdw.rmatrices import sos_R_matrix
+from ellipdw.tensor import embed_matrix
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,30 @@ def random_weight(rng, setup, floor=1e-3):
             return m
         except EllipdwError:
             continue
+
+
+def dense_sos_R(n, u, m, setup, ax1, ax2, spectators=()):
+    """Dense reference for ``rmatrices.apply_sos_R`` on n sites: the embedded
+    R(u; m - (n1 - n2) eta e_hat_1) times the projector onto the spectator
+    states with n2 spins 2, summed over n2."""
+    dim = 2 ** n
+    twos = np.zeros(dim, dtype=np.int64)
+    for s in spectators:
+        twos += (np.arange(dim) >> (n - 1 - s)) & 1
+    k = len(spectators)
+    out = np.zeros((dim, dim), dtype=complex)
+    for n2 in range(k + 1):
+        r = sos_R_matrix(u, m.shifted(1, setup.eta, (k - n2) - n2), setup)
+        out += embed_matrix(r, (ax1, ax2), n) @ np.diag((twos == n2).astype(complex))
+    return out
+
+
+def dense_face_monodromy(l, u, spectral, setup):
+    """T(l|u) on (aux, sites) as the product of dense shifted R factors,
+    indexed [i-1, out, j-1, in]."""
+    n = spectral.n
+    out = np.eye(2 ** (n + 1), dtype=complex)
+    for k in range(1, n + 1):
+        out = dense_sos_R(n + 1, u - spectral.xi[k - 1], l, setup, 0, k,
+                          range(1, k)) @ out
+    return out.reshape(2, 2 ** n, 2, 2 ** n)

@@ -186,6 +186,14 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         bad.write_text(text)
         assert main(["compare", "--config", str(bad)]) == 2, text
 
+    # YAML booleans are not numbers, and explicit points come as a pair.
+    for text in ("N: true", "N: yes", "seed: true", "tol: true", "eta: true",
+                 "zeta: [true, 0]", "series_tol: true", "n_max: true",
+                 "n_sweep: [true]", "{N: 2, u: [[0.2, 0.05], [0.3, -0.02]]}",
+                 "{N: 2, xi: [[-0.2, 0.0], [-0.1, 0.03]]}"):
+        bad.write_text(text)
+        assert main(["compare", "--config", str(bad)]) == 2, text
+
 
 def test_cli_single_route_determinant(capsys):
     assert main(["compare", "--route", "determinant", "--seed", "5"]) == 0

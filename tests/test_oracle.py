@@ -12,10 +12,10 @@ from ellipdw import (ModularSetup, SpectralConfig, closedform, double_row_monodr
 from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
 from ellipdw.elliptic import sigma
 from ellipdw.errors import SizeError
-from ellipdw.rmatrices import sos_R_matrix, vertex_R_matrix
+from ellipdw.rmatrices import GENERICITY_FLOOR, sos_R_matrix, vertex_R_matrix
 from ellipdw.tensor import embed_matrix
 
-from conftest import random_weight
+from conftest import dense_face_monodromy, random_weight
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,59 @@ def test_creation_operator_n1_hand_expansion(spec1, bc, setup):
     expected = (s(m.m21) / s(lam.m21)) * (s(u + xi) / s(u + xi + eta)) * (term1 - term2)
     op = face_creation_operator(m, bc, u, spec1, setup).mat
     assert abs(op[0, 1] - expected) <= 1e-12 * abs(expected)
+
+
+def _assert_rel_close(a, b, tol=1e-12):
+    assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_row_monodromy_equals_per_ket_application(n, draw, bc, setup):
+    """The batched operator equals the basis kets applied one at a time, bit
+    for bit, and the product of dense shifted R factors to rounding."""
+    rng = np.random.default_rng(45)
+    l = random_weight(rng, setup)
+    u = 0.21 - 0.05j
+    spec = draw(n, 120 + n, setup, bc)
+    dim = 2 ** n
+    t = face_one_row_monodromy(l, u, spec, setup)
+    dense = dense_face_monodromy(l, u, spec, setup)
+    for j in (1, 2):
+        cols = []
+        for col in range(dim):
+            phi = np.zeros((2, dim), dtype=complex)
+            phi[j - 1, col] = 1.0
+            phi = oracle.face_monodromy_apply(l, u, phi.reshape((2,) * (n + 1)),
+                                              spec, setup)
+            cols.append(phi.reshape(2, dim))
+        per_ket = np.stack(cols, axis=-1)
+        for i in (1, 2):
+            mat = np.ascontiguousarray(t[(i, j)].mat)
+            assert mat.tobytes() == per_ket[i - 1].tobytes()
+            _assert_rel_close(mat, dense[i - 1, :, j - 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_creation_operator_equals_per_ket_application(n, draw, bc, setup):
+    """Same check for the double-row creation operator; the dense reference
+    composes T(lambda|u) with the inner T(lambda +- eta e_hat|-u-eta)."""
+    spec = draw(n, 130 + n, setup, bc)
+    lam, eta = bc.weight, setup.eta
+    m = lam.shifted(1, eta, n - 2)
+    u = spec.u[0]
+    dim = 2 ** n
+    op = face_creation_operator(m, bc, u, spec, setup).mat
+    per_ket = np.stack([oracle.face_creation_apply(m, bc, u, ket.reshape((2,) * n),
+                                                   spec, setup).ravel()
+                        for ket in np.eye(dim, dtype=complex)], axis=-1)
+    assert op.tobytes() == per_ket.tobytes()
+    pref, k1, k2 = oracle._creation_scalars(m, bc, u, spec, setup, GENERICITY_FLOOR)
+    outer = dense_face_monodromy(lam, u, spec, setup)
+    inner_t = dense_face_monodromy(lam.shifted(2, eta, -1), -u - eta, spec, setup)
+    inner_s = dense_face_monodromy(lam.shifted(1, eta, -1), -u - eta, spec, setup)
+    ref = pref * (k1 * outer[1, :, 0] @ inner_t[1, :, 1]
+                  - k2 * outer[1, :, 1] @ inner_s[1, :, 0])
+    _assert_rel_close(op, ref)
 
 
 def test_scalar_product_equals_bruteforce_n2(draw, bc, setup):

@@ -6,9 +6,9 @@ import pytest
 from ellipdw import (ModularSetup, WeightVector, crossing_residual,
                      dybe_residual, qybe_residual, unitarity_residual)
 from ellipdw.errors import SingularityError
-from ellipdw.rmatrices import sos_R_matrix, vertex_R_matrix
+from ellipdw.rmatrices import apply_sos_R, sos_R_matrix, vertex_R_matrix
 
-from conftest import random_points, random_weight
+from conftest import dense_sos_R, random_points, random_weight
 
 P_MATRIX = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                     dtype=complex)
@@ -113,6 +113,21 @@ def test_dybe_degenerate_and_sweep(setup):
     # relation survives a dynamical shift of the weight
     m = random_weight(rng, setup)
     assert dybe_residual(0.21, -0.07, 0.33, m.shifted(1, setup.eta), setup) <= 1e-10
+
+
+@pytest.mark.parametrize("n,ax1,ax2,spectators", [
+    (3, 0, 1, ()), (3, 2, 0, (1,)), (3, 0, 2, (1,)), (3, 1, 2, (0,)),
+    (4, 2, 1, ()), (4, 3, 1, (0, 2)), (4, 0, 3, (2, 1)), (4, 1, 2, (3, 0))])
+def test_apply_sos_R_matches_dense_reference(n, ax1, ax2, spectators, setup, weight):
+    """The kernel on a tensor with a trailing batch axis equals the embedded R
+    with spectator projectors, for non-adjacent and reversed axes."""
+    rng = np.random.default_rng(26)
+    psi = rng.normal(size=(2,) * n + (3,)) + 1j * rng.normal(size=(2,) * n + (3,))
+    u = 0.23 + 0.07j
+    out = apply_sos_R(psi, u, weight, setup, ax1, ax2, spectators)
+    ref = dense_sos_R(n, u, weight, setup, ax1, ax2, spectators) @ psi.reshape(2 ** n, 3)
+    assert out.shape == psi.shape
+    assert np.max(np.abs(out.reshape(2 ** n, 3) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_crossing_points_and_sweep(setup, weight):
