@@ -91,6 +91,8 @@ def main(argv=None) -> int:
                 lines.append(f"{c['name']},{c['max_residual']:.3e},"
                              f"{c['tolerance']:.1e},{c['pass']}")
             print("\n".join(lines))
+            if "error" in result:
+                print(f"error: {result['error']}", file=sys.stderr)
         else:
             print(json.dumps(result, indent=2))
         return 0 if result["pass"] else 1

@@ -47,17 +47,6 @@ def _require_size(route: str, n: int):
         raise SizeError(f"{route} route limited to N <= {_SIZE_GUARDS[route]}, got {n}")
 
 
-def _tree_sum(values):
-    """Pairwise-tree reduction in fixed order (bit-stable chunk partials)."""
-    vals = list(values)
-    if not vals:
-        return 0.0 + 0.0j
-    while len(vals) > 1:
-        vals = [vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
-                for i in range(0, len(vals), 2)]
-    return vals[0]
-
-
 @dataclass(frozen=True)
 class NormalizedZ:
     """Normalized partition value with its provenance route."""
@@ -174,15 +163,16 @@ def _permsum(tables: _SigmaTables) -> complex:
     table_g = tables.xi_ratio()
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     rows = np.arange(n)
-    partials = []
+    total = 0.0 + 0.0j
+    # chunks bound the memory: N = 9 has 362,880 permutations
     for start in range(0, len(perms), PERMSUM_CHUNK):
         chunk = perms[start:start + PERMSUM_CHUNK]
         term = table_a[rows[None, :], chunk].prod(axis=1)
         for a in range(n):
             for k in range(a + 1, n):
                 term = term * table_b[a, chunk[:, k]] * table_g[chunk[:, a], chunk[:, k]]
-        partials.append(np.add.reduce(term))
-    return complex(_tree_sum(partials))
+        total += np.add.reduce(term)
+    return complex(total)
 
 
 def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,

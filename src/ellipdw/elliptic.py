@@ -149,6 +149,59 @@ def sigma(u, setup: ModularSetup):
     return _theta_series(0.5, 0.5, u, setup.tau, setup.series_tol, setup.n_max)
 
 
+def _separable_window(tau: complex, im_max: float, series_tol: float, n_max: int) -> int:
+    """Half-width k of the window n = -k .. k-1, i.e. |n + 1/2| <= k - 1/2.
+
+    A term of sigma has modulus exp(-pi t m^2 - 2 pi m Im z), m = n + 1/2,
+    t = Im tau; with |Im z| <= y it is at most exp(-pi t m^2 + 2 pi |m| y)
+    (DLMF 20.2).  Past the vertex m = y / t that bound falls faster than a
+    geometric series of ratio r, so the terms left out, |m| >= k + 1/2 on
+    both sides, sum to at most 2 * bound(k + 1/2) / (1 - r): k is the first
+    size at which that is below series_tol.
+    """
+    if tau.imag < MIN_IM_TAU:
+        raise DomainError(f"Im(tau) = {tau.imag} below {MIN_IM_TAU}")
+    t = tau.imag
+    log_tol = math.log(series_tol / 2.0)
+    for k in range(1, n_max + 1):
+        m = k + 0.5
+        if m < im_max / t:
+            continue  # the bound still rises at m
+        log_ratio = -math.pi * t * (2.0 * m + 1.0) + 2.0 * math.pi * im_max
+        log_bound = -math.pi * t * m * m + 2.0 * math.pi * m * im_max
+        if log_bound - math.log1p(-math.exp(log_ratio)) < log_tol:
+            return k
+    raise ConvergenceError(
+        f"separable sigma window exceeds n_max = {n_max} "
+        f"(Im tau = {t:.3g}, |Im z| <= {im_max:.3g})")
+
+
+def sigma_separable(p, q, setup: ModularSetup, s: int = 1, c: complex = 0.0):
+    """sigma(p_a + s*q_k + c) for every (a, k), as one complex GEMM X @ Y.T.
+
+    X[a, n] = exp(i pi [(n+1/2)^2 tau + 2 (n+1/2)(p_a + c + 1/2)]) and
+    Y[k, n] = exp(2 pi i s (n+1/2) q_k) over a window fixed in advance from
+    Im tau, series_tol and |Im(p + c)| + |Im q| (see ``_separable_window``);
+    each product X[a, n] Y[k, n] is the n-th term of the series.  The terms
+    are those of ``sigma`` but summed in another order and window, so the
+    values agree with it to rounding, not bit for bit.  Raises DomainError
+    below MIN_IM_TAU and ConvergenceError when the window exceeds n_max or a
+    value is not finite.
+    """
+    tau = complex(setup.tau)
+    p = np.asarray(p, dtype=complex).ravel() + complex(c)
+    q = np.asarray(q, dtype=complex).ravel()
+    im_max = float(np.abs(p.imag).max(initial=0.0) + np.abs(q.imag).max(initial=0.0))
+    k = _separable_window(tau, im_max, setup.series_tol, setup.n_max)
+    m = np.arange(-k, k) + 0.5
+    x = np.exp(1j * np.pi * (m * m * tau + 2.0 * m * (p[:, None] + 0.5)))
+    y = np.exp((2j * np.pi * s) * m * q[:, None])
+    out = x @ y.T
+    if not np.isfinite(out).all():
+        _not_finite(0.5, 0.5)
+    return out
+
+
 def sigma_char(alpha1: int, alpha2: int, u, setup: ModularSetup):
     """sigma_alpha(u) = theta[1/2 + a1/2; 1/2 + a2/2](u, tau), a_i in {0, 1}."""
     if alpha1 not in (0, 1) or alpha2 not in (0, 1):

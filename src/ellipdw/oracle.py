@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import BoundaryConfig, boundary_state_factors, vertex_K_matrix
-from .elliptic import ModularSetup, sigma
+from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SingularityError, SizeError
 from .rmatrices import (GENERICITY_FLOOR, WeightVector, _checked_sigma,
                         apply_sos_R, vertex_R_matrix)
@@ -42,11 +42,13 @@ class SpectralGrids:
     forms, each evaluated on first use and then kept read-only.
 
     ``minus``, ``plus``, ``minus_eta``, ``plus_eta`` are sigma(u_a -+ xi_k)
-    and sigma(u_a -+ xi_k + eta), indexed [a, k]; ``u_diff``, ``u_sum_eta``,
-    ``xi_diff``, ``xi_sum`` are sigma(u_b - u_a), sigma(u_b + u_a + eta),
-    sigma(xi_a - xi_b) and sigma(xi_a + xi_b) over the pairs a < b.  Each grid
-    is its own sigma call: the numpy series stops on the largest term of the
-    whole array, so merging grids would move their bits.
+    and sigma(u_a -+ xi_k + eta), indexed [a, k]: the determinant's matrix
+    entries, each its own ``sigma`` series call, so the matrix keeps its
+    bits.  ``u_diff``, ``u_sum_eta``, ``xi_diff``, ``xi_sum`` are
+    sigma(u_b - u_a), sigma(u_b + u_a + eta), sigma(xi_a - xi_b) and
+    sigma(xi_a + xi_b) over the pairs a < b, each a triangle of one full
+    ``sigma_separable`` product; ``check_min`` is the least |sigma| over the
+    pair families only the genericity check reads.
     """
 
     def __init__(self, u, xi, setup: ModularSetup):
@@ -78,25 +80,41 @@ class SpectralGrids:
     def plus_eta(self):
         return self._sigma(self.u[:, None] + self.xi[None, :] + self.setup.eta)
 
+    def _pairs(self, v, pairs, s, c=0.0):
+        """Entries [i, j] of sigma(v_i + s*v_j + c) over the index pairs."""
+        vals = sigma_separable(v, v, self.setup, s, c)[pairs]
+        vals.flags.writeable = False
+        return vals
+
     @cached_property
     def u_diff(self):
         ia, ib = self.u_pairs
-        return self._sigma(self.u[ib] - self.u[ia])
+        return self._pairs(self.u, (ib, ia), -1)
 
     @cached_property
     def u_sum_eta(self):
         ia, ib = self.u_pairs
-        return self._sigma(self.u[ib] + self.u[ia] + self.setup.eta)
+        return self._pairs(self.u, (ib, ia), 1, self.setup.eta)
 
     @cached_property
     def xi_diff(self):
-        ia, ib = self.xi_pairs
-        return self._sigma(self.xi[ia] - self.xi[ib])
+        return self._pairs(self.xi, self.xi_pairs, -1)
 
     @cached_property
     def xi_sum(self):
-        ia, ib = self.xi_pairs
-        return self._sigma(self.xi[ia] + self.xi[ib])
+        return self._pairs(self.xi, self.xi_pairs, 1)
+
+    @cached_property
+    def check_min(self) -> float:
+        """min |sigma| over sigma(u_a + u_b), sigma(u_a - u_b + eta) and
+        sigma(u_b - u_a + eta), a < b (both triangles of one product)."""
+        if len(self.u) < 2:
+            return math.inf
+        u, setup = self.u, self.setup
+        plus = np.abs(sigma_separable(u, u, setup)[self.u_pairs])
+        minus_eta = np.abs(sigma_separable(u, u, setup, -1, setup.eta))
+        np.fill_diagonal(minus_eta, math.inf)
+        return float(min(plus.min(), minus_eta.min()))
 
 
 @dataclass(frozen=True)
@@ -127,18 +145,14 @@ class SpectralConfig:
     def require_generic(self, setup: ModularSetup, floor: float = GENERICITY_FLOOR):
         """All sigma combinations entering denominators must clear the floor.
 
-        The eight shared grids come from ``grids(setup)``; the three pair
-        families only this check needs are one further call.
+        Every family comes from ``grids(setup)``, so a second check of the
+        same configuration evaluates nothing.
         """
         g = self.grids(setup)
         vals = [g.minus, g.plus, g.minus_eta, g.plus_eta,
                 g.u_diff, g.u_sum_eta, g.xi_diff, g.xi_sum]
-        if self.n > 1:
-            u, eta = g.u, setup.eta
-            ia, ib = g.u_pairs
-            vals.append(sigma(np.concatenate(
-                [u[ia] + u[ib], u[ia] - u[ib] + eta, u[ib] - u[ia] + eta]), setup))
         low = min((float(np.abs(v).min()) for v in vals if v.size), default=math.inf)
+        low = min(low, g.check_min)
         if low < floor:
             raise SingularityError(
                 f"spectral configuration degenerate: min |sigma| = {low:.2e}")

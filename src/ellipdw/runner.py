@@ -239,8 +239,13 @@ def identity_checks(cfg: RunConfig):
 
 
 def run_identities(cfg: RunConfig) -> dict:
-    """Named-check report: residual, tolerance, pass per identity."""
-    checks = identity_checks(cfg)
+    """Named-check report: residual, tolerance, pass per identity.  A check
+    that raises fails the report, which then carries the error instead."""
+    try:
+        checks = identity_checks(cfg)
+    except EllipdwError as exc:
+        return {"params": cfg.params_echo(), "checks": [], "pass": False,
+                "error": f"{type(exc).__name__}: {exc}"}
     entries = [{"name": name, "max_residual": float(res), "tolerance": float(tol),
                 "pass": bool(res <= tol)} for name, res, tol in checks]
     return {"params": cfg.params_echo(),
@@ -282,8 +287,8 @@ def run_bench(cfg: RunConfig) -> dict:
             # the draw's genericity check evaluates the grids the route reads,
             # so a row times both
             t0 = time.perf_counter()
-            spectral = draw_spectral(n, cfg.seed + n, cfg.setup, cfg.bc)
             try:
+                spectral = draw_spectral(n, cfg.seed + n, cfg.setup, cfg.bc)
                 digest = _bench_value(route, spectral, cfg.bc, cfg.setup)
                 status = "ok"
             except EllipdwError as exc:

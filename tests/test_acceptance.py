@@ -4,7 +4,6 @@ Each test prints a single PASS/FAIL line (visible with pytest -s) and
 enforces its runtime budget.
 """
 
-import os
 import time
 
 import numpy as np
@@ -17,8 +16,8 @@ from ellipdw import (BoundaryConfig, ModularSetup, SpectralConfig,
                      partition_enumeration, partition_face_route,
                      pole_matching_pair, qybe_residual, re_residual,
                      recursion_residual, residue_estimate, riemann_residual,
-                     run_compare, sigma, unitarity_residual)
-from ellipdw.config import draw_spectral, parse_config
+                     sigma, unitarity_residual)
+from ellipdw.config import draw_spectral
 from ellipdw.fbasis import (extremal_invariance_residual, f_matrix,
                             r_s_operator, reduced_word, triangularity_defect,
                             twisted_creation_residual)
@@ -202,28 +201,3 @@ def _timed_permsum(spec):
     t0 = time.perf_counter()
     normalized_z_permsum(spec, BC, SETUP)
     return time.perf_counter() - t0
-
-
-def test_criterion_8_thread_determinism():
-    cfg = parse_config("{mode: compare, N: 2, seed: 7}")
-    values = {}
-    original = os.environ.get("ELLIPDW_THREADS")
-    try:
-        for workers in ("1", "2", "8"):
-            os.environ["ELLIPDW_THREADS"] = workers
-            report = run_compare(cfg)
-            assert report.passed
-            values[workers] = {name: r.value for name, r in report.routes.items()}
-    finally:
-        if original is None:
-            os.environ.pop("ELLIPDW_THREADS", None)
-        else:
-            os.environ["ELLIPDW_THREADS"] = original
-    worst = 0.0
-    for workers in ("2", "8"):
-        for name, base in values["1"].items():
-            worst = max(worst, abs(values[workers][name] - base)
-                        / max(abs(base), 1e-300))
-    print(f"ACCEPTANCE 8 [thread determinism]: "
-          f"{'PASS' if worst <= 1e-12 else 'FAIL'} (max drift {worst:.3e})")
-    assert worst <= 1e-12

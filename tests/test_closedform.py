@@ -191,15 +191,6 @@ def test_conditioning_warning():
     assert any(issubclass(w.category, ConditioningWarning) for w in caught)
 
 
-def test_thread_count_does_not_change_values(draw, bc, setup, monkeypatch):
-    spec = draw(7, 297, setup, bc)
-    values = []
-    for workers in ("1", "2", "8"):
-        monkeypatch.setenv("ELLIPDW_THREADS", workers)
-        values.append(normalized_z_permsum(spec, bc, setup))
-    assert values[0] == values[1] == values[2]
-
-
 def test_normalized_value_container(draw, bc, setup):
     from ellipdw import NormalizedZ
     spec = draw(3, 298, setup, bc)

@@ -195,6 +195,26 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         assert main(["compare", "--config", str(bad)]) == 2, text
 
 
+def test_cli_unconverged_series_is_a_failed_report(tmp_path, capsys):
+    """A theta series that cannot converge within n_max fails the report
+    (exit 1) in every command, with the error in the report, not a
+    traceback."""
+    cfg_file = tmp_path / "tight.yaml"
+    cfg_file.write_text("{tau: [0, 0.06], n_max: 3}")
+    assert main(["bench", "--n-sweep", "8", "--config", str(cfg_file)]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    errors = [r["status"] for r in rows if not r["status"].startswith("skipped")]
+    assert errors and all(e.startswith("error: theta[0.5;0.5] series not converged")
+                          for e in errors)
+    assert main(["identities", "--config", str(cfg_file)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False and payload["checks"] == []
+    assert payload["error"].startswith("ConvergenceError: theta[0.5;0.5] series not converged")
+    assert main(["compare", "--config", str(cfg_file)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["routes"]["draw"]["status"].startswith("error: ")
+
+
 def test_cli_single_route_determinant(capsys):
     assert main(["compare", "--route", "determinant", "--seed", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -5,11 +5,14 @@ of the scalar (cmath) and array (numpy) summation paths."""
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from ellipdw import ModularSetup, ThetaChar, riemann_residual, sigma, sigma_char, theta_char, theta_level2
-from ellipdw.elliptic import _not_converged, _not_finite, _theta_series
+from ellipdw.config import DRAW_BOX
+from ellipdw.elliptic import _not_converged, _not_finite, _theta_series, sigma_separable
 from ellipdw.errors import ConvergenceError, DomainError
 
-from highprec import ref_theta, ref_theta_level2
+from highprec import ref_sigma, ref_theta, ref_theta_level2
 
 # Frozen from tests/highprec.py at 60 dps (see that module for the summation).
 GOLDEN_THETA_HALF_HALF_03_I = -0.7371971637186817 + 0.0j
@@ -242,3 +245,65 @@ def test_numpy_loop_bit_identical_to_reference(tau):
                     args = (a, b, u, tau, 1e-15, n_max)
                     assert (_loop_outcome(_theta_series, *args)
                             == _loop_outcome(_reference_numpy_loop, *args))
+
+
+# ---------------------------------------------------------------------------
+# The separable grid evaluator sigma(p_a + s q_k + c) = X @ Y.T.
+# ---------------------------------------------------------------------------
+
+def _box_points(rng, box, count, im):
+    """Real parts across one DRAW_BOX range, imaginary parts in [-im, im]."""
+    return rng.uniform(*DRAW_BOX[f"{box}_re"], count) + 1j * rng.uniform(-im, im, count)
+
+
+def _term_moduli(z, tau, terms=200):
+    """sum_m |exp(i pi [m^2 tau + 2 m (z + 1/2)])| over m = n + 1/2."""
+    m = np.arange(-terms, terms) + 0.5
+    return np.exp(-np.pi * tau.imag * m * m
+                  - 2.0 * np.pi * np.multiply.outer(z.imag, m)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("tau", (1j, 0.3 + 0.9j, 0.06j))
+@pytest.mark.parametrize("s,c", [(1, 0.0), (-1, 0.0), (1, 0.31), (-1, 0.3 + 0.1j)])
+def test_sigma_separable_matches_reference(tau, s, c):
+    """Within 1e-14 max(1, |ref|) of the 60-digit series, for arguments across
+    DRAW_BOX with |Im z| up to 0.5, a near-zero sigma(u_b - u_a) included.
+    At Im tau = 0.06 the terms reach exp(pi y^2 / Im tau), about 1e4 |sigma|
+    at y = 0.5, and cancel: the library's own series misses that bound by up
+    to 3e4 here, so the bound is the rounding of a sum, 1e-14 sum_m |term_m|."""
+    setup = ModularSetup(tau=tau, eta=0.31)
+    rng = np.random.default_rng(99)
+    p = _box_points(rng, "u", 5, 0.25)
+    q = np.concatenate([[p[0] + 1e-9 * (1 + 1j)], _box_points(rng, "xi", 4, 0.25)])
+    p.imag[-2:] = q.imag[-2:] = (0.25, -0.25)  # some |Im z| reach 0.5
+    vals = sigma_separable(p, q, setup, s, c)
+    z = p[:, None] + s * q[None, :] + c
+    ref = np.array([[ref_sigma(v, tau) for v in row] for row in z])
+    bound = np.maximum(1.0, np.abs(ref))
+    if tau.imag < 0.5:
+        bound = np.maximum(bound, _term_moduli(z, tau))
+    assert vals.shape == (5, 5)
+    assert np.all(np.abs(vals - ref) <= 1e-14 * bound)
+    if s == -1 and c == 0.0:
+        assert abs(ref[0, 0]) < 1e-8  # sigma(-1e-9 (1 + i)), close to its zero
+
+
+def test_sigma_separable_errors():
+    with pytest.raises(ConvergenceError):
+        sigma_separable([0.1], [0.2], ModularSetup(tau=0.06j, eta=0.31, n_max=3))
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        # the window fits n_max = 200, but the terms leave the double range
+        sigma_separable([40j], [0.2], ModularSetup(tau=1j, eta=0.31, n_max=200))
+    low = SimpleNamespace(tau=0.01j, eta=0.31, series_tol=1e-15, n_max=60)
+    for p in ([0.1], []):
+        with pytest.raises(DomainError):
+            sigma_separable(p, [0.2], low)
+
+
+def test_sigma_separable_empty_and_single(setup):
+    assert sigma_separable([], [0.1, 0.2], setup).shape == (0, 2)
+    assert sigma_separable([0.1, 0.2], [], setup, -1, 0.31).shape == (2, 0)
+    one = sigma_separable([0.27 + 0.06j], [0.13 - 0.04j], setup, -1)
+    assert one.shape == (1, 1)
+    ref = ref_sigma(0.14 + 0.1j, setup.tau)
+    assert abs(one[0, 0] - ref) <= 1e-14 * max(1.0, abs(ref))

@@ -10,12 +10,13 @@ from ellipdw import (ModularSetup, SpectralConfig, closedform, double_row_monodr
                      partition_bruteforce, partition_enumeration,
                      partition_face_route)
 from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
-from ellipdw.elliptic import sigma
-from ellipdw.errors import SizeError
+from ellipdw.elliptic import sigma, sigma_separable
+from ellipdw.errors import SingularityError, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR, sos_R_matrix, vertex_R_matrix
 from ellipdw.tensor import embed_matrix
 
 from conftest import dense_face_monodromy, random_weight
+from highprec import ref_sigma
 
 
 @pytest.fixture(scope="module")
@@ -308,12 +309,21 @@ def _grid_expressions(spec, setup):
             "xi_diff": xi[ia] - xi[ib], "xi_sum": xi[ia] + xi[ib]}
 
 
+LU_GRIDS = ("minus", "plus", "minus_eta", "plus_eta")
+
+
 def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
+    """The determinant's four grids equal a fresh sigma call bit for bit; the
+    pair families, one separable product each, match the 60-digit reference."""
     spec = draw(5, 401, setup, bc)
     grids = spec.grids(setup)
     for name, z in _grid_expressions(spec, setup).items():
         vals = getattr(grids, name)
-        assert vals.tobytes() == sigma(z, setup).tobytes(), name
+        if name in LU_GRIDS:
+            assert vals.tobytes() == sigma(z, setup).tobytes(), name
+        else:
+            ref = np.array([ref_sigma(v, setup.tau) for v in z])
+            assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), name
         assert not vals.flags.writeable
         with pytest.raises(ValueError):
             vals[0] = 0.0
@@ -321,28 +331,57 @@ def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
 
 
 def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypatch):
-    """After the draw's genericity check, no closed form evaluates a shared
-    (u, xi) grid again; a fresh configuration with the same points does."""
+    """After the draw's genericity check, no closed form and no second check
+    evaluates a shared grid again, by either evaluator; a fresh configuration
+    with the same points evaluates each family once."""
     spec = draw(5, 402, setup, bc)
-    shared = {z.tobytes() for z in _grid_expressions(spec, setup).values()}
-    seen = []
+    shared = {_grid_expressions(spec, setup)[name].tobytes() for name in LU_GRIDS}
+    points = {np.asarray(v, dtype=complex).tobytes() for v in (spec.u, spec.xi)}
+    seen, separable = [], []
 
     def counting_sigma(u, s):
         if np.ndim(u) and np.asarray(u).tobytes() in shared:
             seen.append(u)
         return sigma(u, s)
 
+    def counting_separable(p, q, s, *args):
+        if np.asarray(p).tobytes() in points:
+            separable.append(args)
+        return sigma_separable(p, q, s, *args)
+
     for module in (oracle, closedform):
         monkeypatch.setattr(module, "sigma", counting_sigma)
+    monkeypatch.setattr(oracle, "sigma_separable", counting_separable)
     closedform.normalized_z_permsum(spec, bc, setup)
     closedform.normalized_z_determinant(spec, bc, setup)
     for route in ("permsum", "determinant"):
         closedform.full_z(spec, bc, setup, route)
     closedform.recursion_residual(spec, bc, setup)
     spec.require_generic(setup)
-    assert seen == []
-    closedform.normalized_z_determinant(SpectralConfig(spec.u, spec.xi), bc, setup)
-    assert len(seen) == 8
+    assert seen == [] and separable == []
+    fresh = SpectralConfig(spec.u, spec.xi)
+    closedform.normalized_z_determinant(fresh, bc, setup)
+    assert len(seen) == 4 and len(separable) == 4
+    fresh.require_generic(setup)
+    fresh.require_generic(setup)
+    assert len(seen) == 4 and len(separable) == 6
+
+
+@pytest.mark.parametrize("family,u,xi", [
+    ("u_b - u_a", (0.2, 0.2), (-0.1, -0.3)),
+    ("u_b + u_a + eta", (0.2, -0.51), (-0.1, -0.3)),
+    ("xi_a - xi_b", (0.2, 0.3), (-0.1, -0.1)),
+    ("xi_a + xi_b", (0.2, 0.3), (-0.1, 0.1)),
+    ("u_a + u_b", (0.2, -0.2), (-0.1, -0.3)),
+    ("u_a - u_b + eta", (0.2, 0.51), (-0.1, -0.3)),
+    ("u_b - u_a + eta", (0.51, 0.2), (-0.1, -0.3)),
+])
+def test_require_generic_refuses_each_pair_family(family, u, xi, setup):
+    """Each configuration puts a zero of sigma in one pair family only (eta
+    = 0.31); the check refuses it, and passes once the points move apart."""
+    with pytest.raises(SingularityError):
+        SpectralConfig(u=u, xi=xi).require_generic(setup)
+    SpectralConfig(u=(u[0], u[1] + 0.03j), xi=(xi[0], xi[1] + 0.02j)).require_generic(setup)
 
 
 def test_spectral_grids_per_setup_and_identity_unchanged(draw, bc, setup):
