@@ -50,11 +50,13 @@ class BoundaryConfig:
     def require_spectral_compatible(self, setup: ModularSetup, spectral_u=(),
                                     floor: float = GENERICITY_FLOOR):
         """Reject spectral points that put a face-K denominator near zero."""
-        for u in spectral_u:
-            for lam in (self.lambda1, self.lambda2):
-                if abs(sigma(lam + self.zeta + u, setup)) < floor:
-                    raise SingularityError(
-                        "sigma(lambda_i + zeta + u) below genericity floor")
+        u = np.asarray(spectral_u, dtype=complex)
+        if u.size == 0:
+            return
+        for lam in (self.lambda1, self.lambda2):
+            if np.abs(sigma(lam + self.zeta + u, setup)).min() < floor:
+                raise SingularityError(
+                    "sigma(lambda_i + zeta + u) below genericity floor")
 
     def require_generic(self, setup: ModularSetup, n: int,
                         spectral_u=(), floor: float = GENERICITY_FLOOR):

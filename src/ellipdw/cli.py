@@ -78,6 +78,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    if args.command in ("compare", "bench") and not cfg.routes:
+        print("config error: no route to run (routes is empty, or N is above "
+              "every route's guard)", file=sys.stderr)
+        return 2
+
     if args.command == "compare":
         report = run_compare(cfg)
         print(report.to_csv() if cfg.output == "csv" else report.to_json())

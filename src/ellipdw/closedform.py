@@ -1,9 +1,11 @@
 """Closed-form evaluations of the partition function and their proof steps.
 
-Every consumer reads its sigma values from one builder, ``_sigma_tables``,
-on top of the configuration's ``SpectralGrids`` (the (u, xi) grids the
-genericity check has already evaluated for a drawn configuration); the
-xi-difference ratio G is evaluated only by the consumers that need it.
+Every sigma table that does not depend on the boundary -- the (u, xi) grids,
+the pair products, sigma(2u) and the xi-ratio G -- is read from the
+configuration's ``SpectralGrids``, which the genericity check of a drawn
+configuration has already filled.  This module evaluates only the boundary
+vectors sigma(l1+z+u) sigma(l2+z+u) and sigma(l1+z-xi) sigma(l2+z+xi),
+sigma(eta) and the lambda product.
 
 * ``normalized_z_permsum`` -- the symmetric sum over S_N of per-permutation
   sigma-products (O(N!), vectorized over permutations in fixed chunks),
@@ -25,7 +27,6 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +34,7 @@ import scipy.linalg
 from .boundary import BoundaryConfig
 from .elliptic import ModularSetup, sigma
 from .errors import ConditioningWarning, SingularityError, SizeError
-from .oracle import SpectralConfig, SpectralGrids
+from .oracle import LU_GRIDS, PAIR_GRIDS, SpectralConfig, SpectralGrids
 from .rmatrices import GENERICITY_FLOOR
 
 MAX_PERMSUM_N = 9
@@ -47,25 +48,6 @@ def _require_size(route: str, n: int):
         raise SizeError(f"{route} route limited to N <= {_SIZE_GUARDS[route]}, got {n}")
 
 
-@dataclass(frozen=True)
-class NormalizedZ:
-    """Normalized partition value with its provenance route."""
-
-    value: complex
-    n: int
-    route: str
-
-
-def _require_floor(vals, floor, what):
-    if float(np.min(np.abs(vals))) < floor:
-        raise SingularityError(f"|{what}| below genericity floor")
-    return vals
-
-
-def _sigma_grid(z, setup, floor, what):
-    return _require_floor(sigma(np.asarray(z, dtype=complex), setup), floor, what)
-
-
 def _log_product(values) -> complex:
     """Sum of complex logs; the real part may exceed the double exp range."""
     v = np.asarray(values, dtype=complex).ravel()
@@ -73,94 +55,64 @@ def _log_product(values) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# The shared sigma tables.
+# The boundary vectors and the tables built on them.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SigmaTables:
-    """Sigma grids read by every closed-form consumer.
+def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig, floor: float):
+    """(lam_u, lam_xi) = (sigma(l1+z+u) sigma(l2+z+u), sigma(l1+z-xi) sigma(l2+z+xi)).
 
-    Vectors are indexed by u_a (``s2u``, ``lam_u``) or xi_k (``lam_xi``), the
-    (u, xi) grids, read from ``grids``, by [a, k].  Each table is its own
-    sigma call: the numpy series stops on the largest term of the whole
-    array, so merging tables would move their bits.
+    Every consumer divides by the four (u, xi) grids and by lam_u, so those
+    are checked against the floor here.  Each factor is its own sigma call:
+    the numpy series stops on the largest term of the whole array, so
+    merging them would move their bits.
     """
-
-    grids: SpectralGrids
-    floor: float
-    s_eta: complex
-    s2u: np.ndarray        # sigma(2 u)
-    lam_u: np.ndarray      # sigma(l1 + z + u) sigma(l2 + z + u)
-    lam_xi: np.ndarray     # sigma(l1 + z - xi) sigma(l2 + z + xi)
-    minus: np.ndarray      # sigma(u - xi)
-    plus: np.ndarray       # sigma(u + xi)
-    minus_eta: np.ndarray  # sigma(u - xi + eta)
-    plus_eta: np.ndarray   # sigma(u + xi + eta)
-
-    def permsum_ab(self):
-        """A, B of term(s) = prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)]."""
-        table_a = (self.lam_xi[None, :] * self.s2u[:, None] * self.s_eta
-                   / (self.lam_u[:, None] * self.minus_eta * self.plus))
-        table_b = self.minus * self.plus_eta / (self.minus_eta * self.plus)
-        return table_a, table_b
-
-    def xi_ratio(self):
-        """G[j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k), diagonal 1."""
-        xi, setup = self.grids.xi, self.grids.setup
-        n = len(xi)
-        off = ~np.eye(n, dtype=bool)
-        xd = xi[:, None] - xi[None, :]
-        np.fill_diagonal(xd, 1.0)  # placeholder, overwritten below
-        g_den = sigma(xd, setup)
-        if n > 1 and float(np.min(np.abs(g_den[off]))) < self.floor:
-            raise SingularityError("|sigma(xi_i - xi_j)| below genericity floor")
-        return np.where(off, sigma(xd + setup.eta, setup) / g_den, 1.0)
-
-    def log_pair_products(self) -> complex:
-        """log prod_{a<b} s(u_b-u_a) s(u_a+u_b+eta) s(xi_a-xi_b) s(xi_a+xi_b)."""
-        g = self.grids
-        if len(g.u) < 2:
-            return 0.0 + 0.0j
-        grid = lambda vals, what: _log_product(_require_floor(vals, self.floor, what))
-        return (grid(g.u_diff, "sigma(ua-ub)")
-                + grid(g.u_sum_eta, "sigma(ua+ub+eta)")
-                + grid(g.xi_diff, "sigma(xk-xl)")
-                + grid(g.xi_sum, "sigma(xk+xl)"))
-
-    def log_uxi_ratio(self) -> complex:
-        """log prod_{a,k} sigma(u_a + xi_k) / sigma(u_a + xi_k + eta)."""
-        return _log_product(self.plus) - _log_product(self.plus_eta)
+    g.require(floor, *LU_GRIDS)
+    u, xi, setup = g.u, g.xi, g.setup
+    l1u = sigma(bc.lambda1 + bc.zeta + u, setup)
+    l2u = sigma(bc.lambda2 + bc.zeta + u, setup)
+    if min(np.abs(l1u).min(), np.abs(l2u).min()) < floor:
+        raise SingularityError("|sigma(l_i+z+u)| below genericity floor")
+    lam_xi = (sigma(bc.lambda1 + bc.zeta - xi, setup)
+              * sigma(bc.lambda2 + bc.zeta + xi, setup))
+    return l1u * l2u, lam_xi
 
 
-def _sigma_tables(grids: SpectralGrids, bc: BoundaryConfig,
-                  floor: float) -> _SigmaTables:
-    """The boundary vectors evaluated once, the (u, xi) grids read from
-    ``grids``; every table that some consumer divides by is checked against
-    the genericity floor."""
-    u, xi, setup = grids.u, grids.xi, grids.setup
-    eta = setup.eta
-    return _SigmaTables(
-        grids=grids, floor=floor,
-        minus=_require_floor(grids.minus, floor, "sigma(u-xi)"),
-        plus_eta=_require_floor(grids.plus_eta, floor, "sigma(u+xi+eta)"),
-        minus_eta=_require_floor(grids.minus_eta, floor, "sigma(u-xi+eta)"),
-        plus=_require_floor(grids.plus, floor, "sigma(u+xi)"),
-        s2u=sigma(2 * u, setup),
-        lam_u=(_sigma_grid(bc.lambda1 + bc.zeta + u, setup, floor, "sigma(l1+z+u)")
-               * _sigma_grid(bc.lambda2 + bc.zeta + u, setup, floor, "sigma(l2+z+u)")),
-        lam_xi=(sigma(bc.lambda1 + bc.zeta - xi, setup)
-                * sigma(bc.lambda2 + bc.zeta + xi, setup)),
-        s_eta=sigma(eta, setup))
+def _permsum_ab(g: SpectralGrids, lam_u, lam_xi):
+    """A, B of term(s) = prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)]."""
+    table_a = (lam_xi[None, :] * g.s2u[:, None] * sigma(g.setup.eta, g.setup)
+               / (lam_u[:, None] * g.minus_eta * g.plus))
+    table_b = g.minus * g.plus_eta / (g.minus_eta * g.plus)
+    return table_a, table_b
+
+
+def _xi_ratio(g: SpectralGrids, floor: float):
+    """G, once its denominators sigma(xi_j - xi_k) clear the floor."""
+    g.require(floor, "xi_diff")
+    return g.xi_ratio
+
+
+def _log_uxi_ratio(g: SpectralGrids) -> complex:
+    """log prod_{a,k} sigma(u_a + xi_k) / sigma(u_a + xi_k + eta)."""
+    return _log_product(g.plus) - _log_product(g.plus_eta)
+
+
+def _log_pair_products(g: SpectralGrids, floor: float) -> complex:
+    """log prod_{a<b} s(u_b-u_a) s(u_a+u_b+eta) s(xi_a-xi_b) s(xi_a+xi_b)."""
+    if len(g.u) < 2:
+        return 0.0 + 0.0j
+    g.require(floor, *PAIR_GRIDS)
+    return (_log_product(g.u_diff) + _log_product(g.u_sum_eta)
+            + _log_product(g.xi_diff) + _log_product(g.xi_sum))
 
 
 # ---------------------------------------------------------------------------
 # Permutation-sum route.
 # ---------------------------------------------------------------------------
 
-def _permsum(tables: _SigmaTables) -> complex:
-    n = len(tables.grids.u)
-    table_a, table_b = tables.permsum_ab()
-    table_g = tables.xi_ratio()
+def _permsum(g: SpectralGrids, lam_u, lam_xi, floor: float) -> complex:
+    n = len(g.u)
+    table_a, table_b = _permsum_ab(g, lam_u, lam_xi)
+    table_g = _xi_ratio(g, floor)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     rows = np.arange(n)
     total = 0.0 + 0.0j
@@ -182,23 +134,23 @@ def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,
     _require_size("permsum", spectral.n)
     if spectral.n == 0:
         return 1.0 + 0.0j
-    return _permsum(_sigma_tables(spectral.grids(setup), bc, floor))
+    g = spectral.grids(setup)
+    return _permsum(g, *_boundary_vectors(g, bc, floor), floor)
 
 
 # ---------------------------------------------------------------------------
 # Determinant route (log-space).
 # ---------------------------------------------------------------------------
 
-def _log_z_det(tables: _SigmaTables) -> complex:
+def _log_z_det(g: SpectralGrids, lam_u, lam_xi, floor: float) -> complex:
     """log of the normalized value from the single determinant.
 
     log(det) comes from a partial-pivoted LU, with a pivot-ratio digit-loss
     warning.
     """
-    t = tables
-    row = t.s2u / t.lam_u
-    kernel = t.s_eta / (t.minus * t.plus_eta * t.minus_eta * t.plus)
-    matrix = row[:, None] * kernel * t.lam_xi[None, :]
+    row = g.s2u / lam_u
+    kernel = sigma(g.setup.eta, g.setup) / (g.minus * g.plus_eta * g.minus_eta * g.plus)
+    matrix = row[:, None] * kernel * lam_xi[None, :]
     lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
     diag = np.diag(lu)
     if np.any(diag == 0):
@@ -210,14 +162,15 @@ def _log_z_det(tables: _SigmaTables) -> complex:
             "indicates >= 6 digits lost", ConditioningWarning, stacklevel=3)
     sign_flips = int(np.sum(piv != np.arange(len(diag))))
     log_det = complex(np.sum(np.log(diag))) + (1j * math.pi) * (sign_flips % 2)
-    log_num = _log_product(t.minus) + _log_product(t.plus_eta)
-    return log_num + log_det - t.log_pair_products()
+    log_num = _log_product(g.minus) + _log_product(g.plus_eta)
+    return log_num + log_det - _log_pair_products(g, floor)
 
 
 def _log_normalized_z_determinant(spectral, bc, setup, floor) -> complex:
     if spectral.n == 0:
         return 0.0 + 0.0j
-    return _log_z_det(_sigma_tables(spectral.grids(setup), bc, floor))
+    g = spectral.grids(setup)
+    return _log_z_det(g, *_boundary_vectors(g, bc, floor), floor)
 
 
 def _exp_saturating(log_value: complex) -> complex:
@@ -271,9 +224,10 @@ def partition_prefactor(bc: BoundaryConfig, spectral: SpectralConfig,
                         setup: ModularSetup,
                         floor: float = GENERICITY_FLOOR) -> complex:
     """lambda product times the (u, xi) ratio product."""
-    tables = _sigma_tables(spectral.grids(setup), bc, floor)
+    g = spectral.grids(setup)
+    _boundary_vectors(g, bc, floor)  # refuses what every closed form refuses
     return cmath.exp(_log_lambda_factor(spectral.n, bc, setup, floor)
-                     + tables.log_uxi_ratio())
+                     + _log_uxi_ratio(g))
 
 
 def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
@@ -285,13 +239,14 @@ def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
     if route not in _SIZE_GUARDS:
         raise ValueError(f"unknown closed-form route: {route!r}")
     _require_size(route, n)
-    tables = _sigma_tables(spectral.grids(setup), bc, floor)
+    g = spectral.grids(setup)
+    lam_u, lam_xi = _boundary_vectors(g, bc, floor)
     if route == "permsum":
-        log_norm = cmath.log(_permsum(tables))
+        log_norm = cmath.log(_permsum(g, lam_u, lam_xi, floor))
     else:
-        log_norm = _log_z_det(tables)
+        log_norm = _log_z_det(g, lam_u, lam_xi, floor)
     return _exp_saturating(_log_lambda_factor(n, bc, setup, floor)
-                           + tables.log_uxi_ratio() + log_norm)
+                           + _log_uxi_ratio(g) + log_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +265,12 @@ def recursion_residual(spectral: SpectralConfig, bc: BoundaryConfig,
     if n < 1:
         raise SizeError("recursion needs N >= 1")
     _require_size("determinant", n)
-    tables = _sigma_tables(spectral.grids(setup), bc, floor)
-    z_n = _exp_saturating(_log_z_det(tables))
-    table_a, table_b = tables.permsum_ab()
-    coeff = table_a[n - 1] * table_b[:n - 1].prod(axis=0) * tables.xi_ratio().prod(axis=0)
+    g = spectral.grids(setup)
+    lam_u, lam_xi = _boundary_vectors(g, bc, floor)
+    z_n = _exp_saturating(_log_z_det(g, lam_u, lam_xi, floor))
+    table_a, table_b = _permsum_ab(g, lam_u, lam_xi)
+    coeff = (table_a[n - 1] * table_b[:n - 1].prod(axis=0)
+             * _xi_ratio(g, floor).prod(axis=0))
     acc = 0.0 + 0.0j
     for i in range(n):
         sub = SpectralConfig(u=spectral.u[:n - 1], xi=spectral.xi[:i] + spectral.xi[i + 1:])
@@ -335,10 +292,11 @@ def pole_matching_pair(order: int, spectral: SpectralConfig,
     if not 1 <= order <= min(spectral.n, 8):
         raise SizeError(f"pole-matching pair limited to 1 <= I <= min(N, 8), got {order}")
     sub = SpectralConfig(u=spectral.u[:order], xi=spectral.xi[:order])
-    tables = _sigma_tables(sub.grids(setup), bc, floor)
-    scale = complex(np.prod(tables.lam_u / (tables.lam_xi * tables.s2u)))
-    return (scale * _permsum(tables),
-            scale * _exp_saturating(_log_z_det(tables)))
+    g = sub.grids(setup)
+    lam_u, lam_xi = _boundary_vectors(g, bc, floor)
+    scale = complex(np.prod(lam_u / (lam_xi * g.s2u)))
+    return (scale * _permsum(g, lam_u, lam_xi, floor),
+            scale * _exp_saturating(_log_z_det(g, lam_u, lam_xi, floor)))
 
 
 def _pair_with_last_u(order, spectral, u_last, bc, setup, floor):

@@ -217,10 +217,10 @@ def draw_spectral(n: int, seed: int, setup: ModularSetup, bc: BoundaryConfig,
         try:
             spectral.require_generic(setup, floor)
             bc.require_spectral_compatible(setup, u, floor)
+            xi_arr = np.asarray(xi)
             for lam in (bc.lambda1, bc.lambda2):
-                for x in xi:
-                    if abs(sigma(lam + bc.zeta - x, setup)) < floor \
-                            or abs(sigma(lam + bc.zeta + x, setup)) < floor:
+                for z in (lam + bc.zeta - xi_arr, lam + bc.zeta + xi_arr):
+                    if np.abs(sigma(z, setup)).min() < floor:
                         raise SingularityError("boundary/xi collision")
         except SingularityError:
             continue

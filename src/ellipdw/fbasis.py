@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .boundary import BoundaryConfig
-from .closedform import _sigma_tables
+from .closedform import _boundary_vectors, _log_uxi_ratio, _permsum_ab, _xi_ratio
 from .elliptic import ModularSetup, sigma
 from .errors import SingularityError, SizeError
 from .oracle import (SpectralConfig, SpectralGrids, face_creation_operator,
@@ -278,12 +278,11 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
     n = spectral.n
     lam = bc.weight
     eta = setup.eta
-    tables = _sigma_tables(SpectralGrids((u,), spectral.xi, setup), bc,
-                           GENERICITY_FLOOR)
-    table_a, table_b = tables.permsum_ab()
-    table_g = tables.xi_ratio()
+    at_u = SpectralGrids((u,), spectral.xi, setup)
+    table_a, table_b = _permsum_ab(at_u, *_boundary_vectors(at_u, bc, GENERICITY_FLOOR))
+    table_g = _xi_ratio(spectral.grids(setup), GENERICITY_FLOOR)
     scalar = (sigma(m.m12, setup) / sigma(lam.m12, setup)
-              * cmath.exp(tables.log_uxi_ratio()))
+              * cmath.exp(_log_uxi_ratio(at_u)))
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for i in range(n):
         dress = _diag_dressing({j + 1: table_b[0, j] * table_g[i, j]

@@ -37,18 +37,31 @@ MAX_ENUMERATION_N = 2
 MAX_FACE_N = 10
 
 
+# The determinant's matrix-entry grids, and the pair families of its prefactor.
+LU_GRIDS = ("minus", "plus", "minus_eta", "plus_eta")
+PAIR_GRIDS = ("u_diff", "u_sum_eta", "xi_diff", "xi_sum")
+
+
+def _read_only(vals):
+    vals.flags.writeable = False
+    return vals
+
+
 class SpectralGrids:
-    """The (u, xi) sigma grids shared by the genericity check and the closed
-    forms, each evaluated on first use and then kept read-only.
+    """Every sigma table over (u, xi) that the genericity check and the closed
+    forms read, each evaluated on first use and then kept read-only.
 
     ``minus``, ``plus``, ``minus_eta``, ``plus_eta`` are sigma(u_a -+ xi_k)
     and sigma(u_a -+ xi_k + eta), indexed [a, k]: the determinant's matrix
     entries, each its own ``sigma`` series call, so the matrix keeps its
-    bits.  ``u_diff``, ``u_sum_eta``, ``xi_diff``, ``xi_sum`` are
-    sigma(u_b - u_a), sigma(u_b + u_a + eta), sigma(xi_a - xi_b) and
-    sigma(xi_a + xi_b) over the pairs a < b, each a triangle of one full
-    ``sigma_separable`` product; ``check_min`` is the least |sigma| over the
-    pair families only the genericity check reads.
+    bits; so is ``s2u``, sigma(2 u_a).  ``u_diff``, ``u_sum_eta``,
+    ``xi_diff``, ``xi_sum`` are sigma(u_b - u_a), sigma(u_b + u_a + eta),
+    sigma(xi_a - xi_b) and sigma(xi_a + xi_b) over the pairs a < b, each a
+    triangle of one full ``sigma_separable`` product.  ``xi_ratio`` is
+    G[j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k) with diagonal 1;
+    its denominator is the product ``xi_diff`` is cut from.  ``least(name)``
+    is a family's least |sigma|, and ``check_min`` that of the pair families
+    only the genericity check reads.
     """
 
     def __init__(self, u, xi, setup: ModularSetup):
@@ -58,11 +71,10 @@ class SpectralGrids:
         self.u_pairs = np.triu_indices(len(self.u), k=1)
         self.xi_pairs = (self.u_pairs if len(self.xi) == len(self.u)
                          else np.triu_indices(len(self.xi), k=1))
+        self._least = {}
 
     def _sigma(self, z):
-        vals = sigma(z, self.setup) if z.size else z
-        vals.flags.writeable = False
-        return vals
+        return _read_only(sigma(z, self.setup) if z.size else z)
 
     @cached_property
     def minus(self):
@@ -80,11 +92,13 @@ class SpectralGrids:
     def plus_eta(self):
         return self._sigma(self.u[:, None] + self.xi[None, :] + self.setup.eta)
 
+    @cached_property
+    def s2u(self):
+        return self._sigma(2 * self.u)
+
     def _pairs(self, v, pairs, s, c=0.0):
         """Entries [i, j] of sigma(v_i + s*v_j + c) over the index pairs."""
-        vals = sigma_separable(v, v, self.setup, s, c)[pairs]
-        vals.flags.writeable = False
-        return vals
+        return _read_only(sigma_separable(v, v, self.setup, s, c)[pairs])
 
     @cached_property
     def u_diff(self):
@@ -97,12 +111,37 @@ class SpectralGrids:
         return self._pairs(self.u, (ib, ia), 1, self.setup.eta)
 
     @cached_property
+    def _xi_minus_xi(self):
+        """sigma(xi_j - xi_k) for every (j, k)."""
+        return sigma_separable(self.xi, self.xi, self.setup, -1)
+
+    @cached_property
     def xi_diff(self):
-        return self._pairs(self.xi, self.xi_pairs, -1)
+        return _read_only(self._xi_minus_xi[self.xi_pairs])
 
     @cached_property
     def xi_sum(self):
         return self._pairs(self.xi, self.xi_pairs, 1)
+
+    @cached_property
+    def xi_ratio(self):
+        num = sigma_separable(self.xi, self.xi, self.setup, -1, self.setup.eta)
+        ratio = np.ones_like(num)
+        np.divide(num, self._xi_minus_xi, out=ratio,
+                  where=~np.eye(len(self.xi), dtype=bool))
+        return _read_only(ratio)
+
+    def least(self, name: str) -> float:
+        """min |sigma| over the family ``name`` (inf when it is empty)."""
+        if name not in self._least:
+            self._least[name] = float(np.abs(getattr(self, name)).min(initial=math.inf))
+        return self._least[name]
+
+    def require(self, floor: float, *names):
+        """Raise SingularityError when a family's least |sigma| is below floor."""
+        for name in names:
+            if self.least(name) < floor:
+                raise SingularityError(f"|sigma| of {name} below genericity floor")
 
     @cached_property
     def check_min(self) -> float:
@@ -149,10 +188,7 @@ class SpectralConfig:
         same configuration evaluates nothing.
         """
         g = self.grids(setup)
-        vals = [g.minus, g.plus, g.minus_eta, g.plus_eta,
-                g.u_diff, g.u_sum_eta, g.xi_diff, g.xi_sum]
-        low = min((float(np.abs(v).min()) for v in vals if v.size), default=math.inf)
-        low = min(low, g.check_min)
+        low = min(min(map(g.least, LU_GRIDS + PAIR_GRIDS)), g.check_min)
         if low < floor:
             raise SingularityError(
                 f"spectral configuration degenerate: min |sigma| = {low:.2e}")

@@ -38,9 +38,6 @@ class DenseOperator:
         pos = tuple(sites.index(s) for s in self.sites)
         return DenseOperator(sites, embed_matrix(self.mat, pos, len(sites)))
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.mat)))
-
 
 def embed_matrix(mat: np.ndarray, pos, n: int) -> np.ndarray:
     """Embed ``mat`` (acting on site positions ``pos``) into n sites."""

@@ -168,3 +168,22 @@ def test_boundary_states_n2_product_structure(bc, setup):
     assert np.max(np.abs(omega1bar - product_state(o1bk))) < 1e-12
     assert np.max(np.abs(omega1 - product_state(o1b))) < 1e-12
     assert np.max(np.abs(omega2bar - product_state(o2bb))) < 1e-12
+
+
+def test_spectral_compatibility_matches_pointwise_check(bc, setup):
+    """The one array sigma call per lambda_i refuses exactly the point sets
+    that a scalar call per point refuses: sigma(1) = 0 puts u = 1 - l1 - z
+    on a zero, and sigma(0) = 0 puts u = -l2 - z on one."""
+    def pointwise(u):
+        return all(abs(sigma(lam + bc.zeta + x, setup)) >= 1e-8
+                   for x in u for lam in (bc.lambda1, bc.lambda2))
+
+    for u, expected in (((0.2, 0.31 + 0.05j), True),
+                        ((0.2, 1 - bc.lambda1 - bc.zeta), False),
+                        ((-bc.lambda2 - bc.zeta, 0.3), False), ((), True)):
+        assert pointwise(u) is expected
+        if expected:
+            bc.require_spectral_compatible(setup, u)
+        else:
+            with pytest.raises(SingularityError):
+                bc.require_spectral_compatible(setup, u)

@@ -191,15 +191,6 @@ def test_conditioning_warning():
     assert any(issubclass(w.category, ConditioningWarning) for w in caught)
 
 
-def test_normalized_value_container(draw, bc, setup):
-    from ellipdw import NormalizedZ
-    spec = draw(3, 298, setup, bc)
-    zp = NormalizedZ(normalized_z_permsum(spec, bc, setup), 3, "permsum")
-    zd = NormalizedZ(normalized_z_determinant(spec, bc, setup), 3, "determinant")
-    assert zp.n == zd.n == 3
-    assert abs(zp.value - zd.value) <= 1e-9 * abs(zd.value)
-
-
 def test_saturating_overflow_value(draw, bc, setup):
     import math
     spec = draw(64, 299, setup, bc)

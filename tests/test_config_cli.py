@@ -174,6 +174,12 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     bad_sweep.write_text("{mode: bench, n_sweep: [a]}")
     assert main(["bench", "--config", str(bad_sweep)]) == 2
 
+    # A run with no route to run is refused, not reported as a pass.
+    for command, text in (("compare", "{N: 600}"), ("compare", "{routes: []}"),
+                          ("bench", "{routes: [], n_sweep: [8]}")):
+        bad.write_text(text)
+        assert main([command, "--config", str(bad)]) == 2, text
+
     # Malformed field types are configuration errors, not tracebacks.
     for text in ("tol: abc", "series_tol: abc", "n_max: abc", "routes: [[a]]",
                  "u: 5", "routes: 5", "n_max: 0", "series_tol: 1"):

@@ -297,30 +297,41 @@ def test_bruteforce_size_guard(bc, setup):
 # ---------------------------------------------------------------------------
 
 def _grid_expressions(spec, setup):
-    """Each shared grid's argument, spelled as the determinant spells it."""
+    """Each shared table's argument, spelled as the closed forms spell it;
+    for ``xi_ratio``, the arguments of its numerator and denominator."""
     u = np.asarray(spec.u, dtype=complex)
     xi = np.asarray(spec.xi, dtype=complex)
     eta = setup.eta
     ia, ib = np.triu_indices(spec.n, k=1)
+    xd = xi[:, None] - xi[None, :]
     return {"minus": u[:, None] - xi[None, :], "plus": u[:, None] + xi[None, :],
             "minus_eta": u[:, None] - xi[None, :] + eta,
-            "plus_eta": u[:, None] + xi[None, :] + eta,
+            "plus_eta": u[:, None] + xi[None, :] + eta, "s2u": 2 * u,
             "u_diff": u[ib] - u[ia], "u_sum_eta": u[ib] + u[ia] + eta,
-            "xi_diff": xi[ia] - xi[ib], "xi_sum": xi[ia] + xi[ib]}
+            "xi_diff": xi[ia] - xi[ib], "xi_sum": xi[ia] + xi[ib],
+            "xi_ratio": (xd + eta, xd)}
 
 
 LU_GRIDS = ("minus", "plus", "minus_eta", "plus_eta")
+SERIES_GRIDS = LU_GRIDS + ("s2u",)
 
 
 def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
-    """The determinant's four grids equal a fresh sigma call bit for bit; the
-    pair families, one separable product each, match the 60-digit reference."""
+    """The determinant's four grids and sigma(2u) equal a fresh sigma call
+    bit for bit; the pair families, one separable product each, and the
+    off-diagonal of G match the 60-digit reference, and G's diagonal is 1."""
     spec = draw(5, 401, setup, bc)
     grids = spec.grids(setup)
     for name, z in _grid_expressions(spec, setup).items():
         vals = getattr(grids, name)
-        if name in LU_GRIDS:
+        if name in SERIES_GRIDS:
             assert vals.tobytes() == sigma(z, setup).tobytes(), name
+        elif name == "xi_ratio":
+            off = ~np.eye(spec.n, dtype=bool)
+            num, den = (np.array([ref_sigma(v, setup.tau) for v in w[off]]) for w in z)
+            ref = num / den
+            assert np.all(np.abs(vals[off] - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+            assert np.all(np.diag(vals) == 1.0)
         else:
             ref = np.array([ref_sigma(v, setup.tau) for v in z])
             assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), name
@@ -331,17 +342,19 @@ def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
 
 
 def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypatch):
-    """After the draw's genericity check, no closed form and no second check
-    evaluates a shared grid again, by either evaluator; a fresh configuration
-    with the same points evaluates each family once."""
+    """After the draw's genericity check, every closed form together
+    evaluates sigma(2u) once and G's numerator as the one GEMM, and no
+    second check evaluates a shared grid again, by either evaluator; a
+    fresh configuration with the same points evaluates each family once."""
     spec = draw(5, 402, setup, bc)
-    shared = {_grid_expressions(spec, setup)[name].tobytes() for name in LU_GRIDS}
+    expressions = _grid_expressions(spec, setup)
+    shared = {expressions[name].tobytes(): name for name in SERIES_GRIDS}
     points = {np.asarray(v, dtype=complex).tobytes() for v in (spec.u, spec.xi)}
     seen, separable = [], []
 
     def counting_sigma(u, s):
         if np.ndim(u) and np.asarray(u).tobytes() in shared:
-            seen.append(u)
+            seen.append(shared[np.asarray(u).tobytes()])
         return sigma(u, s)
 
     def counting_separable(p, q, s, *args):
@@ -358,13 +371,15 @@ def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypat
         closedform.full_z(spec, bc, setup, route)
     closedform.recursion_residual(spec, bc, setup)
     spec.require_generic(setup)
-    assert seen == [] and separable == []
+    assert seen == ["s2u"] and separable == [(-1, setup.eta)]
     fresh = SpectralConfig(spec.u, spec.xi)
     closedform.normalized_z_determinant(fresh, bc, setup)
-    assert len(seen) == 4 and len(separable) == 4
+    assert sorted(seen[1:]) == sorted(SERIES_GRIDS) and len(separable) == 5
     fresh.require_generic(setup)
     fresh.require_generic(setup)
-    assert len(seen) == 4 and len(separable) == 6
+    closedform.normalized_z_permsum(fresh, bc, setup)
+    closedform.normalized_z_permsum(fresh, bc, setup)
+    assert len(seen) == 6 and len(separable) == 8
 
 
 @pytest.mark.parametrize("family,u,xi", [
