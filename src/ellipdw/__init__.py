@@ -9,10 +9,9 @@ identities, Yang-Baxter and reflection equations, the vertex-face dictionary,
 and the factorizing-twist machinery.
 """
 
-from .boundary import (BoundaryConfig, Intertwiner, boundary_states,
-                       dual_intertwiners, face_K, face_vertex_residual,
-                       intertwiner, k_factorization_residual, re_residual,
-                       vertex_K)
+from .boundary import (BoundaryConfig, boundary_states, dual_intertwiners,
+                       face_K, face_vertex_residual, intertwiner,
+                       k_factorization_residual, re_residual, vertex_K)
 from .closedform import (f_quasi_period_residual, full_z,
                          normalized_z_determinant, normalized_z_permsum,
                          partition_prefactor, pole_matching_pair, pole_scan,

@@ -6,7 +6,8 @@ The vertex-face dictionary implemented here:
   k0*1 + kx*sx + ky*sy + kz*sz,
 * ``intertwiner`` -- column 2-vectors phi with entries theta^(k)(u + 2 m_j),
 * ``dual_intertwiners`` -- the bar and tilde row duals, defined by
-  biorthogonality and computed by exact 2x2 inversion,
+  biorthogonality and computed by exact 2x2 inversion, as the rows of two
+  2x2 arrays,
 * ``face_K`` -- the diagonal face-type reflection matrix,
 * ``k_factorization_residual`` -- K(u) reassembled from intertwiners and
   face_K as a residual,
@@ -23,7 +24,7 @@ import numpy as np
 from .elliptic import ModularSetup, sigma, sigma_char, theta_level2
 from .errors import DomainError, SingularityError
 from .rmatrices import (GENERICITY_FLOOR, WeightVector, _checked_sigma,
-                        sos_R_matrix, vertex_R_matrix)
+                        _floor_checked, sos_R_matrix, vertex_R_matrix)
 from .tensor import DenseOperator, product_state
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -47,19 +48,14 @@ class BoundaryConfig:
     def weight(self) -> WeightVector:
         return WeightVector(self.lambda1, self.lambda2)
 
-    def require_spectral_compatible(self, setup: ModularSetup, spectral_u=(),
-                                    floor: float = GENERICITY_FLOOR):
+    def require_spectral_compatible(self, setup: ModularSetup, spectral_u=()):
         """Reject spectral points that put a face-K denominator near zero."""
         u = np.asarray(spectral_u, dtype=complex)
-        if u.size == 0:
-            return
         for lam in (self.lambda1, self.lambda2):
-            if np.abs(sigma(lam + self.zeta + u, setup)).min() < floor:
-                raise SingularityError(
-                    "sigma(lambda_i + zeta + u) below genericity floor")
+            _floor_checked(sigma(lam + self.zeta + u, setup),
+                           "sigma(lambda_i + zeta + u)")
 
-    def require_generic(self, setup: ModularSetup, n: int,
-                        spectral_u=(), floor: float = GENERICITY_FLOOR):
+    def require_generic(self, setup: ModularSetup, n: int, spectral_u=()):
         """Reject lambda12 within eta*Z of a sigma zero and singular k-ratios.
 
         The lattice sweep |k| <= 2N+2 covers every shifted weight the
@@ -68,49 +64,35 @@ class BoundaryConfig:
         require_spectral_compatible.
         """
         for k in range(-(2 * n + 2), 2 * n + 3):
-            if abs(sigma(self.lambda12 + k * setup.eta, setup)) < floor:
-                raise SingularityError(
-                    f"sigma(lambda12 + {k} eta) below genericity floor")
-        self.require_spectral_compatible(setup, spectral_u, floor)
+            _checked_sigma(self.lambda12 + k * setup.eta, setup,
+                           f"sigma(lambda12 + {k} eta)")
+        self.require_spectral_compatible(setup, spectral_u)
 
 
-@dataclass(frozen=True)
-class Intertwiner:
-    """A 2-component intertwiner: column phi, or row dual (bar/tilde)."""
-
-    kind: str              # "phi", "phi_bar", "phi_tilde"
-    from_weight: WeightVector
-    shift: int             # j of e_hat_j
-    argument: complex
-    entries: np.ndarray
-
-
-def vertex_K(u: complex, bc: BoundaryConfig, setup: ModularSetup,
-             floor: float = GENERICITY_FLOOR) -> DenseOperator:
+def vertex_K(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> DenseOperator:
     """Non-diagonal reflection matrix on one site."""
-    return DenseOperator((1,), vertex_K_matrix(u, bc, setup, floor))
+    return DenseOperator((1,), vertex_K_matrix(u, bc, setup))
 
 
-def vertex_K_matrix(u: complex, bc: BoundaryConfig, setup: ModularSetup,
-                    floor: float = GENERICITY_FLOOR) -> np.ndarray:
+def vertex_K_matrix(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
     if abs(complex(u)) < 1e-12:
         # k0 -> 1 and kx, ky, kz -> 0 as u -> 0 (sigma(2u)/2sigma(u) -> 1).
         return np.eye(2, dtype=complex)
     lam_sum = bc.lambda1 + bc.lambda2 - 0.5
     s2u = sigma(2 * u, setup)
     denom_shared = (2.0
-                    * _checked_sigma(-u + lam_sum, setup, floor, "sigma(-u+l1+l2-1/2)")
-                    * _checked_sigma(bc.lambda1 + bc.zeta + u, setup, floor, "sigma(l1+zeta+u)")
-                    * _checked_sigma(bc.lambda2 + bc.zeta + u, setup, floor, "sigma(l2+zeta+u)"))
+                    * _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)")
+                    * _checked_sigma(bc.lambda1 + bc.zeta + u, setup, "sigma(l1+zeta+u)")
+                    * _checked_sigma(bc.lambda2 + bc.zeta + u, setup, "sigma(l2+zeta+u)"))
 
     def coeff(alpha, extra):
         if alpha == (0, 0):
             s = lambda z: sigma(z, setup)
-            s_own = _checked_sigma(u, setup, floor, "sigma(u)")
+            s_own = _checked_sigma(u, setup, "sigma(u)")
         else:
             s = lambda z: sigma_char(alpha[0], alpha[1], z, setup)
             s_own = s(u)
-            if abs(s_own) < floor:
+            if abs(s_own) < GENERICITY_FLOOR:
                 raise DomainError(f"sigma_{alpha}(u) below genericity floor")
         return extra * s2u * s(lam_sum) * s(bc.lambda1 + bc.zeta) \
             * s(bc.lambda2 + bc.zeta) / (s_own * denom_shared)
@@ -135,44 +117,35 @@ def re_residual(u1: complex, u2: complex, bc: BoundaryConfig,
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
-def intertwiner(m: WeightVector, j: int, u: complex,
-                setup: ModularSetup) -> Intertwiner:
+def intertwiner(m: WeightVector, j: int, u: complex, setup: ModularSetup) -> np.ndarray:
     """Column vector phi_{m, m - eta e_hat_j}(u), entries theta^(k)(u + 2 m_j)."""
     arg = u + 2 * m.component(j)
-    entries = np.array([theta_level2(1, arg, setup), theta_level2(2, arg, setup)])
-    return Intertwiner("phi", m, j, u, entries)
+    return np.array([theta_level2(1, arg, setup), theta_level2(2, arg, setup)])
 
 
 def _column_matrix(m: WeightVector, u: complex, setup: ModularSetup) -> np.ndarray:
     """2x2 matrix whose columns are phi_{m, m - eta e_hat_j}(u), j = 1, 2."""
-    return np.column_stack([intertwiner(m, 1, u, setup).entries,
-                            intertwiner(m, 2, u, setup).entries])
+    return np.column_stack([intertwiner(m, 1, u, setup), intertwiner(m, 2, u, setup)])
 
 
-def _inverse_rows(mat: np.ndarray, floor: float):
+def _inverse_rows(mat: np.ndarray):
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if abs(det) < floor:
+    if abs(det) < GENERICITY_FLOOR:
         raise SingularityError(f"intertwiner matrix near singular, |det| = {abs(det):.2e}")
     inv = np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
     return inv
 
 
-def dual_intertwiners(m: WeightVector, u: complex, setup: ModularSetup,
-                      floor: float = GENERICITY_FLOOR):
-    """Bar and tilde dual rows at weight m and argument u.
+def dual_intertwiners(m: WeightVector, u: complex, setup: ModularSetup):
+    """Bar and tilde dual rows at weight m and argument u, as (bar, tilde)
+    2x2 arrays whose row j - 1 is the dual of index j.
 
     Bar rows invert [phi_{m, m-eta e_j}(u)]; tilde rows invert
     [phi_{m+eta e_j, m}(u)].  Biorthogonality holds by construction.
     """
-    inv_bar = _inverse_rows(_column_matrix(m, u, setup), floor)
-    cols_tilde = np.column_stack([
-        intertwiner(m.shifted(1, setup.eta, -1), 1, u, setup).entries,
-        intertwiner(m.shifted(2, setup.eta, -1), 2, u, setup).entries,
-    ])
-    inv_tilde = _inverse_rows(cols_tilde, floor)
-    bar = tuple(Intertwiner("phi_bar", m, j, u, inv_bar[j - 1]) for j in (1, 2))
-    tilde = tuple(Intertwiner("phi_tilde", m, j, u, inv_tilde[j - 1]) for j in (1, 2))
-    return bar, tilde
+    cols_tilde = np.column_stack([intertwiner(m.shifted(1, setup.eta, -1), 1, u, setup),
+                                  intertwiner(m.shifted(2, setup.eta, -1), 2, u, setup)])
+    return _inverse_rows(_column_matrix(m, u, setup)), _inverse_rows(cols_tilde)
 
 
 def face_vertex_residual(u1: complex, u2: complex, m: WeightVector,
@@ -185,8 +158,8 @@ def face_vertex_residual(u1: complex, u2: complex, m: WeightVector,
     for i in (1, 2):
         mi = m.shifted(i, eta)
         for j in (1, 2):
-            lhs = rbar @ np.kron(intertwiner(m, i, u1, setup).entries,
-                                 intertwiner(mi, j, u2, setup).entries)
+            lhs = rbar @ np.kron(intertwiner(m, i, u1, setup),
+                                 intertwiner(mi, j, u2, setup))
             rhs = np.zeros(4, dtype=complex)
             for k in (1, 2):
                 for l in (1, 2):
@@ -195,20 +168,18 @@ def face_vertex_residual(u1: complex, u2: complex, m: WeightVector,
                     if coeff == 0.0:
                         continue
                     rhs = rhs + coeff * np.kron(
-                        intertwiner(ml, k, u1, setup).entries,
-                        intertwiner(m, l, u2, setup).entries)
+                        intertwiner(ml, k, u1, setup), intertwiner(m, l, u2, setup))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             scale = max(scale, float(np.max(np.abs(rhs))))
     return worst / scale
 
 
-def face_K(bc: BoundaryConfig, u: complex, setup: ModularSetup,
-           floor: float = GENERICITY_FLOOR) -> np.ndarray:
+def face_K(bc: BoundaryConfig, u: complex, setup: ModularSetup) -> np.ndarray:
     """Diagonal face-type reflection matrix Diag(k_1, k_2)."""
     out = np.zeros((2, 2), dtype=complex)
     for i, lam in enumerate((bc.lambda1, bc.lambda2)):
         out[i, i] = sigma(lam + bc.zeta - u, setup) / _checked_sigma(
-            lam + bc.zeta + u, setup, floor, "sigma(lambda_i+zeta+u)")
+            lam + bc.zeta + u, setup, "sigma(lambda_i+zeta+u)")
     return out
 
 
@@ -224,8 +195,7 @@ def k_factorization_residual(u: complex, bc: BoundaryConfig,
     bar, _ = dual_intertwiners(lam, -u, setup)
     rebuilt = np.zeros((2, 2), dtype=complex)
     for i in (1, 2):
-        col = intertwiner(lam, i, u, setup).entries
-        rebuilt += kf[i - 1, i - 1] * np.outer(col, bar[i - 1].entries)
+        rebuilt += kf[i - 1, i - 1] * np.outer(intertwiner(lam, i, u, setup), bar[i - 1])
     kv = vertex_K_matrix(u, bc, setup)
     return float(np.max(np.abs(kv - rebuilt)) / np.max(np.abs(kv)))
 
@@ -242,13 +212,11 @@ def _lam_shift(bc: BoundaryConfig, setup: ModularSetup, steps: int) -> WeightVec
 
 
 def _tilde_row(m_bottom: WeightVector, mu: int, u: complex,
-               setup: ModularSetup, floor: float) -> np.ndarray:
-    _, tilde = dual_intertwiners(m_bottom, u, setup, floor)
-    return tilde[mu - 1].entries
+               setup: ModularSetup) -> np.ndarray:
+    return dual_intertwiners(m_bottom, u, setup)[1][mu - 1]
 
 
-def boundary_state_factors(bc: BoundaryConfig, xi, us, setup: ModularSetup,
-                           floor: float = GENERICITY_FLOOR):
+def boundary_state_factors(bc: BoundaryConfig, xi, us, setup: ModularSetup):
     """Per-site 2-vectors of the four boundary states.
 
     Returns (omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket); the bra
@@ -256,24 +224,23 @@ def boundary_state_factors(bc: BoundaryConfig, xi, us, setup: ModularSetup,
     column vectors.
     """
     n = len(xi)
-    omega2_ket = [intertwiner(_lam_shift(bc, setup, i - 1), 2, xi[i - 1], setup).entries
+    omega2_ket = [intertwiner(_lam_shift(bc, setup, i - 1), 2, xi[i - 1], setup)
                   for i in range(1, n + 1)]
-    omega1_bra = [_tilde_row(_lam_shift(bc, setup, -i), 1, xi[i - 1], setup, floor)
+    omega1_bra = [_tilde_row(_lam_shift(bc, setup, -i), 1, xi[i - 1], setup)
                   for i in range(1, n + 1)]
-    omega1bar_ket = [intertwiner(_lam_shift(bc, setup, 2 * a - n), 1, -us[a - 1], setup).entries
+    omega1bar_ket = [intertwiner(_lam_shift(bc, setup, 2 * a - n), 1, -us[a - 1], setup)
                      for a in range(1, n + 1)]
-    omega2bar_bra = [_tilde_row(_lam_shift(bc, setup, 2 * a - 1 - n), 2, us[a - 1], setup, floor)
+    omega2bar_bra = [_tilde_row(_lam_shift(bc, setup, 2 * a - 1 - n), 2, us[a - 1], setup)
                      for a in range(1, n + 1)]
     return omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket
 
 
-def boundary_states(bc: BoundaryConfig, spectral, setup: ModularSetup,
-                    floor: float = GENERICITY_FLOOR):
+def boundary_states(bc: BoundaryConfig, spectral, setup: ModularSetup):
     """The four domain-wall boundary states as full 2^N tensors.
 
     Returns (omega2_ket, omega1bar_ket, omega1_bra, omega2bar_bra).
     """
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
-        bc, spectral.xi, spectral.u, setup, floor)
+        bc, spectral.xi, spectral.u, setup)
     return (product_state(omega2_ket), product_state(omega1bar_ket),
             product_state(omega1_bra), product_state(omega2bar_bra))

@@ -3,9 +3,10 @@
 Every sigma table that does not depend on the boundary -- the (u, xi) grids,
 the pair products, sigma(2u) and the xi-ratio G -- is read from the
 configuration's ``SpectralGrids``, which the genericity check of a drawn
-configuration has already filled.  This module evaluates only the boundary
-vectors sigma(l1+z+u) sigma(l2+z+u) and sigma(l1+z-xi) sigma(l2+z+xi),
-sigma(eta) and the lambda product.
+configuration has already filled and which refuses a family below the
+genericity floor when it is evaluated.  This module evaluates only the
+boundary vectors sigma(l1+z+u) sigma(l2+z+u) and sigma(l1+z-xi)
+sigma(l2+z+xi), sigma(eta) and the lambda product.
 
 * ``normalized_z_permsum`` -- the symmetric sum over S_N of per-permutation
   sigma-products (O(N!), vectorized over permutations in fixed chunks),
@@ -34,8 +35,8 @@ import scipy.linalg
 from .boundary import BoundaryConfig
 from .elliptic import ModularSetup, sigma
 from .errors import ConditioningWarning, SingularityError, SizeError
-from .oracle import LU_GRIDS, PAIR_GRIDS, SpectralConfig, SpectralGrids
-from .rmatrices import GENERICITY_FLOOR
+from .oracle import SpectralConfig, SpectralGrids
+from .rmatrices import GENERICITY_FLOOR, _floor_checked
 
 MAX_PERMSUM_N = 9
 MAX_DETERMINANT_N = 512
@@ -58,20 +59,19 @@ def _log_product(values) -> complex:
 # The boundary vectors and the tables built on them.
 # ---------------------------------------------------------------------------
 
-def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig, floor: float):
+def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig):
     """(lam_u, lam_xi) = (sigma(l1+z+u) sigma(l2+z+u), sigma(l1+z-xi) sigma(l2+z+xi)).
 
-    Every consumer divides by the four (u, xi) grids and by lam_u, so those
-    are checked against the floor here.  Each factor is its own sigma call:
-    the numpy series stops on the largest term of the whole array, so
-    merging them would move their bits.
+    Every consumer divides by the four (u, xi) grids and by lam_u, so all
+    four grids are read (each is checked against the floor when evaluated)
+    and lam_u is checked here.  Each factor is its own sigma call: the numpy
+    series stops on the largest term of the whole array, so merging them
+    would move their bits.
     """
-    g.require(floor, *LU_GRIDS)
-    u, xi, setup = g.u, g.xi, g.setup
-    l1u = sigma(bc.lambda1 + bc.zeta + u, setup)
-    l2u = sigma(bc.lambda2 + bc.zeta + u, setup)
-    if min(np.abs(l1u).min(), np.abs(l2u).min()) < floor:
-        raise SingularityError("|sigma(l_i+z+u)| below genericity floor")
+    g.minus, g.plus, g.minus_eta, g.plus_eta  # read, so checked
+    u, xi, setup, what = g.u, g.xi, g.setup, "sigma(lambda_i + zeta + u)"
+    l1u = _floor_checked(sigma(bc.lambda1 + bc.zeta + u, setup), what)
+    l2u = _floor_checked(sigma(bc.lambda2 + bc.zeta + u, setup), what)
     lam_xi = (sigma(bc.lambda1 + bc.zeta - xi, setup)
               * sigma(bc.lambda2 + bc.zeta + xi, setup))
     return l1u * l2u, lam_xi
@@ -85,22 +85,15 @@ def _permsum_ab(g: SpectralGrids, lam_u, lam_xi):
     return table_a, table_b
 
 
-def _xi_ratio(g: SpectralGrids, floor: float):
-    """G, once its denominators sigma(xi_j - xi_k) clear the floor."""
-    g.require(floor, "xi_diff")
-    return g.xi_ratio
-
-
 def _log_uxi_ratio(g: SpectralGrids) -> complex:
     """log prod_{a,k} sigma(u_a + xi_k) / sigma(u_a + xi_k + eta)."""
     return _log_product(g.plus) - _log_product(g.plus_eta)
 
 
-def _log_pair_products(g: SpectralGrids, floor: float) -> complex:
+def _log_pair_products(g: SpectralGrids) -> complex:
     """log prod_{a<b} s(u_b-u_a) s(u_a+u_b+eta) s(xi_a-xi_b) s(xi_a+xi_b)."""
     if len(g.u) < 2:
         return 0.0 + 0.0j
-    g.require(floor, *PAIR_GRIDS)
     return (_log_product(g.u_diff) + _log_product(g.u_sum_eta)
             + _log_product(g.xi_diff) + _log_product(g.xi_sum))
 
@@ -109,10 +102,10 @@ def _log_pair_products(g: SpectralGrids, floor: float) -> complex:
 # Permutation-sum route.
 # ---------------------------------------------------------------------------
 
-def _permsum(g: SpectralGrids, lam_u, lam_xi, floor: float) -> complex:
+def _permsum(g: SpectralGrids, lam_u, lam_xi) -> complex:
     n = len(g.u)
     table_a, table_b = _permsum_ab(g, lam_u, lam_xi)
-    table_g = _xi_ratio(g, floor)
+    table_g = g.xi_ratio
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     rows = np.arange(n)
     total = 0.0 + 0.0j
@@ -128,21 +121,20 @@ def _permsum(g: SpectralGrids, lam_u, lam_xi, floor: float) -> complex:
 
 
 def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,
-                         setup: ModularSetup,
-                         floor: float = GENERICITY_FLOOR) -> complex:
+                         setup: ModularSetup) -> complex:
     """Symmetric permutation-sum form of the normalized partition function."""
     _require_size("permsum", spectral.n)
     if spectral.n == 0:
         return 1.0 + 0.0j
     g = spectral.grids(setup)
-    return _permsum(g, *_boundary_vectors(g, bc, floor), floor)
+    return _permsum(g, *_boundary_vectors(g, bc))
 
 
 # ---------------------------------------------------------------------------
 # Determinant route (log-space).
 # ---------------------------------------------------------------------------
 
-def _log_z_det(g: SpectralGrids, lam_u, lam_xi, floor: float) -> complex:
+def _log_z_det(g: SpectralGrids, lam_u, lam_xi) -> complex:
     """log of the normalized value from the single determinant.
 
     log(det) comes from a partial-pivoted LU, with a pivot-ratio digit-loss
@@ -163,14 +155,20 @@ def _log_z_det(g: SpectralGrids, lam_u, lam_xi, floor: float) -> complex:
     sign_flips = int(np.sum(piv != np.arange(len(diag))))
     log_det = complex(np.sum(np.log(diag))) + (1j * math.pi) * (sign_flips % 2)
     log_num = _log_product(g.minus) + _log_product(g.plus_eta)
-    return log_num + log_det - _log_pair_products(g, floor)
+    return log_num + log_det - _log_pair_products(g)
 
 
-def _log_normalized_z_determinant(spectral, bc, setup, floor) -> complex:
+def _log_normalized_z_determinant(spectral, bc, setup,
+                                  floor: float = GENERICITY_FLOOR) -> complex:
+    """log of the normalized value.  ``floor`` is accepted only as
+    GENERICITY_FLOOR, for callers that still pass it."""
+    if floor != GENERICITY_FLOOR:
+        raise ValueError(f"the genericity floor is fixed at {GENERICITY_FLOOR:.0e}, "
+                         f"got {floor!r}")
     if spectral.n == 0:
         return 0.0 + 0.0j
     g = spectral.grids(setup)
-    return _log_z_det(g, *_boundary_vectors(g, bc, floor), floor)
+    return _log_z_det(g, *_boundary_vectors(g, bc))
 
 
 def _exp_saturating(log_value: complex) -> complex:
@@ -183,23 +181,21 @@ def _exp_saturating(log_value: complex) -> complex:
 
 
 def normalized_z_determinant(spectral: SpectralConfig, bc: BoundaryConfig,
-                             setup: ModularSetup,
-                             floor: float = GENERICITY_FLOOR) -> complex:
+                             setup: ModularSetup) -> complex:
     """Single-determinant form of the normalized partition function.
 
     Values beyond double range saturate to 0 or inf; bench mode reports the
     log-space digest instead.
     """
     _require_size("determinant", spectral.n)
-    return _exp_saturating(_log_normalized_z_determinant(spectral, bc, setup, floor))
+    return _exp_saturating(_log_normalized_z_determinant(spectral, bc, setup))
 
 
 # ---------------------------------------------------------------------------
 # Prefactor and full partition function.
 # ---------------------------------------------------------------------------
 
-def _log_lambda_factor(n: int, bc: BoundaryConfig, setup: ModularSetup,
-                       floor: float) -> complex:
+def _log_lambda_factor(n: int, bc: BoundaryConfig, setup: ModularSetup) -> complex:
     """Telescoped creation-operator scalars: the closed-form lambda product.
 
     prod_{n'=1..N} sigma(l12 + (2n'-N) eta) / prod_{j=0..N-1} sigma(l12 - j eta):
@@ -214,24 +210,22 @@ def _log_lambda_factor(n: int, bc: BoundaryConfig, setup: ModularSetup,
     for k in range(1, n + 1):
         num = sigma(l12 + (2 * k - n) * eta, setup)
         den = sigma(l12 - (k - 1) * eta, setup)
-        if min(abs(den), abs(num)) < floor:
+        if min(abs(den), abs(num)) < GENERICITY_FLOOR:
             raise SingularityError("lambda12 within eta*Z of a sigma zero")
         out += cmath.log(num) - cmath.log(den)
     return out
 
 
 def partition_prefactor(bc: BoundaryConfig, spectral: SpectralConfig,
-                        setup: ModularSetup,
-                        floor: float = GENERICITY_FLOOR) -> complex:
-    """lambda product times the (u, xi) ratio product."""
+                        setup: ModularSetup) -> complex:
+    """lambda product times the (u, xi) ratio product; 1 at N = 0."""
     g = spectral.grids(setup)
-    _boundary_vectors(g, bc, floor)  # refuses what every closed form refuses
-    return cmath.exp(_log_lambda_factor(spectral.n, bc, setup, floor)
-                     + _log_uxi_ratio(g))
+    _boundary_vectors(g, bc)  # refuses what every closed form refuses
+    return cmath.exp(_log_lambda_factor(spectral.n, bc, setup) + _log_uxi_ratio(g))
 
 
 def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
-           route: str = "determinant", floor: float = GENERICITY_FLOOR) -> complex:
+           route: str = "determinant") -> complex:
     """Full partition function: prefactor x normalized value, one table build."""
     n = spectral.n
     if n == 0:
@@ -240,12 +234,12 @@ def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
         raise ValueError(f"unknown closed-form route: {route!r}")
     _require_size(route, n)
     g = spectral.grids(setup)
-    lam_u, lam_xi = _boundary_vectors(g, bc, floor)
+    lam_u, lam_xi = _boundary_vectors(g, bc)
     if route == "permsum":
-        log_norm = cmath.log(_permsum(g, lam_u, lam_xi, floor))
+        log_norm = cmath.log(_permsum(g, lam_u, lam_xi))
     else:
-        log_norm = _log_z_det(g, lam_u, lam_xi, floor)
-    return _exp_saturating(_log_lambda_factor(n, bc, setup, floor)
+        log_norm = _log_z_det(g, lam_u, lam_xi)
+    return _exp_saturating(_log_lambda_factor(n, bc, setup)
                            + _log_uxi_ratio(g) + log_norm)
 
 
@@ -254,8 +248,7 @@ def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
 # ---------------------------------------------------------------------------
 
 def recursion_residual(spectral: SpectralConfig, bc: BoundaryConfig,
-                       setup: ModularSetup,
-                       floor: float = GENERICITY_FLOOR) -> float:
+                       setup: ModularSetup) -> float:
     """Relative residual of the N -> N-1 recursion (determinant route).
 
     Z_N = sum_i A[N-1, i] prod_{l<N-1} B[l, i] prod_{j!=i} G[j, i]
@@ -266,21 +259,19 @@ def recursion_residual(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError("recursion needs N >= 1")
     _require_size("determinant", n)
     g = spectral.grids(setup)
-    lam_u, lam_xi = _boundary_vectors(g, bc, floor)
-    z_n = _exp_saturating(_log_z_det(g, lam_u, lam_xi, floor))
+    lam_u, lam_xi = _boundary_vectors(g, bc)
+    z_n = _exp_saturating(_log_z_det(g, lam_u, lam_xi))
     table_a, table_b = _permsum_ab(g, lam_u, lam_xi)
-    coeff = (table_a[n - 1] * table_b[:n - 1].prod(axis=0)
-             * _xi_ratio(g, floor).prod(axis=0))
+    coeff = table_a[n - 1] * table_b[:n - 1].prod(axis=0) * g.xi_ratio.prod(axis=0)
     acc = 0.0 + 0.0j
     for i in range(n):
         sub = SpectralConfig(u=spectral.u[:n - 1], xi=spectral.xi[:i] + spectral.xi[i + 1:])
-        acc += coeff[i] * normalized_z_determinant(sub, bc, setup, floor)
+        acc += coeff[i] * normalized_z_determinant(sub, bc, setup)
     return float(abs(z_n - acc) / abs(z_n))
 
 
 def pole_matching_pair(order: int, spectral: SpectralConfig,
-                       bc: BoundaryConfig, setup: ModularSetup,
-                       floor: float = GENERICITY_FLOOR):
+                       bc: BoundaryConfig, setup: ModularSetup):
     """The two meromorphic functions compared in the determinant proof.
 
     Returns (permsum_side, determinant_side) at size ``order``: the
@@ -293,16 +284,16 @@ def pole_matching_pair(order: int, spectral: SpectralConfig,
         raise SizeError(f"pole-matching pair limited to 1 <= I <= min(N, 8), got {order}")
     sub = SpectralConfig(u=spectral.u[:order], xi=spectral.xi[:order])
     g = sub.grids(setup)
-    lam_u, lam_xi = _boundary_vectors(g, bc, floor)
+    lam_u, lam_xi = _boundary_vectors(g, bc)
     scale = complex(np.prod(lam_u / (lam_xi * g.s2u)))
-    return (scale * _permsum(g, lam_u, lam_xi, floor),
-            scale * _exp_saturating(_log_z_det(g, lam_u, lam_xi, floor)))
+    return (scale * _permsum(g, lam_u, lam_xi),
+            scale * _exp_saturating(_log_z_det(g, lam_u, lam_xi)))
 
 
-def _pair_with_last_u(order, spectral, u_last, bc, setup, floor):
+def _pair_with_last_u(order, spectral, u_last, bc, setup):
     """pole_matching_pair as a function of u_order, the others held fixed."""
     sub = SpectralConfig(u=spectral.u[:order - 1] + (u_last,), xi=spectral.xi[:order])
-    return pole_matching_pair(order, sub, bc, setup, floor)
+    return pole_matching_pair(order, sub, bc, setup)
 
 
 def residue_estimate(func, center: complex, eps: float = 1e-5,
@@ -316,8 +307,8 @@ def residue_estimate(func, center: complex, eps: float = 1e-5,
 
 
 def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
-              setup: ModularSetup, floor: float = GENERICITY_FLOOR,
-              eps: float = 1e-4, perturb_permsum_side: float = 1.0):
+              setup: ModularSetup, eps: float = 1e-4,
+              perturb_permsum_side: float = 1.0):
     """Classify candidate poles of (determinant side - permsum side).
 
     Checks the true candidate locations xi_i - eta and -xi_i, and the
@@ -335,7 +326,7 @@ def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
         peak = []
 
         def sides(u_last):
-            b_val, f_val = _pair_with_last_u(order, spectral, u_last, bc, setup, floor)
+            b_val, f_val = _pair_with_last_u(order, spectral, u_last, bc, setup)
             peak.append(abs(f_val))
             return np.array([f_val - perturb_permsum_side * b_val, f_val])
 
@@ -369,8 +360,7 @@ def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
 
 
 def f_quasi_period_residual(spectral: SpectralConfig, bc: BoundaryConfig,
-                            setup: ModularSetup,
-                            floor: float = GENERICITY_FLOOR) -> float:
+                            setup: ModularSetup) -> float:
     """|f(u+1) - f(u)| / scale for f = determinant side - permsum side.
 
     The scale is the larger side's magnitude (f itself vanishes identically,
@@ -378,7 +368,7 @@ def f_quasi_period_residual(spectral: SpectralConfig, bc: BoundaryConfig,
     """
     order = spectral.n
     u0 = spectral.u[order - 1]
-    b0, f0 = _pair_with_last_u(order, spectral, u0, bc, setup, floor)
-    b1, f1 = _pair_with_last_u(order, spectral, u0 + 1.0, bc, setup, floor)
+    b0, f0 = _pair_with_last_u(order, spectral, u0, bc, setup)
+    b1, f1 = _pair_with_last_u(order, spectral, u0 + 1.0, bc, setup)
     scale = max(abs(b0), abs(f0), abs(b1), abs(f1), 1e-300)
     return float(abs((f1 - b1) - (f0 - b0)) / scale)

@@ -21,7 +21,7 @@ from .errors import DomainError, ParseError, SingularityError, ValidationError
 from .oracle import (MAX_BRUTEFORCE_N, MAX_ENUMERATION_N, MAX_FACE_N,
                      SpectralConfig)
 from .closedform import MAX_DETERMINANT_N, MAX_PERMSUM_N
-from .rmatrices import GENERICITY_FLOOR
+from .rmatrices import _floor_checked
 
 ROUTE_GUARDS = {
     "enumeration": MAX_ENUMERATION_N,
@@ -203,8 +203,8 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
                      n_sweep=tuple(n_sweep))
 
 
-def draw_spectral(n: int, seed: int, setup: ModularSetup, bc: BoundaryConfig,
-                  floor: float = GENERICITY_FLOOR) -> SpectralConfig:
+def draw_spectral(n: int, seed: int, setup: ModularSetup,
+                  bc: BoundaryConfig) -> SpectralConfig:
     """Seeded rejection sampling of a generic spectral configuration."""
     box = DRAW_BOX
     rng = np.random.default_rng(seed)
@@ -215,13 +215,12 @@ def draw_spectral(n: int, seed: int, setup: ModularSetup, bc: BoundaryConfig,
         xi = tuple(rng.uniform(*box["xi_re"], n) + 1j * rng.uniform(*box["xi_im"], n))
         spectral = SpectralConfig(u=u, xi=xi)
         try:
-            spectral.require_generic(setup, floor)
-            bc.require_spectral_compatible(setup, u, floor)
+            spectral.require_generic(setup)
+            bc.require_spectral_compatible(setup, u)
             xi_arr = np.asarray(xi)
             for lam in (bc.lambda1, bc.lambda2):
                 for z in (lam + bc.zeta - xi_arr, lam + bc.zeta + xi_arr):
-                    if np.abs(sigma(z, setup)).min() < floor:
-                        raise SingularityError("boundary/xi collision")
+                    _floor_checked(sigma(z, setup), "sigma(lambda_i + zeta -+ xi)")
         except SingularityError:
             continue
         return spectral

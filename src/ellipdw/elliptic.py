@@ -64,7 +64,7 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
     everywhere (u may be an array); a sum left inf or nan by overflowing
     terms raises ConvergenceError.  A Python scalar u (int, float, complex,
     or their numpy subclasses) is summed with cmath, bit-identical to the
-    numpy path taken by arrays.
+    numpy path taken by arrays; an empty array gives an empty array.
     """
     tau = complex(tau)
     if tau.imag < MIN_IM_TAU:
@@ -75,6 +75,8 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
         except (OverflowError, ValueError):
             pass  # cmath refuses overflowing or non-finite terms; numpy sums them
     u_arr = np.asarray(u, dtype=complex)
+    if u_arr.size == 0:
+        return np.zeros_like(u_arr)
     ub = u_arr + b
     ipi = 1j * np.pi
 

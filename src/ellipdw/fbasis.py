@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .boundary import BoundaryConfig
-from .closedform import _boundary_vectors, _log_uxi_ratio, _permsum_ab, _xi_ratio
+from .closedform import _boundary_vectors, _log_uxi_ratio, _permsum_ab
 from .elliptic import ModularSetup, sigma
 from .errors import SingularityError, SizeError
 from .oracle import (SpectralConfig, SpectralGrids, face_creation_operator,
@@ -73,8 +73,7 @@ def _apply_to_seq(base, rel):
 
 
 def r_s_operator(s: PermutationWord, l: WeightVector, spectral: SpectralConfig,
-                 setup: ModularSetup, floor: float = GENERICITY_FLOOR,
-                 base=None) -> DenseOperator:
+                 setup: ModularSetup, base=None) -> DenseOperator:
     """Operator attached to a permutation by the composition law.
 
     ``base`` is the starting site sequence (identity by default); the word's
@@ -94,8 +93,7 @@ def r_s_operator(s: PermutationWord, l: WeightVector, spectral: SpectralConfig,
     for beta in s.word:
         a, b = seq[beta - 1], seq[beta]
         op = apply_sos_R(op, spectral.xi[a - 1] - spectral.xi[b - 1], l, setup,
-                         a - 1, b - 1, spectators=tuple(c - 1 for c in seq[:beta - 1]),
-                         floor=floor)
+                         a - 1, b - 1, spectators=tuple(c - 1 for c in seq[:beta - 1]))
         seq = seq[:beta - 1] + (seq[beta], seq[beta - 1]) + seq[beta + 1:]
     if seq != target:
         raise ValueError(f"word {s.word} does not produce sequence {target}")
@@ -119,7 +117,7 @@ def _valid_chains(seq):
 
 
 def f_matrix(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup,
-             floor: float = GENERICITY_FLOOR, base=None) -> DenseOperator:
+             base=None) -> DenseOperator:
     """The factorizing twist as the projected sum over permutations.
 
     ``base`` selects the site sequence the twist is built on (the relabeled
@@ -136,8 +134,7 @@ def f_matrix(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup,
         switches = _valid_chains(seq)
         if not switches:
             continue
-        rs = r_s_operator(reduced_word(rel), l, spectral, setup, floor,
-                          base=base).mat
+        rs = r_s_operator(reduced_word(rel), l, spectral, setup, base=base).mat
         for d in switches:
             # positions 1..d carry spin 1, positions d+1..N spin 2
             row = 0
@@ -162,13 +159,13 @@ def triangularity_defect(f: DenseOperator) -> float:
     return float(np.max(np.abs(np.triu(mat, k=1))))
 
 
-def f_inverse_matrix(f: DenseOperator, floor: float = GENERICITY_FLOOR) -> np.ndarray:
+def f_inverse_matrix(f: DenseOperator) -> np.ndarray:
     """Inverse via triangular solve in the sorted basis order."""
     n = f.n_sites
     order = basis_order(n)
     lower = f.mat[np.ix_(order, order)]
     diag = np.abs(np.diag(lower))
-    if float(diag.min()) < floor:
+    if float(diag.min()) < GENERICITY_FLOOR:
         raise SingularityError(f"twist near-degenerate: min |diag| = {diag.min():.2e}")
     inv_sorted = scipy.linalg.solve_triangular(
         lower, np.eye(2 ** n, dtype=complex), lower=True, check_finite=False)
@@ -178,10 +175,9 @@ def f_inverse_matrix(f: DenseOperator, floor: float = GENERICITY_FLOOR) -> np.nd
 
 
 def extremal_invariance_residual(l: WeightVector, spectral: SpectralConfig,
-                                 setup: ModularSetup,
-                                 floor: float = GENERICITY_FLOOR) -> float:
+                                 setup: ModularSetup) -> float:
     """max(||F|2..2> - |2..2>||, ||<1..1|F - <1..1|||)."""
-    f = f_matrix(l, spectral, setup, floor).mat
+    f = f_matrix(l, spectral, setup).mat
     n = int(np.log2(f.shape[0]))
     down = np.zeros(2 ** n, dtype=complex)
     down[-1] = 1.0
@@ -245,17 +241,15 @@ def twisted_t22_explicit(l: WeightVector, u: complex, spectral: SpectralConfig,
 
 
 def twisted_one_row_residual(l: WeightVector, u: complex,
-                             spectral: SpectralConfig, setup: ModularSetup,
-                             floor: float = GENERICITY_FLOOR) -> float:
+                             spectral: SpectralConfig, setup: ModularSetup) -> float:
     """Conjugated one-row entries vs their polarization-free forms."""
-    f_l = f_matrix(l, spectral, setup, floor)
-    t = face_one_row_monodromy(l, u, spectral, setup, floor)
+    f_l = f_matrix(l, spectral, setup)
+    t = face_one_row_monodromy(l, u, spectral, setup)
     worst = 0.0
     for (i, j), explicit in (((2, 1), twisted_t21_explicit(l, u, spectral, setup)),
                              ((2, 2), twisted_t22_explicit(l, u, spectral, setup))):
         f_out = f_l.mat
-        f_in = f_inverse_matrix(f_matrix(l.shifted(j, setup.eta), spectral, setup, floor),
-                                floor)
+        f_in = f_inverse_matrix(f_matrix(l.shifted(j, setup.eta), spectral, setup))
         twisted = f_out @ t[(i, j)].mat @ f_in
         scale = max(1.0, float(np.max(np.abs(explicit))))
         worst = max(worst, float(np.max(np.abs(twisted - explicit))) / scale)
@@ -279,8 +273,8 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
     lam = bc.weight
     eta = setup.eta
     at_u = SpectralGrids((u,), spectral.xi, setup)
-    table_a, table_b = _permsum_ab(at_u, *_boundary_vectors(at_u, bc, GENERICITY_FLOOR))
-    table_g = _xi_ratio(spectral.grids(setup), GENERICITY_FLOOR)
+    table_a, table_b = _permsum_ab(at_u, *_boundary_vectors(at_u, bc))
+    table_g = spectral.grids(setup).xi_ratio
     scalar = (sigma(m.m12, setup) / sigma(lam.m12, setup)
               * cmath.exp(_log_uxi_ratio(at_u)))
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
@@ -297,8 +291,7 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
 
 
 def twisted_creation_residual(n_index: int, bc: BoundaryConfig,
-                              spectral: SpectralConfig, setup: ModularSetup,
-                              floor: float = GENERICITY_FLOOR) -> float:
+                              spectral: SpectralConfig, setup: ModularSetup) -> float:
     """Conjugated creation operator vs its polarization-free form.
 
     Both conjugating twists carry the argument lambda: the inner twist
@@ -312,9 +305,9 @@ def twisted_creation_residual(n_index: int, bc: BoundaryConfig,
     lam = bc.weight
     m = lam.shifted(1, setup.eta, -(2 * n_index - n))
     u = spectral.u[n_index - 1]
-    raw = face_creation_operator(m, bc, u, spectral, setup, floor).mat
-    f_lam = f_matrix(lam, spectral, setup, floor)
-    twisted = f_lam.mat @ raw @ f_inverse_matrix(f_lam, floor)
+    raw = face_creation_operator(m, bc, u, spectral, setup).mat
+    f_lam = f_matrix(lam, spectral, setup)
+    twisted = f_lam.mat @ raw @ f_inverse_matrix(f_lam)
     explicit = twisted_creation_explicit(m, bc, u, spectral, setup)
     return float(np.max(np.abs(twisted - explicit))
                  / max(1e-300, np.max(np.abs(explicit))))

@@ -10,6 +10,7 @@ unitarity) are exposed as normalized max-norm residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .elliptic import ModularSetup, sigma, theta_level2
 from .errors import SingularityError
 from .tensor import DenseOperator, embed_matrix
 
+# No sigma in a denominator may fall below this: the closed forms hold for
+# generic (u, xi, lambda, zeta) only.
 GENERICITY_FLOOR = 1e-8
 
 # Fundamental shift vectors e_hat_i = eps_i - (eps_1 + eps_2)/2.
@@ -56,30 +59,35 @@ class WeightVector:
                 raise SingularityError(f"{what} below genericity floor at m12={self.m12}")
 
 
-def _checked_sigma(z, setup, floor, what):
-    val = sigma(z, setup)
-    if abs(val) < floor:
-        raise SingularityError(f"|{what}| = {abs(val):.2e} below floor {floor:.0e}")
-    return val
+def _floor_checked(vals, what):
+    """``vals``, a scalar or an array, refused when its least modulus is below
+    the genericity floor; an empty array passes."""
+    least = (abs(vals) if isinstance(vals, complex)
+             else float(np.abs(vals).min(initial=math.inf)))
+    if least < GENERICITY_FLOOR:
+        raise SingularityError(
+            f"|{what}| = {least:.2e} below floor {GENERICITY_FLOOR:.0e}")
+    return vals
 
 
-def vertex_R(u: complex, setup: ModularSetup,
-             floor: float = GENERICITY_FLOOR) -> DenseOperator:
+def _checked_sigma(z, setup, what):
+    return _floor_checked(sigma(z, setup), what)
+
+
+def vertex_R(u: complex, setup: ModularSetup) -> DenseOperator:
     """Eight-vertex R-matrix with weights a, b, c, d on two sites (1, 2)."""
-    mat = vertex_R_matrix(u, setup, floor)
-    return DenseOperator((1, 2), mat)
+    return DenseOperator((1, 2), vertex_R_matrix(u, setup))
 
 
-def vertex_R_matrix(u: complex, setup: ModularSetup,
-                    floor: float = GENERICITY_FLOOR) -> np.ndarray:
+def vertex_R_matrix(u: complex, setup: ModularSetup) -> np.ndarray:
     eta = setup.eta
     t1 = lambda z: theta_level2(1, z, setup)
     t0 = lambda z: theta_level2(2, z, setup)
-    s_ueta = _checked_sigma(u + eta, setup, floor, "sigma(u+eta)")
+    s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
     s_eta = sigma(eta, setup)
     t10, t0e, t1e = t1(0.0), t0(eta), t1(eta)
     for v, what in ((t10, "theta2_1(0)"), (t0e, "theta2_0(eta)"), (t1e, "theta2_1(eta)")):
-        if abs(v) < floor:
+        if abs(v) < GENERICITY_FLOOR:
             raise SingularityError(f"{what} below genericity floor")
     a = t1(u) * t0(u + eta) * s_eta / (t10 * t0e * s_ueta)
     b = t0(u) * t1(u + eta) * s_eta / (t10 * t0e * s_ueta)
@@ -93,17 +101,15 @@ def vertex_R_matrix(u: complex, setup: ModularSetup,
     ], dtype=complex)
 
 
-def sos_R(u: complex, m: WeightVector, setup: ModularSetup,
-          floor: float = GENERICITY_FLOOR) -> DenseOperator:
+def sos_R(u: complex, m: WeightVector, setup: ModularSetup) -> DenseOperator:
     """Dynamical (SOS) R-matrix R(u; m) on two sites (1, 2)."""
-    return DenseOperator((1, 2), sos_R_matrix(u, m, setup, floor))
+    return DenseOperator((1, 2), sos_R_matrix(u, m, setup))
 
 
-def sos_R_matrix(u: complex, m: WeightVector, setup: ModularSetup,
-                 floor: float = GENERICITY_FLOOR) -> np.ndarray:
+def sos_R_matrix(u: complex, m: WeightVector, setup: ModularSetup) -> np.ndarray:
     eta = setup.eta
-    s_ueta = _checked_sigma(u + eta, setup, floor, "sigma(u+eta)")
-    s_m12 = _checked_sigma(m.m12, setup, floor, "sigma(m12)")
+    s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
+    s_m12 = _checked_sigma(m.m12, setup, "sigma(m12)")
     s_u = sigma(u, setup)
     s_eta = sigma(eta, setup)
     s_m21 = -s_m12
@@ -122,8 +128,7 @@ def sos_R_matrix(u: complex, m: WeightVector, setup: ModularSetup,
 
 
 def apply_sos_R(tensor: np.ndarray, u: complex, m: WeightVector, setup: ModularSetup,
-                ax1: int, ax2: int, spectators=(),
-                floor: float = GENERICITY_FLOOR) -> np.ndarray:
+                ax1: int, ax2: int, spectators=()) -> np.ndarray:
     """Apply R(u; m - (n1 - n2) eta e_hat_1) to axes (ax1, ax2) of a tensor.
 
     ``tensor`` is a (2,)*k state tensor with any trailing batch axes; n1 and
@@ -133,7 +138,7 @@ def apply_sos_R(tensor: np.ndarray, u: complex, m: WeightVector, setup: ModularS
     place that maps spectator spins to a shifted weight.
     """
     k = len(spectators)
-    mats = np.stack([sos_R_matrix(u, m.shifted(1, setup.eta, k - 2 * n2), setup, floor)
+    mats = np.stack([sos_R_matrix(u, m.shifted(1, setup.eta, k - 2 * n2), setup)
                      for n2 in range(k + 1)]).reshape(k + 1, 2, 2, 2, 2)
     # spectator popcount over the remaining axes, broadcast along the others
     rest = [ax for ax in range(tensor.ndim) if ax not in (ax1, ax2)]
@@ -166,11 +171,10 @@ def qybe_residual(u1: complex, u2: complex, u3: complex,
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
-def _dynamical_embed(u, m, setup, active, spectator, floor=GENERICITY_FLOOR):
+def _dynamical_embed(u, m, setup, active, spectator):
     """R on two of three sites with the weight shifted by the spectator spin."""
     eye = np.eye(8, dtype=complex).reshape(2, 2, 2, 8)
-    return apply_sos_R(eye, u, m, setup, *active, spectators=(spectator,),
-                       floor=floor).reshape(8, 8)
+    return apply_sos_R(eye, u, m, setup, *active, spectators=(spectator,)).reshape(8, 8)
 
 
 def dybe_residual(u1: complex, u2: complex, u3: complex, m: WeightVector,
@@ -199,7 +203,7 @@ def _sigma_u_times_crossed_R(u, mi, setup):
     v = -u - eta
     s_u = sigma(u, setup)
     s_eta = sigma(eta, setup)
-    s_m12 = _checked_sigma(mi.m12, setup, GENERICITY_FLOOR, "sigma(m12)")
+    s_m12 = _checked_sigma(mi.m12, setup, "sigma(m12)")
     s_m21 = -s_m12
     s_v = sigma(v, setup)
     one = s_u
@@ -231,8 +235,8 @@ def crossing_residual(u: complex, m: WeightVector, setup: ModularSetup,
     for i in (1, 2):
         mi = m.shifted(i, eta)
         factor = sigma(mi.m21, setup) / (
-            _checked_sigma(u + eta, setup, GENERICITY_FLOOR, "sigma(u+eta)")
-            * _checked_sigma(m.m21, setup, GENERICITY_FLOOR, "sigma(m21)"))
+            _checked_sigma(u + eta, setup, "sigma(u+eta)")
+            * _checked_sigma(m.m21, setup, "sigma(m21)"))
         r_cross = _sigma_u_times_crossed_R(u, mi, setup)
         for j in (1, 2):
             for k in (1, 2):

@@ -54,13 +54,15 @@ def run_compare(cfg: RunConfig) -> PartitionReport:
 # Identity suite.
 # ---------------------------------------------------------------------------
 
-def _draw_weight(rng, setup, floor=1e-3):
+def _draw_weight(rng, setup):
+    """A seeded weight whose sigma(m12), sigma(m12 +- eta) clear 1e-3, well
+    above the genericity floor."""
     while True:
         m = rmatrices.WeightVector(
             rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.12, 0.12),
             rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.12, 0.12))
         try:
-            m.require_generic(setup, floor)
+            m.require_generic(setup, 1e-3)
             return m
         except EllipdwError:
             continue
@@ -157,9 +159,8 @@ def identity_checks(cfg: RunConfig):
     m = _draw_weight(rng, setup)
     ratios = []
     for u in np.linspace(-0.3, 0.5, 20):
-        mat = np.column_stack([
-            boundary.intertwiner(m, 1, u, setup).entries,
-            boundary.intertwiner(m, 2, u, setup).entries])
+        mat = np.column_stack([boundary.intertwiner(m, 1, u, setup),
+                               boundary.intertwiner(m, 2, u, setup)])
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         ratios.append(det / (elliptic.sigma(u + m.m1 + m.m2 - 0.5, setup)
                              * elliptic.sigma(m.m12, setup)))
@@ -172,11 +173,9 @@ def identity_checks(cfg: RunConfig):
     for _ in range(100):
         m = _draw_weight(rng, setup)
         u = _draw_points(rng, 1)[0]
-        bar, tilde = boundary.dual_intertwiners(m, u, setup)
-        cols = np.column_stack([boundary.intertwiner(m, j, u, setup).entries
-                                for j in (1, 2)])
-        res = max(res, float(np.max(np.abs(
-            np.vstack([b.entries for b in bar]) @ cols - np.eye(2)))))
+        bar, _ = boundary.dual_intertwiners(m, u, setup)
+        cols = np.column_stack([boundary.intertwiner(m, j, u, setup) for j in (1, 2)])
+        res = max(res, float(np.max(np.abs(bar @ cols - np.eye(2)))))
     checks.append(("dual_biorthogonality", res, 1e-12))
 
     seed11 = np.random.default_rng(seed + 11)
@@ -268,8 +267,7 @@ def _bench_value(route: str, spectral, bc, setup):
         val = closedform.normalized_z_permsum(spectral, bc, setup)
         return value_digest(val)
     if route == "determinant":
-        log_val = closedform._log_normalized_z_determinant(
-            spectral, bc, setup, rmatrices.GENERICITY_FLOOR)
+        log_val = closedform._log_normalized_z_determinant(spectral, bc, setup)
         return value_digest(log_mag=log_val.real, phase=log_val.imag)
     return value_digest(_route_value(route, spectral, bc, setup))
 

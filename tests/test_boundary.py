@@ -50,18 +50,18 @@ def test_reflection_equation_sweep(bc, setup):
 
 def test_intertwiner_entries_and_reference(setup, weight):
     phi = intertwiner(weight, 1, 0.27 + 0.04j, setup)
-    assert abs(phi.entries[0] - GOLDEN_PHI[0]) < 1e-13
-    assert abs(phi.entries[1] - GOLDEN_PHI[1]) < 1e-13
+    assert abs(phi[0] - GOLDEN_PHI[0]) < 1e-13
+    assert abs(phi[1] - GOLDEN_PHI[1]) < 1e-13
     ref = ref_theta_level2(2, 0.27 + 0.04j + 2 * weight.m2, 1j)
-    assert abs(intertwiner(weight, 2, 0.27 + 0.04j, setup).entries[1] - ref) < 1e-13
+    assert abs(intertwiner(weight, 2, 0.27 + 0.04j, setup)[1] - ref) < 1e-13
 
 
 def test_intertwiner_determinant_identity(setup, weight):
     """det of the column pair is proportional to sigma(u+m1+m2-1/2) sigma(m12),
     with a ratio constant in u and in m."""
     def ratio(m, u):
-        cols = np.column_stack([intertwiner(m, 1, u, setup).entries,
-                                intertwiner(m, 2, u, setup).entries])
+        cols = np.column_stack([intertwiner(m, 1, u, setup),
+                                intertwiner(m, 2, u, setup)])
         det = cols[0, 0] * cols[1, 1] - cols[0, 1] * cols[1, 0]
         return det / (sigma(u + m.m1 + m.m2 - 0.5, setup) * sigma(m.m12, setup))
 
@@ -77,8 +77,8 @@ def test_intertwiner_determinant_identity(setup, weight):
 def test_equal_weights_degenerate_columns(setup):
     from ellipdw import WeightVector
     m = WeightVector(0.25 + 0.01j, 0.25 + 0.01j)
-    cols = np.column_stack([intertwiner(m, 1, 0.3, setup).entries,
-                            intertwiner(m, 2, 0.3, setup).entries])
+    cols = np.column_stack([intertwiner(m, 1, 0.3, setup),
+                            intertwiner(m, 2, 0.3, setup)])
     assert abs(np.linalg.det(cols)) < 1e-13
     with pytest.raises(SingularityError):
         dual_intertwiners(m, 0.3, setup)
@@ -90,15 +90,13 @@ def test_dual_biorthogonality_and_completeness(setup):
         m = random_weight(rng, setup)
         u = random_points(rng, 1)[0]
         bar, tilde = dual_intertwiners(m, u, setup)
-        cols = np.column_stack([intertwiner(m, j, u, setup).entries for j in (1, 2)])
-        rows = np.vstack([b.entries for b in bar])
-        assert np.max(np.abs(rows @ cols - np.eye(2))) <= 1e-12
-        comp = sum(np.outer(cols[:, j], bar[j].entries) for j in (0, 1))
+        cols = np.column_stack([intertwiner(m, j, u, setup) for j in (1, 2)])
+        assert np.max(np.abs(bar @ cols - np.eye(2))) <= 1e-12
+        comp = sum(np.outer(cols[:, j], bar[j]) for j in (0, 1))
         assert np.max(np.abs(comp - np.eye(2))) <= 1e-12
         cols_t = np.column_stack([
-            intertwiner(m.shifted(j, setup.eta, -1), j, u, setup).entries
-            for j in (1, 2)])
-        comp_t = sum(np.outer(cols_t[:, j], tilde[j].entries) for j in (0, 1))
+            intertwiner(m.shifted(j, setup.eta, -1), j, u, setup) for j in (1, 2)])
+        comp_t = sum(np.outer(cols_t[:, j], tilde[j]) for j in (0, 1))
         assert np.max(np.abs(comp_t - np.eye(2))) <= 1e-12
 
 
@@ -140,7 +138,7 @@ def test_k_factorization(bc, setup):
 def test_boundary_states_n1(bc, setup):
     spec = SpectralConfig(u=(0.27 + 0.06j,), xi=(0.13 - 0.04j,))
     omega2, _, _, _ = boundary_states(bc, spec, setup)
-    expected = intertwiner(bc.weight, 2, spec.xi[0], setup).entries
+    expected = intertwiner(bc.weight, 2, spec.xi[0], setup)
     assert np.max(np.abs(omega2 - expected)) < 1e-14
 
 
@@ -154,7 +152,7 @@ def test_boundary_state_sitewise_orthonormality(bc, setup):
         bottom = lam.shifted(1, setup.eta, i)
         for mu in (1, 2):
             col = intertwiner(bottom.shifted(mu, setup.eta, -1), mu,
-                              spec.xi[i - 1], setup).entries
+                              spec.xi[i - 1], setup)
             inner = omega1_bra[i - 1] @ col
             assert abs(inner - (1.0 if mu == 1 else 0.0)) <= 1e-12
 

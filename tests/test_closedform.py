@@ -10,7 +10,27 @@ from ellipdw import (SpectralConfig, f_quasi_period_residual, full_z,
                      partition_bruteforce, partition_face_route,
                      partition_prefactor, pole_matching_pair, pole_scan,
                      recursion_residual, residue_estimate, sigma)
+from ellipdw.closedform import _log_normalized_z_determinant
 from ellipdw.errors import ConditioningWarning, SizeError
+from ellipdw.rmatrices import GENERICITY_FLOOR
+
+
+def test_n0_values_are_one(bc, setup):
+    """The empty configuration: the prefactor and both full_z routes are 1."""
+    empty = SpectralConfig(u=(), xi=())
+    assert partition_prefactor(bc, empty, setup) == 1.0
+    for route in ("permsum", "determinant"):
+        assert full_z(empty, bc, setup, route) == 1.0
+
+
+def test_log_determinant_takes_only_the_fixed_floor(draw, bc, setup):
+    """The log-space evaluator keeps a floor argument for callers that pass
+    GENERICITY_FLOOR; any other value is refused."""
+    spec = draw(3, 205, setup, bc)
+    log_z = _log_normalized_z_determinant(spec, bc, setup)
+    assert _log_normalized_z_determinant(spec, bc, setup, GENERICITY_FLOOR) == log_z
+    with pytest.raises(ValueError):
+        _log_normalized_z_determinant(spec, bc, setup, 1e-3)
 
 
 def test_permsum_n0_and_n1_closed_form(draw, bc, setup):

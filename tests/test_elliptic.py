@@ -300,6 +300,13 @@ def test_sigma_separable_errors():
             sigma_separable(p, [0.2], low)
 
 
+def test_sigma_of_empty_array_is_empty(setup):
+    for shape in ((0,), (0, 3)):
+        vals = sigma(np.zeros(shape), setup)
+        assert vals.shape == shape and vals.dtype == complex
+    assert theta_level2(1, np.array([]), setup).shape == (0,)
+
+
 def test_sigma_separable_empty_and_single(setup):
     assert sigma_separable([], [0.1, 0.2], setup).shape == (0, 2)
     assert sigma_separable([0.1, 0.2], [], setup, -1, 0.31).shape == (2, 0)

@@ -2,6 +2,8 @@
 the face-type creation-operator route, and the spectral configuration's
 shared sigma grids."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,7 @@ def test_creation_operator_equals_per_ket_application(n, draw, bc, setup):
                                                    spec, setup).ravel()
                         for ket in np.eye(dim, dtype=complex)], axis=-1)
     assert op.tobytes() == per_ket.tobytes()
-    pref, k1, k2 = oracle._creation_scalars(m, bc, u, spec, setup, GENERICITY_FLOOR)
+    pref, k1, k2 = oracle._creation_scalars(m, bc, u, spec, setup)
     outer = dense_face_monodromy(lam, u, spec, setup)
     inner_t = dense_face_monodromy(lam.shifted(2, eta, -1), -u - eta, spec, setup)
     inner_s = dense_face_monodromy(lam.shifted(1, eta, -1), -u - eta, spec, setup)
@@ -393,8 +395,9 @@ def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypat
 ])
 def test_require_generic_refuses_each_pair_family(family, u, xi, setup):
     """Each configuration puts a zero of sigma in one pair family only (eta
-    = 0.31); the check refuses it, and passes once the points move apart."""
-    with pytest.raises(SingularityError):
+    = 0.31); the check refuses it, naming the family, and passes once the
+    points move apart."""
+    with pytest.raises(SingularityError, match=re.escape(f"sigma({family})")):
         SpectralConfig(u=u, xi=xi).require_generic(setup)
     SpectralConfig(u=(u[0], u[1] + 0.03j), xi=(xi[0], xi[1] + 0.02j)).require_generic(setup)
 
@@ -408,3 +411,86 @@ def test_spectral_grids_per_setup_and_identity_unchanged(draw, bc, setup):
     assert spec == twin and hash(spec) == hash(twin) == hash((spec.u, spec.xi))
     assert repr(spec) == f"SpectralConfig(u={spec.u!r}, xi={spec.xi!r})"
     assert {spec: 1}[twin] == 1
+
+
+# ---------------------------------------------------------------------------
+# Refusals: one configuration below the floor in each checked family.
+# ---------------------------------------------------------------------------
+
+_CALLS = {
+    "require_generic": lambda s, bc, setup: s.require_generic(setup),
+    "permsum": lambda s, bc, setup: closedform.normalized_z_permsum(s, bc, setup),
+    "determinant": lambda s, bc, setup: closedform.normalized_z_determinant(s, bc, setup),
+    "full_z permsum": lambda s, bc, setup: closedform.full_z(s, bc, setup, "permsum"),
+    "full_z determinant": lambda s, bc, setup: closedform.full_z(s, bc, setup,
+                                                                 "determinant"),
+    "prefactor": lambda s, bc, setup: closedform.partition_prefactor(bc, s, setup),
+    "recursion": lambda s, bc, setup: closedform.recursion_residual(s, bc, setup),
+    "pole pair": lambda s, bc, setup: closedform.pole_matching_pair(2, s, bc, setup),
+}
+_ALL = frozenset(_CALLS)
+_NOT_PERMSUM = _ALL - {"permsum", "full_z permsum", "prefactor"}
+
+# (family, u, xi, the calls that refuse); eta = 0.31, lambda2 + zeta = -0.06
+REFUSAL_MATRIX = [
+    ("u_a - xi_k", (0.2, 0.3), (0.2, -0.1), _ALL),
+    ("u_a + xi_k", (0.2, 0.3), (-0.2, -0.1), _ALL),
+    ("u_a - xi_k + eta", (-0.41, 0.3), (-0.1, -0.2), _ALL),
+    ("u_a + xi_k + eta", (-0.21, 0.3), (-0.1, -0.35), _ALL),
+    ("lambda2 + zeta + u_a", (0.06, 0.3), (-0.1, -0.2), _ALL - {"require_generic"}),
+    ("u_b - u_a", (0.2, 0.2), (-0.1, -0.3), _NOT_PERMSUM),
+    ("u_b + u_a + eta", (0.2, -0.51), (-0.1, -0.3), _NOT_PERMSUM),
+    ("xi_a - xi_b", (0.2, 0.3), (-0.1, -0.1), _ALL - {"prefactor"}),
+    ("xi_a + xi_b", (0.2, 0.3), (-0.1, 0.1), _NOT_PERMSUM),
+    ("u_a + u_b", (0.2, -0.2), (-0.1, -0.3), {"require_generic"}),
+    ("u_a - u_b + eta", (0.2, 0.51), (-0.1, -0.3), {"require_generic"}),
+    ("u_b - u_a + eta", (0.51, 0.2), (-0.1, -0.3), {"require_generic"}),
+]
+
+
+def _least_per_family(u, xi, bc, setup):
+    """min |sigma| of every checked family, from plain sigma calls."""
+    u, xi = np.asarray(u, dtype=complex), np.asarray(xi, dtype=complex)
+    eta = setup.eta
+    ia, ib = np.triu_indices(len(u), k=1)
+    args = {"u_a - xi_k": u[:, None] - xi[None, :], "u_a + xi_k": u[:, None] + xi[None, :],
+            "u_a - xi_k + eta": u[:, None] - xi[None, :] + eta,
+            "u_a + xi_k + eta": u[:, None] + xi[None, :] + eta,
+            "lambda1 + zeta + u_a": bc.lambda1 + bc.zeta + u,
+            "lambda2 + zeta + u_a": bc.lambda2 + bc.zeta + u,
+            "u_b - u_a": u[ib] - u[ia], "u_b + u_a + eta": u[ib] + u[ia] + eta,
+            "xi_a - xi_b": xi[ia] - xi[ib], "xi_a + xi_b": xi[ia] + xi[ib],
+            "u_a + u_b": u[ia] + u[ib], "u_a - u_b + eta": u[ia] - u[ib] + eta,
+            "u_b - u_a + eta": u[ib] - u[ia] + eta}
+    return {name: float(np.abs(sigma(z, setup)).min()) for name, z in args.items()}
+
+
+# xi_a = -xi_b makes two columns of the determinant's matrix equal, so scipy
+# warns of the exact zero pivot before the route refuses
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("family,u,xi,refused", REFUSAL_MATRIX,
+                         ids=[row[0] for row in REFUSAL_MATRIX])
+def test_refusal_matrix(family, u, xi, refused, bc, setup):
+    """A configuration with one family below the floor is refused, by
+    SingularityError, by exactly the calls that divide by that family, and
+    every other call succeeds: on a fresh configuration per call, and on one
+    configuration shared by all calls in turn (a refusal survives the
+    evaluation of its family)."""
+    least = _least_per_family(u, xi, bc, setup)
+    assert {name for name, v in least.items() if v < GENERICITY_FLOOR} == {family}
+    shared = SpectralConfig(u, xi)
+    for spec in (None, shared):
+        for name, call in _CALLS.items():
+            config = spec or SpectralConfig(u, xi)
+            if name in refused:
+                with pytest.raises(SingularityError):
+                    call(config, bc, setup)
+            else:
+                call(config, bc, setup)
+
+
+@pytest.mark.parametrize("family,u,xi", [row[:3] for row in REFUSAL_MATRIX
+                                         if "xi_k" in row[0]])
+def test_require_generic_names_each_grid_family(family, u, xi, setup):
+    with pytest.raises(SingularityError, match=re.escape(f"sigma({family})")):
+        SpectralConfig(u=u, xi=xi).require_generic(setup)
