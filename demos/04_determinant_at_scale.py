@@ -1,7 +1,8 @@
-"""O(N^3) versus O(N!): timing the two closed-form routes.
+"""O(N^3) versus O(2^N N^2): timing the two closed-form routes.
 
 The determinant route reaches N = 256 in well under a second; the
-permutation sum hits its factorial wall around N = 9.
+permutation sum, a DP over subsets rather than a list of the N! terms,
+stays near a millisecond up to its guard N = 9.
 """
 
 import time
@@ -32,7 +33,7 @@ for n in (16, 32, 64, 128, 256):
     print(f"  N={n:4d}  {dt:7.3f}s   log|Z_norm| = {log_z.real:12.1f}")
 print(f"  log-log slope over the sweep: {loglog_slope(ns, ts):.2f}")
 
-print("\nPermutation sum (factorial blow-up):")
+print("\nPermutation sum (subset DP, O(2^N N^2)):")
 prev = None
 for n in (5, 6, 7, 8, 9):
     spec = draw_spectral(n, 200 + n, setup, bc)
@@ -40,5 +41,5 @@ for n in (5, 6, 7, 8, 9):
     normalized_z_permsum(spec, bc, setup)
     dt = time.perf_counter() - t0
     note = f"   (x{dt / prev:.1f} over N-1)" if prev else ""
-    print(f"  N={n}  {dt:7.3f}s{note}")
+    print(f"  N={n}  {dt * 1e3:7.3f} ms{note}")
     prev = dt

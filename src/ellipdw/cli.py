@@ -56,7 +56,7 @@ def _sweep_entry(text: str):
 
 
 def _overrides(args) -> dict:
-    overrides = {}
+    overrides = {"mode": args.command}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.tol is not None:

@@ -9,7 +9,8 @@ boundary vectors sigma(l1+z+u) sigma(l2+z+u) and sigma(l1+z-xi)
 sigma(l2+z+xi), sigma(eta) and the lambda product.
 
 * ``normalized_z_permsum`` -- the symmetric sum over S_N of per-permutation
-  sigma-products (O(N!), vectorized over permutations in fixed chunks),
+  sigma-products, by a DP over the subsets of xi indices already placed
+  (O(2^N N^2)),
 * ``normalized_z_determinant`` -- the single-determinant representation
   (O(N^3), accumulated in log space so large N stays representable),
 * ``partition_prefactor`` -- the lambda product times the (u, xi) ratio
@@ -25,7 +26,6 @@ sigma(l2+z+xi), sigma(eta) and the lambda product.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 
@@ -40,7 +40,6 @@ from .rmatrices import GENERICITY_FLOOR, _floor_checked
 
 MAX_PERMSUM_N = 9
 MAX_DETERMINANT_N = 512
-PERMSUM_CHUNK = 40320
 _SIZE_GUARDS = {"permsum": MAX_PERMSUM_N, "determinant": MAX_DETERMINANT_N}
 
 
@@ -103,21 +102,32 @@ def _log_pair_products(g: SpectralGrids) -> complex:
 # ---------------------------------------------------------------------------
 
 def _permsum(g: SpectralGrids, lam_u, lam_xi) -> complex:
+    """sum over s in S_N of prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)].
+
+    A permutation's factors for its position m depend only on s(m) and the
+    set S of indices at positions 0..m-1, so the sum is a DP over subsets:
+    f({}) = 1, f(S + {j}) += f(S) A[|S|, j] prod_{l<|S|} B[l, j]
+    prod_{i in S} G[i, j], and the sum is f(all).  O(2^N N^2).
+    """
     n = len(g.u)
-    table_a, table_b = _permsum_ab(g, lam_u, lam_xi)
-    table_g = g.xi_ratio
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    rows = np.arange(n)
-    total = 0.0 + 0.0j
-    # chunks bound the memory: N = 9 has 362,880 permutations
-    for start in range(0, len(perms), PERMSUM_CHUNK):
-        chunk = perms[start:start + PERMSUM_CHUNK]
-        term = table_a[rows[None, :], chunk].prod(axis=1)
-        for a in range(n):
-            for k in range(a + 1, n):
-                term = term * table_b[a, chunk[:, k]] * table_g[chunk[:, a], chunk[:, k]]
-        total += np.add.reduce(term)
-    return complex(total)
+    step, table_b = _permsum_ab(g, lam_u, lam_xi)
+    step[1:] *= np.cumprod(table_b[:-1], axis=0)  # A[m, j] prod_{l<m} B[l, j]
+    # g_in[S, j] = prod_{i in S} G[i, j], each S from S without its top bit
+    g_in = np.ones((1 << n, n), dtype=complex)
+    for i in range(n):
+        g_in[1 << i:2 << i] = g_in[:1 << i] * g.xi_ratio[i]
+    cols = np.arange(n)
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> cols) & 1 == 1
+    size = member.sum(axis=1)
+    f = np.zeros(1 << n, dtype=complex)
+    f[0] = 1.0
+    for m in range(1, n + 1):
+        sets = masks[size == m]
+        parents = sets[:, None] ^ (1 << cols)  # S = T - {j} where j is in T
+        terms = f[parents] * g_in[parents, cols] * step[m - 1]
+        f[sets] = np.where(member[sets], terms, 0.0).sum(axis=1)
+    return complex(f[-1])
 
 
 def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,
@@ -138,12 +148,18 @@ def _log_z_det(g: SpectralGrids, lam_u, lam_xi) -> complex:
     """log of the normalized value from the single determinant.
 
     log(det) comes from a partial-pivoted LU, with a pivot-ratio digit-loss
-    warning.
+    warning.  The pair products are read first: a pair family below the
+    floor (xi_a = -xi_b makes two columns equal) is refused by name before
+    the LU sees an exactly singular matrix, and any other exact zero pivot
+    is refused here rather than by scipy's LinAlgWarning.
     """
+    log_pairs = _log_pair_products(g)
     row = g.s2u / lam_u
     kernel = sigma(g.setup.eta, g.setup) / (g.minus * g.plus_eta * g.minus_eta * g.plus)
     matrix = row[:, None] * kernel * lam_xi[None, :]
-    lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
     diag = np.diag(lu)
     if np.any(diag == 0):
         raise SingularityError("singular matrix in normalized_z_determinant")
@@ -155,7 +171,7 @@ def _log_z_det(g: SpectralGrids, lam_u, lam_xi) -> complex:
     sign_flips = int(np.sum(piv != np.arange(len(diag))))
     log_det = complex(np.sum(np.log(diag))) + (1j * math.pi) * (sign_flips % 2)
     log_num = _log_product(g.minus) + _log_product(g.plus_eta)
-    return log_num + log_det - _log_pair_products(g)
+    return log_num + log_det - log_pairs
 
 
 def _log_normalized_z_determinant(spectral, bc, setup,

@@ -10,9 +10,13 @@ from ellipdw import (SpectralConfig, f_quasi_period_residual, full_z,
                      partition_bruteforce, partition_face_route,
                      partition_prefactor, pole_matching_pair, pole_scan,
                      recursion_residual, residue_estimate, sigma)
-from ellipdw.closedform import _log_normalized_z_determinant
+from ellipdw.closedform import (_boundary_vectors, _log_normalized_z_determinant,
+                                _permsum, _permsum_ab)
+from ellipdw.config import draw_spectral, parse_config
 from ellipdw.errors import ConditioningWarning, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR
+
+from highprec import ref_permsum
 
 
 def test_n0_values_are_one(bc, setup):
@@ -56,6 +60,31 @@ def test_permsum_equals_determinant(n, draw, bc, setup):
     zp = normalized_z_permsum(spec, bc, setup)
     zd = normalized_z_determinant(spec, bc, setup)
     assert abs(zp - zd) <= 1e-9 * max(abs(zp), abs(zd))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_permsum_is_the_sum_over_every_permutation(n, draw, bc, setup):
+    """The subset DP against a 40-digit sum of one product per permutation of
+    the same A, B, G tables: within 1e-10 relative, and within N^2 roundings
+    of the terms' absolute sum, which bounds what cancellation can cost."""
+    for seed in range(700 + 10 * n, 703 + 10 * n):
+        g = draw(n, seed, setup, bc).grids(setup)
+        lam_u, lam_xi = _boundary_vectors(g, bc)
+        exact, abs_sum = ref_permsum(*_permsum_ab(g, lam_u, lam_xi), g.xi_ratio)
+        err = abs(_permsum(g, lam_u, lam_xi) - exact)
+        assert err <= 1e-10 * abs(exact), (seed, err / abs(exact))
+        assert err <= n * n * np.finfo(float).eps * abs_sum, (seed, err / abs_sum)
+
+
+def test_permsum_at_its_guard_matches_the_determinant():
+    """N = 9 on a draw whose terms' absolute sum is about 1e14 times the sum:
+    summing every permutation's term in double missed the determinant by
+    4.1e-4 here, the subset DP by 2e-6."""
+    cfg = parse_config("{}")
+    spec = draw_spectral(9, 59, cfg.setup, cfg.bc)
+    zp = normalized_z_permsum(spec, cfg.bc, cfg.setup)
+    zd = normalized_z_determinant(spec, cfg.bc, cfg.setup)
+    assert abs(zp - zd) <= 1e-5 * abs(zd)
 
 
 def test_determinant_xi_exchange_invariance(draw, bc, setup):

@@ -89,6 +89,23 @@ def test_run_compare_degenerate_boundary_errors():
     assert report.passed is False
 
 
+def test_run_compare_singular_determinant_is_an_error_row():
+    """xi_a = -xi_b makes two columns of the determinant's matrix equal: the
+    route refuses by naming the pair family, before its LU, so the report
+    gets an error row (under warnings-as-errors, no LinAlgWarning escapes)."""
+    report = run_compare(parse_config("{N: 2, u: [0.2, 0.3], xi: [-0.1, 0.1]}"))
+    status = report.routes["determinant"].status
+    assert status.startswith("error: SingularityError") and "sigma(xi_a + xi_b)" in status
+    assert report.routes["permsum"].status == "ok"
+    assert report.passed is False
+
+
+def test_cli_reports_the_subcommand_as_mode(capsys):
+    for argv in (["identities"], ["bench", "--n-sweep", "8"]):
+        main(argv)
+        assert json.loads(capsys.readouterr().out)["params"]["mode"] == argv[0]
+
+
 def test_run_identities_passes():
     cfg = parse_config("{mode: identities, seed: 7}")
     result = run_identities(cfg)

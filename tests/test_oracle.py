@@ -465,9 +465,6 @@ def _least_per_family(u, xi, bc, setup):
     return {name: float(np.abs(sigma(z, setup)).min()) for name, z in args.items()}
 
 
-# xi_a = -xi_b makes two columns of the determinant's matrix equal, so scipy
-# warns of the exact zero pivot before the route refuses
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("family,u,xi,refused", REFUSAL_MATRIX,
                          ids=[row[0] for row in REFUSAL_MATRIX])
 def test_refusal_matrix(family, u, xi, refused, bc, setup):
