@@ -97,11 +97,11 @@ def _as_complex(raw, where: str) -> complex:
     return value
 
 
-def _as_number(raw, where: str, kind=float):
+def _as_number(raw, where: str) -> float:
     if isinstance(raw, bool):
         raise ValidationError(f"{where}: expected a number, got {raw!r}")
     try:
-        value = kind(raw)
+        value = float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: expected a number, got {raw!r}") from exc
     if not math.isfinite(value):
@@ -150,10 +150,13 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
     tau = _as_complex(merged["tau"], "tau")
     if tau.imag < MIN_IM_TAU:
         raise ValidationError(f"Im(tau) below {MIN_IM_TAU}: {tau.imag}")
+    n_max = merged["n_max"]
+    if not _is_integer(n_max):
+        raise ValidationError(f"n_max must be an integer, got {n_max!r}")
     try:
         setup = ModularSetup(tau=tau, eta=_as_complex(merged["eta"], "eta"),
                              series_tol=_as_number(merged["series_tol"], "series_tol"),
-                             n_max=_as_number(merged["n_max"], "n_max", int))
+                             n_max=n_max)
     except DomainError as exc:
         raise ValidationError(str(exc)) from exc
     bc = BoundaryConfig(lambda1=_as_complex(merged["lambda1"], "lambda1"),

@@ -12,9 +12,11 @@ Three independent evaluators of the same quantity:
   pseudo-particle creation operators between the all-up bra and all-down
   ket, built from the dynamical one-row monodromy matrix.
 
-Every dynamical R factor goes through ``rmatrices.apply_sos_R``; dense
-operators apply it to the identity reshaped as a batch of basis kets, as
-``double_row_monodromy`` does with the vertex factors.
+The vertex routes read each bar line's R and K factors from one builder,
+``_bar_line_factors``.  Every dynamical R factor goes through
+``rmatrices.apply_sos_R``; dense operators apply it to the identity
+reshaped as a batch of basis kets, as ``double_row_monodromy`` does with
+the vertex factors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import BoundaryConfig, boundary_state_factors, vertex_K_matrix
+from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
+                       vertex_K_matrix)
 from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
 from .rmatrices import (WeightVector, _checked_sigma, _floor_checked,
@@ -190,21 +193,27 @@ class SpectralConfig:
 # Vertex-type double-row monodromy and its contraction.
 # ---------------------------------------------------------------------------
 
-def _apply_double_row(phi, alpha_u, spectral, bc, setup, aux_axis):
-    """Apply the double-row factor sequence for one bar line to ``phi``.
+def _bar_line_factors(u, xi, bc: BoundaryConfig, setup: ModularSetup):
+    """The vertex factors of the bar line at ``u``:
+    ([R(u + xi_j)]_j, K(u), [R(u - xi_j)]_j), j = 1..N."""
+    return ([vertex_R_matrix(u + x, setup) for x in xi], vertex_K_matrix(u, bc, setup),
+            [vertex_R_matrix(u - x, setup) for x in xi])
+
+
+def _apply_double_row(phi, factors, aux_axis):
+    """Contract one bar line's ``_bar_line_factors`` into ``phi``.
 
     ``phi`` has quantum sites on axes 0..N-1 and the bar (auxiliary) site on
     ``aux_axis``; factors act right-to-left: +xi branch (site N..1), the
     reflection matrix, then the -xi branch (site 1..N).
     """
-    n = spectral.n
+    r_plus, k, r_minus = factors
+    n = len(r_plus)
     for j in range(n, 0, -1):
-        r = vertex_R_matrix(alpha_u + spectral.xi[j - 1], setup)
-        phi = apply_two_site(phi, r, j - 1, aux_axis)
-    phi = apply_one_site(phi, vertex_K_matrix(alpha_u, bc, setup), aux_axis)
+        phi = apply_two_site(phi, r_plus[j - 1], j - 1, aux_axis)
+    phi = apply_one_site(phi, k, aux_axis)
     for j in range(1, n + 1):
-        r = vertex_R_matrix(alpha_u - spectral.xi[j - 1], setup)
-        phi = apply_two_site(phi, r, aux_axis, j - 1)
+        phi = apply_two_site(phi, r_minus[j - 1], aux_axis, j - 1)
     return phi
 
 
@@ -219,7 +228,8 @@ def double_row_monodromy(u_i: complex, spectral: SpectralConfig,
     # (aux, site1..siteN, batch) and move aux behind the quantum axes,
     # which is where _apply_double_row expects it
     phi = np.moveaxis(cols.reshape((2,) * (n + 1) + (dim,)), 0, n)
-    phi = _apply_double_row(phi, u_i, spectral, bc, setup, aux_axis=n)
+    phi = _apply_double_row(phi, _bar_line_factors(u_i, spectral.xi, bc, setup),
+                            aux_axis=n)
     mat = np.moveaxis(phi, n, 0).reshape(dim, dim)
     return DenseOperator((aux,) + tuple(range(1, n + 1)), mat)
 
@@ -236,10 +246,12 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
     bc.require_generic(setup, n, spectral.u)
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
+    # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
+    factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
     psi = product_state(omega2_ket).reshape((2,) * n)
     for a in range(n, 0, -1):
         phi = np.tensordot(psi, omega1bar_ket[a - 1], axes=0)  # aux on last axis
-        phi = _apply_double_row(phi, spectral.u[a - 1], spectral, bc, setup, aux_axis=n)
+        phi = _apply_double_row(phi, factors[a - 1], aux_axis=n)
         psi = np.tensordot(phi, omega2bar_bra[a - 1], axes=([n], [0]))
     return complex(np.dot(product_state(omega1_bra), psi.ravel()))
 
@@ -261,11 +273,7 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
     spectral.require_generic(setup)
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
-    r_plus = [[vertex_R_matrix(spectral.u[a] + spectral.xi[j], setup)
-               for j in range(n)] for a in range(n)]
-    r_minus = [[vertex_R_matrix(spectral.u[a] - spectral.xi[j], setup)
-                for j in range(n)] for a in range(n)]
-    k_end = [vertex_K_matrix(spectral.u[a], bc, setup) for a in range(n)]
+    factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
     total = 0.0 + 0.0j
 
     def close(frontier, w):
@@ -276,6 +284,8 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
 
     def bar_line(a, frontier, w):
         # a counts down: bar line a acts on the current frontier spins.
+        r_plus, k, r_minus = factors[a]
+
         def minus_branch(j, b, frontier, w):
             if j == n:
                 w = w * omega2bar_bra[a][b]
@@ -287,14 +297,14 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
             q = frontier[j]
             for bp in (0, 1):
                 for qp in (0, 1):
-                    amp = r_minus[a][j][2 * bp + qp, 2 * b + q]
+                    amp = r_minus[j][2 * bp + qp, 2 * b + q]
                     if amp != 0.0:
                         minus_branch(j + 1, bp, frontier[:j] + (qp,) + frontier[j + 1:],
                                      w * amp)
 
         def k_step(b, frontier, w):
             for bp in (0, 1):
-                amp = k_end[a][bp, b]
+                amp = k[bp, b]
                 if amp != 0.0:
                     minus_branch(0, bp, frontier, w * amp)
 
@@ -305,7 +315,7 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
             q = frontier[j]
             for qp in (0, 1):
                 for bp in (0, 1):
-                    amp = r_plus[a][j][2 * qp + bp, 2 * q + b]
+                    amp = r_plus[j][2 * qp + bp, 2 * q + b]
                     if amp != 0.0:
                         plus_branch(j - 1, bp, frontier[:j] + (qp,) + frontier[j + 1:],
                                     w * amp)
@@ -363,10 +373,7 @@ def _creation_scalars(m: WeightVector, bc: BoundaryConfig, u: complex,
     for xk in spectral.xi:
         pref = pref * sigma(u + xk, setup) / _checked_sigma(
             u + xk + setup.eta, setup, "sigma(u+xi+eta)")
-    k1 = sigma(bc.lambda1 + bc.zeta - u, setup) / _checked_sigma(
-        bc.lambda1 + bc.zeta + u, setup, "sigma(l1+zeta+u)")
-    k2 = sigma(bc.lambda2 + bc.zeta - u, setup) / _checked_sigma(
-        bc.lambda2 + bc.zeta + u, setup, "sigma(l2+zeta+u)")
+    k1, k2 = np.diag(face_K(bc, u, setup))
     return pref, k1, k2
 
 

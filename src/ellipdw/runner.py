@@ -72,6 +72,20 @@ def _draw_points(rng, count):
     return rng.uniform(-0.4, 0.4, count) + 1j * rng.uniform(-0.15, 0.15, count)
 
 
+def _points_and_weight(rng, setup, count):
+    """``count`` points, then a weight, as residual arguments; the weight is
+    drawn first."""
+    m = _draw_weight(rng, setup)
+    return (*_draw_points(rng, count), m)
+
+
+def _sampled_max(seed, count, residual):
+    """Largest of ``count`` values of ``residual(rng)``, all drawing from one
+    generator seeded with ``seed``; a nan residual makes it nan."""
+    rng = np.random.default_rng(seed)
+    return float(np.max([residual(rng) for _ in range(count)]))
+
+
 def identity_checks(cfg: RunConfig):
     """The named residual checks driven by run_identities.
 
@@ -82,12 +96,9 @@ def identity_checks(cfg: RunConfig):
     setup = cfg.setup
     bc = cfg.bc
     seed = cfg.seed
-    checks = []
-
-    rng = np.random.default_rng(seed)
-    res = max(elliptic.riemann_residual(*_draw_points(rng, 4), setup)
-              for _ in range(100))
-    checks.append(("riemann_identity", res, 1e-12))
+    checks = [("riemann_identity", _sampled_max(
+        seed, 100, lambda rng: elliptic.riemann_residual(*_draw_points(rng, 4), setup)),
+        1e-12)]
 
     rng = np.random.default_rng(seed + 1)
     worst_odd = worst_p1 = worst_ptau = 0.0
@@ -104,56 +115,22 @@ def identity_checks(cfg: RunConfig):
     checks.append(("sigma_period_1", worst_p1, 1e-12))
     checks.append(("sigma_period_tau", worst_ptau, 1e-12))
 
-    rng = np.random.default_rng(seed + 2)
-    res = 0.0
-    for _ in range(50):
-        u1, u2, u3 = _draw_points(rng, 3)
-        res = max(res, rmatrices.qybe_residual(u1, u2, u3, setup))
-    checks.append(("qybe", res, 1e-10))
-
-    rng = np.random.default_rng(seed + 3)
-    res = 0.0
-    for _ in range(50):
-        m = _draw_weight(rng, setup)
-        u1, u2, u3 = _draw_points(rng, 3)
-        res = max(res, rmatrices.dybe_residual(u1, u2, u3, m, setup))
-    checks.append(("dynamical_ybe", res, 1e-10))
-
-    rng = np.random.default_rng(seed + 4)
-    res = 0.0
-    for _ in range(50):
-        m = _draw_weight(rng, setup)
-        res = max(res, rmatrices.unitarity_residual(_draw_points(rng, 1)[0], m, setup))
-    checks.append(("sos_unitarity", res, 1e-11))
-
-    rng = np.random.default_rng(seed + 5)
-    res = 0.0
-    for _ in range(50):
-        m = _draw_weight(rng, setup)
-        res = max(res, rmatrices.crossing_residual(_draw_points(rng, 1)[0], m, setup))
-    checks.append(("crossing", res, 1e-11))
-
-    rng = np.random.default_rng(seed + 6)
-    res = 0.0
-    for _ in range(50):
-        u1, u2 = _draw_points(rng, 2)
-        res = max(res, boundary.re_residual(u1, u2, bc, setup))
-    checks.append(("reflection_equation", res, 1e-10))
-
-    rng = np.random.default_rng(seed + 7)
-    res = 0.0
-    for _ in range(50):
-        m = _draw_weight(rng, setup)
-        u1, u2 = _draw_points(rng, 2)
-        res = max(res, boundary.face_vertex_residual(u1, u2, m, setup))
-    checks.append(("face_vertex", res, 1e-10))
-
-    rng = np.random.default_rng(seed + 8)
-    res = 0.0
-    for _ in range(50):
-        res = max(res, boundary.k_factorization_residual(_draw_points(rng, 1)[0],
-                                                         bc, setup))
-    checks.append(("k_factorization", res, 1e-9))
+    for offset, name, residual, tol in (
+            (2, "qybe", lambda rng: rmatrices.qybe_residual(
+                *_draw_points(rng, 3), setup), 1e-10),
+            (3, "dynamical_ybe", lambda rng: rmatrices.dybe_residual(
+                *_points_and_weight(rng, setup, 3), setup), 1e-10),
+            (4, "sos_unitarity", lambda rng: rmatrices.unitarity_residual(
+                *_points_and_weight(rng, setup, 1), setup), 1e-11),
+            (5, "crossing", lambda rng: rmatrices.crossing_residual(
+                *_points_and_weight(rng, setup, 1), setup), 1e-11),
+            (6, "reflection_equation", lambda rng: boundary.re_residual(
+                *_draw_points(rng, 2), bc, setup), 1e-10),
+            (7, "face_vertex", lambda rng: boundary.face_vertex_residual(
+                *_points_and_weight(rng, setup, 2), setup), 1e-10),
+            (8, "k_factorization", lambda rng: boundary.k_factorization_residual(
+                *_draw_points(rng, 1), bc, setup), 1e-9)):
+        checks.append((name, _sampled_max(seed + offset, 50, residual), tol))
 
     rng = np.random.default_rng(seed + 9)
     m = _draw_weight(rng, setup)
@@ -168,15 +145,14 @@ def identity_checks(cfg: RunConfig):
     checks.append(("intertwiner_det_constancy",
                    float(np.max(np.abs(ratios - ratios[0])) / abs(ratios[0])), 1e-10))
 
-    rng = np.random.default_rng(seed + 10)
-    res = 0.0
-    for _ in range(100):
-        m = _draw_weight(rng, setup)
-        u = _draw_points(rng, 1)[0]
+    def biorthogonality_defect(u, m):
         bar, _ = boundary.dual_intertwiners(m, u, setup)
         cols = np.column_stack([boundary.intertwiner(m, j, u, setup) for j in (1, 2)])
-        res = max(res, float(np.max(np.abs(bar @ cols - np.eye(2)))))
-    checks.append(("dual_biorthogonality", res, 1e-12))
+        return float(np.max(np.abs(bar @ cols - np.eye(2))))
+
+    checks.append(("dual_biorthogonality", _sampled_max(
+        seed + 10, 100,
+        lambda rng: biorthogonality_defect(*_points_and_weight(rng, setup, 1))), 1e-12))
 
     seed11 = np.random.default_rng(seed + 11)
     spec3 = draw_spectral(3, seed + 11, setup, bc)

@@ -199,7 +199,7 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
 
     # Malformed field types are configuration errors, not tracebacks.
     for text in ("tol: abc", "series_tol: abc", "n_max: abc", "routes: [[a]]",
-                 "u: 5", "routes: 5", "n_max: 0", "series_tol: 1"):
+                 "u: 5", "routes: 5", "n_max: 0", "series_tol: 1", "n_max: 3.7"):
         bad.write_text(text)
         assert main(["compare", "--config", str(bad)]) == 2, text
 

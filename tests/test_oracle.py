@@ -15,7 +15,7 @@ from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
 from ellipdw.elliptic import sigma, sigma_separable
 from ellipdw.errors import SingularityError, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR, sos_R_matrix, vertex_R_matrix
-from ellipdw.tensor import embed_matrix
+from ellipdw.tensor import embed_matrix, product_state
 
 from conftest import dense_face_monodromy, random_weight
 from highprec import ref_sigma
@@ -73,12 +73,21 @@ def test_monodromy_permutation_simplification(bc, setup):
     assert np.max(np.abs(t.mat - hand)) <= 1e-12
 
 
-def test_bruteforce_n1_hand_contraction(spec1, bc, setup):
-    o1b, o2bb, o1bk, o2k = boundary_state_factors(bc, spec1.xi, spec1.u, setup)
-    t = double_row_monodromy(spec1.u[0], spec1, bc, setup)
-    z_hand = np.kron(o2bb[0], o1b[0]) @ t.mat @ np.kron(o1bk[0], o2k[0])
-    z = partition_bruteforce(spec1, bc, setup)
-    assert abs(z - z_hand) <= 1e-12 * abs(z_hand)
+def test_bruteforce_n1_hand_contraction(spec1, draw, bc, setup):
+    """N = 1, 2, 3: Z = <omega1| M_1 ... M_N |omega2>, where M_a is the dense
+    double-row monodromy T(u_a) with its bar site closed by <omega2bar_a| on
+    the left and |omega1bar_a> on the right."""
+    for spec in (spec1, draw(2, 141, setup, bc), draw(3, 142, setup, bc)):
+        o1b, o2bb, o1bk, o2k = boundary_state_factors(bc, spec.xi, spec.u, setup)
+        eye = np.eye(2 ** spec.n)
+        ket = product_state(o2k)
+        for a in range(spec.n, 0, -1):
+            t = double_row_monodromy(spec.u[a - 1], spec, bc, setup)
+            ket = (np.kron(o2bb[a - 1], eye) @ t.mat
+                   @ np.kron(o1bk[a - 1][:, None], eye) @ ket)
+        z_hand = product_state(o1b) @ ket
+        z = partition_bruteforce(spec, bc, setup)
+        assert abs(z - z_hand) <= 1e-12 * abs(z_hand), spec.n
 
 
 @pytest.mark.parametrize("n,seed", [(1, 102), (2, 103)])
