@@ -30,6 +30,8 @@ from .tensor import DenseOperator, product_state
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# the one name of the refused family sigma(lambda_1,2 + zeta + u), in every route
+LAMBDA_ZETA_U = "sigma(lambda_i + zeta + u)"
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,7 @@ class BoundaryConfig:
         """Reject spectral points that put a face-K denominator near zero."""
         u = np.asarray(spectral_u, dtype=complex)
         for lam in (self.lambda1, self.lambda2):
-            _floor_checked(sigma(lam + self.zeta + u, setup),
-                           "sigma(lambda_i + zeta + u)")
+            _floor_checked(sigma(lam + self.zeta + u, setup), LAMBDA_ZETA_U)
 
     def require_generic(self, setup: ModularSetup, n: int, spectral_u=()):
         """Reject lambda12 within eta*Z of a sigma zero and singular k-ratios.
@@ -82,8 +83,8 @@ def vertex_K_matrix(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> np.n
     s2u = sigma(2 * u, setup)
     denom_shared = (2.0
                     * _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)")
-                    * _checked_sigma(bc.lambda1 + bc.zeta + u, setup, "sigma(l1+zeta+u)")
-                    * _checked_sigma(bc.lambda2 + bc.zeta + u, setup, "sigma(l2+zeta+u)"))
+                    * _checked_sigma(bc.lambda1 + bc.zeta + u, setup, LAMBDA_ZETA_U)
+                    * _checked_sigma(bc.lambda2 + bc.zeta + u, setup, LAMBDA_ZETA_U))
 
     def coeff(alpha, extra):
         if alpha == (0, 0):
@@ -179,7 +180,7 @@ def face_K(bc: BoundaryConfig, u: complex, setup: ModularSetup) -> np.ndarray:
     out = np.zeros((2, 2), dtype=complex)
     for i, lam in enumerate((bc.lambda1, bc.lambda2)):
         out[i, i] = sigma(lam + bc.zeta - u, setup) / _checked_sigma(
-            lam + bc.zeta + u, setup, "sigma(lambda_i+zeta+u)")
+            lam + bc.zeta + u, setup, LAMBDA_ZETA_U)
     return out
 
 

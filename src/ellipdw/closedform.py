@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .boundary import BoundaryConfig
+from .boundary import LAMBDA_ZETA_U, BoundaryConfig
 from .elliptic import ModularSetup, sigma
 from .errors import ConditioningWarning, SingularityError, SizeError
 from .oracle import SpectralConfig, SpectralGrids
@@ -68,9 +68,9 @@ def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig):
     would move their bits.
     """
     g.minus, g.plus, g.minus_eta, g.plus_eta  # read, so checked
-    u, xi, setup, what = g.u, g.xi, g.setup, "sigma(lambda_i + zeta + u)"
-    l1u = _floor_checked(sigma(bc.lambda1 + bc.zeta + u, setup), what)
-    l2u = _floor_checked(sigma(bc.lambda2 + bc.zeta + u, setup), what)
+    u, xi, setup = g.u, g.xi, g.setup
+    l1u = _floor_checked(sigma(bc.lambda1 + bc.zeta + u, setup), LAMBDA_ZETA_U)
+    l2u = _floor_checked(sigma(bc.lambda2 + bc.zeta + u, setup), LAMBDA_ZETA_U)
     lam_xi = (sigma(bc.lambda1 + bc.zeta - xi, setup)
               * sigma(bc.lambda2 + bc.zeta + xi, setup))
     return l1u * l2u, lam_xi

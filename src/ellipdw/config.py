@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .boundary import BoundaryConfig
-from .elliptic import MIN_IM_TAU, ModularSetup, sigma
+from .elliptic import ModularSetup, sigma
 from .errors import DomainError, ParseError, SingularityError, ValidationError
 from .oracle import (MAX_BRUTEFORCE_N, MAX_ENUMERATION_N, MAX_FACE_N,
                      SpectralConfig)
@@ -43,8 +43,6 @@ DEFAULTS = {
     "lambda2": -0.23,
     "tol": 1e-9,
     "output": "json",
-    "series_tol": 1e-15,
-    "n_max": 60,
 }
 
 DRAW_BOX = {"u_re": (0.08, 0.45), "u_im": (-0.12, 0.12),
@@ -75,7 +73,6 @@ class RunConfig:
             "lambda1": [complex(self.bc.lambda1).real, complex(self.bc.lambda1).imag],
             "lambda2": [complex(self.bc.lambda2).real, complex(self.bc.lambda2).imag],
             "routes": list(self.routes), "tol": self.tol,
-            "series_tol": self.setup.series_tol, "n_max": self.setup.n_max,
         }
 
 
@@ -130,8 +127,7 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
         raise ParseError(f"config must be a mapping, got {type(raw).__name__}")
     raw = {**raw, **(overrides or {})}
     known = {"mode", "N", "seed", "tau", "eta", "zeta", "lambda1", "lambda2",
-             "routes", "output", "tol", "series_tol", "n_max", "u", "xi",
-             "n_sweep"}
+             "routes", "output", "tol", "u", "xi", "n_sweep"}
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
@@ -144,19 +140,12 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
     if not _is_integer(n) or n < 0:
         raise ValidationError(f"N must be a non-negative integer, got {n!r}")
     seed = merged["seed"]
-    if not _is_integer(seed):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
-    tau = _as_complex(merged["tau"], "tau")
-    if tau.imag < MIN_IM_TAU:
-        raise ValidationError(f"Im(tau) below {MIN_IM_TAU}: {tau.imag}")
-    n_max = merged["n_max"]
-    if not _is_integer(n_max):
-        raise ValidationError(f"n_max must be an integer, got {n_max!r}")
     try:
-        setup = ModularSetup(tau=tau, eta=_as_complex(merged["eta"], "eta"),
-                             series_tol=_as_number(merged["series_tol"], "series_tol"),
-                             n_max=n_max)
+        setup = ModularSetup(tau=_as_complex(merged["tau"], "tau"),
+                             eta=_as_complex(merged["eta"], "eta"))
     except DomainError as exc:
         raise ValidationError(str(exc)) from exc
     bc = BoundaryConfig(lambda1=_as_complex(merged["lambda1"], "lambda1"),

@@ -28,24 +28,20 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 MIN_IM_TAU = 0.05
+SERIES_TOL = 1e-15  # a series stops once its last pair of terms is this small
+N_MAX = 60          # ... or fails past this many pairs
 
 
 @dataclass(frozen=True)
 class ModularSetup:
-    """Modular parameter tau, crossing parameter eta, and series controls."""
+    """Modular parameter tau and crossing parameter eta."""
 
     tau: complex
     eta: complex
-    series_tol: float = 1e-15
-    n_max: int = 60
 
     def __post_init__(self):
         if complex(self.tau).imag < MIN_IM_TAU:
             raise DomainError(f"Im(tau) = {complex(self.tau).imag} below {MIN_IM_TAU}")
-        if not (1 <= self.n_max <= 200):
-            raise DomainError(f"n_max = {self.n_max} outside [1, 200]")
-        if not (0.0 < self.series_tol <= 1e-12):
-            raise DomainError(f"series_tol = {self.series_tol} outside (0, 1e-12]")
 
 
 @dataclass(frozen=True)
@@ -56,17 +52,18 @@ class ThetaChar:
     b: float
 
 
-def _theta_series(a, b, u, tau, series_tol, n_max):
+def _theta_series(a, b, u, tau):
     """Symmetric-window theta sum with a relative-magnitude stopping rule.
 
     Terms are added in the order n = 0, +-1, +-2, ...; the loop stops once
-    the last pair of terms is below series_tol * max(1, |partial sum|)
-    everywhere (u may be an array); a sum left inf or nan by overflowing
-    terms raises ConvergenceError.  A Python scalar u (int, float, complex,
-    or their numpy subclasses) is summed with cmath, bit-identical to the
-    numpy path taken by arrays; an empty array gives an empty array.
+    the last pair of terms is below SERIES_TOL * max(1, |partial sum|)
+    everywhere (u may be an array) and fails past N_MAX pairs; a sum left
+    inf or nan by overflowing terms raises ConvergenceError, not numpy's
+    RuntimeWarning.  A Python scalar u (int, float, complex, or their numpy
+    subclasses) is summed with cmath, bit-identical to the numpy path taken
+    by arrays; an empty array gives an empty array.
     """
-    tau = complex(tau)
+    tau, series_tol, n_max = complex(tau), SERIES_TOL, N_MAX
     if tau.imag < MIN_IM_TAU:
         raise DomainError(f"Im(tau) = {tau.imag} below {MIN_IM_TAU}")
     if isinstance(u, (int, float, complex)):
@@ -84,23 +81,24 @@ def _theta_series(a, b, u, tau, series_tol, n_max):
         na = n + a
         return np.exp(ipi * (na * na * tau + 2.0 * na * ub))
 
-    total = term(0)
-    # bound >= max|total| (triangle inequality, with room for rounding): while
-    # the stopping rule fails on it, it fails on max|total| too, which is then
-    # not computed
-    bound = float(np.abs(total).max())
-    for n in range(1, n_max + 1):
-        tp, tm = term(n), term(-n)
-        total = total + tp + tm
-        lp, lm = float(np.abs(tp).max()), float(np.abs(tm).max())
-        last = max(lp, lm)
-        bound += lp + lm
-        if last < series_tol * max(1.0, bound * (1.0 + 1e-12)) \
-                and last < series_tol * max(1.0, float(np.abs(total).max())):
-            if not np.isfinite(total).all():
-                _not_finite(a, b)
-            return total if u_arr.ndim else complex(total)
-    _not_converged(a, b, n_max, last)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = term(0)
+        # bound >= max|total| (triangle inequality, with room for rounding):
+        # while the stopping rule fails on it, it fails on max|total| too,
+        # which is then not computed
+        bound = float(np.abs(total).max())
+        for n in range(1, n_max + 1):
+            tp, tm = term(n), term(-n)
+            total = total + tp + tm
+            lp, lm = float(np.abs(tp).max()), float(np.abs(tm).max())
+            last = max(lp, lm)
+            bound += lp + lm
+            if last < series_tol * max(1.0, bound * (1.0 + 1e-12)) \
+                    and last < series_tol * max(1.0, float(np.abs(total).max())):
+                if not np.isfinite(total).all():
+                    _not_finite(a, b)
+                return total if u_arr.ndim else complex(total)
+    _not_converged(a, b, last)
 
 
 def _theta_scalar(a, b, u, tau, series_tol, n_max):
@@ -125,12 +123,12 @@ def _theta_scalar(a, b, u, tau, series_tol, n_max):
             if not cmath.isfinite(total):
                 _not_finite(a, b)
             return total
-    _not_converged(a, b, n_max, last)
+    _not_converged(a, b, last)
 
 
-def _not_converged(a, b, n_max, last):
+def _not_converged(a, b, last):
     raise ConvergenceError(
-        f"theta[{a};{b}] series not converged at |n| = {n_max} "
+        f"theta[{a};{b}] series not converged at |n| = {N_MAX} "
         f"(last term {last:.3e})"
     )
 
@@ -141,17 +139,17 @@ def _not_finite(a, b):
     raise ConvergenceError(f"theta[{a};{b}] series sum is not finite")
 
 
-def theta_char(ch: ThetaChar, u, modular_tau, setup: ModularSetup):
-    """theta[a; b](u, modular_tau) with the setup's truncation controls."""
-    return _theta_series(ch.a, ch.b, u, modular_tau, setup.series_tol, setup.n_max)
+def theta_char(ch: ThetaChar, u, modular_tau):
+    """theta[a; b](u, modular_tau)."""
+    return _theta_series(ch.a, ch.b, u, modular_tau)
 
 
 def sigma(u, setup: ModularSetup):
     """The odd function sigma(u) = theta[1/2; 1/2](u, tau)."""
-    return _theta_series(0.5, 0.5, u, setup.tau, setup.series_tol, setup.n_max)
+    return _theta_series(0.5, 0.5, u, setup.tau)
 
 
-def _separable_window(tau: complex, im_max: float, series_tol: float, n_max: int) -> int:
+def _separable_window(tau: complex, im_max: float) -> int:
     """Half-width k of the window n = -k .. k-1, i.e. |n + 1/2| <= k - 1/2.
 
     A term of sigma has modulus exp(-pi t m^2 - 2 pi m Im z), m = n + 1/2,
@@ -159,13 +157,13 @@ def _separable_window(tau: complex, im_max: float, series_tol: float, n_max: int
     (DLMF 20.2).  Past the vertex m = y / t that bound falls faster than a
     geometric series of ratio r, so the terms left out, |m| >= k + 1/2 on
     both sides, sum to at most 2 * bound(k + 1/2) / (1 - r): k is the first
-    size at which that is below series_tol.
+    size at which that is below SERIES_TOL.
     """
     if tau.imag < MIN_IM_TAU:
         raise DomainError(f"Im(tau) = {tau.imag} below {MIN_IM_TAU}")
     t = tau.imag
-    log_tol = math.log(series_tol / 2.0)
-    for k in range(1, n_max + 1):
+    log_tol = math.log(SERIES_TOL / 2.0)
+    for k in range(1, N_MAX + 1):
         m = k + 0.5
         if m < im_max / t:
             continue  # the bound still rises at m
@@ -174,7 +172,7 @@ def _separable_window(tau: complex, im_max: float, series_tol: float, n_max: int
         if log_bound - math.log1p(-math.exp(log_ratio)) < log_tol:
             return k
     raise ConvergenceError(
-        f"separable sigma window exceeds n_max = {n_max} "
+        f"separable sigma window exceeds N_MAX = {N_MAX} "
         f"(Im tau = {t:.3g}, |Im z| <= {im_max:.3g})")
 
 
@@ -183,22 +181,23 @@ def sigma_separable(p, q, setup: ModularSetup, s: int = 1, c: complex = 0.0):
 
     X[a, n] = exp(i pi [(n+1/2)^2 tau + 2 (n+1/2)(p_a + c + 1/2)]) and
     Y[k, n] = exp(2 pi i s (n+1/2) q_k) over a window fixed in advance from
-    Im tau, series_tol and |Im(p + c)| + |Im q| (see ``_separable_window``);
+    Im tau, SERIES_TOL and |Im(p + c)| + |Im q| (see ``_separable_window``);
     each product X[a, n] Y[k, n] is the n-th term of the series.  The terms
     are those of ``sigma`` but summed in another order and window, so the
     values agree with it to rounding, not bit for bit.  Raises DomainError
-    below MIN_IM_TAU and ConvergenceError when the window exceeds n_max or a
+    below MIN_IM_TAU and ConvergenceError when the window exceeds N_MAX or a
     value is not finite.
     """
     tau = complex(setup.tau)
     p = np.asarray(p, dtype=complex).ravel() + complex(c)
     q = np.asarray(q, dtype=complex).ravel()
     im_max = float(np.abs(p.imag).max(initial=0.0) + np.abs(q.imag).max(initial=0.0))
-    k = _separable_window(tau, im_max, setup.series_tol, setup.n_max)
+    k = _separable_window(tau, im_max)
     m = np.arange(-k, k) + 0.5
-    x = np.exp(1j * np.pi * (m * m * tau + 2.0 * m * (p[:, None] + 0.5)))
-    y = np.exp((2j * np.pi * s) * m * q[:, None])
-    out = x @ y.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(1j * np.pi * (m * m * tau + 2.0 * m * (p[:, None] + 0.5)))
+        y = np.exp((2j * np.pi * s) * m * q[:, None])
+        out = x @ y.T
     if not np.isfinite(out).all():
         _not_finite(0.5, 0.5)
     return out
@@ -208,19 +207,13 @@ def sigma_char(alpha1: int, alpha2: int, u, setup: ModularSetup):
     """sigma_alpha(u) = theta[1/2 + a1/2; 1/2 + a2/2](u, tau), a_i in {0, 1}."""
     if alpha1 not in (0, 1) or alpha2 not in (0, 1):
         raise DomainError(f"alpha = ({alpha1}, {alpha2}) not in {{0,1}}^2")
-    return _theta_series(
-        0.5 + 0.5 * alpha1, 0.5 + 0.5 * alpha2, u, setup.tau,
-        setup.series_tol, setup.n_max,
-    )
+    return _theta_series(0.5 + 0.5 * alpha1, 0.5 + 0.5 * alpha2, u, setup.tau)
 
 
 def theta_level2(j: int, u, setup: ModularSetup):
     """theta^(j)(u) = theta[(1-j)/2; 1/2](u, 2*tau), j reduced into {1, 2}."""
     j_red = (j - 1) % 2 + 1
-    return _theta_series(
-        0.5 * (1 - j_red), 0.5, u, 2 * complex(setup.tau),
-        setup.series_tol, setup.n_max,
-    )
+    return _theta_series(0.5 * (1 - j_red), 0.5, u, 2 * complex(setup.tau))
 
 
 def riemann_residual(u, v, x, y, setup: ModularSetup) -> float:

@@ -85,10 +85,9 @@ def vertex_R_matrix(u: complex, setup: ModularSetup) -> np.ndarray:
     t0 = lambda z: theta_level2(2, z, setup)
     s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
     s_eta = sigma(eta, setup)
-    t10, t0e, t1e = t1(0.0), t0(eta), t1(eta)
-    for v, what in ((t10, "theta2_1(0)"), (t0e, "theta2_0(eta)"), (t1e, "theta2_1(eta)")):
-        if abs(v) < GENERICITY_FLOOR:
-            raise SingularityError(f"{what} below genericity floor")
+    t10 = _floor_checked(t1(0.0), "theta2_1(0)")
+    t0e = _floor_checked(t0(eta), "theta2_0(eta)")
+    t1e = _floor_checked(t1(eta), "theta2_1(eta)")
     a = t1(u) * t0(u + eta) * s_eta / (t10 * t0e * s_ueta)
     b = t0(u) * t1(u + eta) * s_eta / (t10 * t0e * s_ueta)
     c = t1(u) * t1(u + eta) * s_eta / (t10 * t1e * s_ueta)

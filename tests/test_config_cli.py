@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ellipdw import parse_config, run_bench, run_compare, run_identities
+from ellipdw import elliptic, parse_config, run_bench, run_compare, run_identities
 from ellipdw.cli import main
 from ellipdw.errors import ParseError, ValidationError
 from ellipdw.report import value_digest
@@ -187,6 +187,7 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     assert main(["bench", "--n-sweep", "-3"]) == 2
     assert main(["compare", "--route", "nonsense"]) == 2
     assert main(["compare", "--tol", "-1"]) == 2
+    assert main(["compare", "--seed", "-1"]) == 2
     bad_sweep = tmp_path / "bad_sweep.yaml"
     bad_sweep.write_text("{mode: bench, n_sweep: [a]}")
     assert main(["bench", "--config", str(bad_sweep)]) == 2
@@ -198,32 +199,37 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         assert main([command, "--config", str(bad)]) == 2, text
 
     # Malformed field types are configuration errors, not tracebacks.
-    for text in ("tol: abc", "series_tol: abc", "n_max: abc", "routes: [[a]]",
-                 "u: 5", "routes: 5", "n_max: 0", "series_tol: 1", "n_max: 3.7"):
+    for text in ("tol: abc", "routes: [[a]]", "u: 5", "routes: 5", "seed: -1"):
         bad.write_text(text)
         assert main(["compare", "--config", str(bad)]) == 2, text
 
+    # The series tolerance and term cap are fixed, not config fields.
+    for text in ("series_tol: 1.0e-15", "n_max: 60"):
+        bad.write_text(text)
+        assert main(["compare", "--config", str(bad)]) == 2, text
+        assert "unknown config fields" in capsys.readouterr().err
+
     # Non-finite numbers are refused before any route runs.
     for text in ("tol: .nan", "zeta: .nan", "eta: [.nan, 0]", "tau: [0, .inf]",
-                 "lambda1: .inf", "n_max: .inf"):
+                 "lambda1: .inf"):
         bad.write_text(text)
         assert main(["compare", "--config", str(bad)]) == 2, text
 
     # YAML booleans are not numbers, and explicit points come as a pair.
     for text in ("N: true", "N: yes", "seed: true", "tol: true", "eta: true",
-                 "zeta: [true, 0]", "series_tol: true", "n_max: true",
-                 "n_sweep: [true]", "{N: 2, u: [[0.2, 0.05], [0.3, -0.02]]}",
+                 "zeta: [true, 0]", "n_sweep: [true]", "{N: 2, u: [[0.2, 0.05], [0.3, -0.02]]}",
                  "{N: 2, xi: [[-0.2, 0.0], [-0.1, 0.03]]}"):
         bad.write_text(text)
         assert main(["compare", "--config", str(bad)]) == 2, text
 
 
-def test_cli_unconverged_series_is_a_failed_report(tmp_path, capsys):
-    """A theta series that cannot converge within n_max fails the report
-    (exit 1) in every command, with the error in the report, not a
+def test_cli_unconverged_series_is_a_failed_report(tmp_path, capsys, monkeypatch):
+    """A theta series that cannot converge within the term cap fails the
+    report (exit 1) in every command, with the error in the report, not a
     traceback."""
+    monkeypatch.setattr(elliptic, "N_MAX", 3)
     cfg_file = tmp_path / "tight.yaml"
-    cfg_file.write_text("{tau: [0, 0.06], n_max: 3}")
+    cfg_file.write_text("{tau: [0, 0.06]}")
     assert main(["bench", "--n-sweep", "8", "--config", str(cfg_file)]) == 1
     rows = json.loads(capsys.readouterr().out)["rows"]
     errors = [r["status"] for r in rows if not r["status"].startswith("skipped")]

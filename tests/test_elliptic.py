@@ -2,11 +2,13 @@
 reference, the defining symmetries, the Riemann identity, and the agreement
 of the scalar (cmath) and array (numpy) summation paths."""
 
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from types import SimpleNamespace
-
+from ellipdw import elliptic
 from ellipdw import ModularSetup, ThetaChar, riemann_residual, sigma, sigma_char, theta_char, theta_level2
 from ellipdw.config import DRAW_BOX
 from ellipdw.elliptic import _not_converged, _not_finite, _theta_series, sigma_separable
@@ -24,24 +26,20 @@ GOLDEN_LEVEL2_J1 = 1.0056638300121565 + 0.0j         # u=0.4, tau=0.9i
 def test_setup_guards():
     with pytest.raises(DomainError):
         ModularSetup(tau=0.01j, eta=0.3)
-    with pytest.raises(DomainError):
-        ModularSetup(tau=1j, eta=0.3, n_max=0)
-    with pytest.raises(DomainError):
-        ModularSetup(tau=1j, eta=0.3, series_tol=1e-6)
 
 
-def test_theta_odd_at_origin(setup):
-    assert abs(theta_char(ThetaChar(0.5, 0.5), 0.0, 1j, setup)) < 1e-14
+def test_theta_odd_at_origin():
+    assert abs(theta_char(ThetaChar(0.5, 0.5), 0.0, 1j)) < 1e-14
 
 
-def test_theta_characteristic_shift(setup):
-    v1 = theta_char(ThetaChar(0.2, 0.3), 0.11 + 0.07j, 1j, setup)
-    v2 = theta_char(ThetaChar(1.2, 0.3), 0.11 + 0.07j, 1j, setup)
+def test_theta_characteristic_shift():
+    v1 = theta_char(ThetaChar(0.2, 0.3), 0.11 + 0.07j, 1j)
+    v2 = theta_char(ThetaChar(1.2, 0.3), 0.11 + 0.07j, 1j)
     assert abs(v1 - v2) <= 1e-14 * max(1.0, abs(v1))
 
 
-def test_theta_golden_value(setup):
-    v = theta_char(ThetaChar(0.5, 0.5), 0.3, 1j, setup)
+def test_theta_golden_value():
+    v = theta_char(ThetaChar(0.5, 0.5), 0.3, 1j)
     assert abs(v - GOLDEN_THETA_HALF_HALF_03_I) < 1e-13
 
 
@@ -51,8 +49,8 @@ def test_theta_golden_value(setup):
     (-0.5, 0.5, 1.1 - 0.3j, 0.3 + 0.9j),
     (0.25, -0.4, -0.8 + 0.6j, 0.1 + 0.7j),
 ])
-def test_theta_against_reference(a, b, u, tau, setup):
-    mine = theta_char(ThetaChar(a, b), u, tau, setup)
+def test_theta_against_reference(a, b, u, tau):
+    mine = theta_char(ThetaChar(a, b), u, tau)
     ref = ref_theta(a, b, u, tau)
     assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref))
 
@@ -118,12 +116,12 @@ def test_riemann_identity_sweep(setup):
     assert worst <= 1e-12
 
 
-def test_truncation_monotone():
-    coarse = ModularSetup(tau=1j, eta=0.31, series_tol=1e-13)
-    fine = ModularSetup(tau=1j, eta=0.31, series_tol=0.5e-13)
+def test_truncation_monotone(setup, monkeypatch):
     for u in (0.3, 0.1 + 0.4j, -0.7 + 0.2j):
-        v1 = sigma(u, coarse)
-        v2 = sigma(u, fine)
+        monkeypatch.setattr(elliptic, "SERIES_TOL", 1e-13)
+        v1 = sigma(u, setup)
+        monkeypatch.setattr(elliptic, "SERIES_TOL", 0.5e-13)
+        v2 = sigma(u, setup)
         assert abs(v1 - v2) <= 1e-13 * max(1.0, abs(v1))
 
 
@@ -135,9 +133,10 @@ def test_vectorized_matches_scalar(setup):
 
 
 def test_convergence_error():
-    tight = ModularSetup(tau=0.05j, eta=0.31, n_max=3, series_tol=1e-15)
-    with pytest.raises(ConvergenceError):
-        sigma(1.9j, tight)
+    # at Im tau = 0.05 the terms of sigma(2.6i) peak near |n| = 52 (about
+    # 1e184, still finite) and fall below SERIES_TOL only past N_MAX = 60
+    with pytest.raises(ConvergenceError, match=r"not converged at \|n\| = 60"):
+        sigma(2.6j, ModularSetup(tau=0.05j, eta=0.31))
 
 
 BIT_IDENTITY_TAUS = (1j, 0.3 + 0.9j, 0.06j, 2.5j)
@@ -150,7 +149,7 @@ def _entry_points(setup):
     fns += [lambda u, a1=a1, a2=a2: sigma_char(a1, a2, u, setup)
             for a1 in (0, 1) for a2 in (0, 1)]
     fns += [lambda u, j=j: theta_level2(j, u, setup) for j in (0, 1, 2)]
-    fns += [lambda u, ch=ch: theta_char(ch, u, tau, setup)
+    fns += [lambda u, ch=ch: theta_char(ch, u, tau)
             for ch in (ThetaChar(0.2, 0.3), ThetaChar(-0.37, 0.81))]
     return fns
 
@@ -181,23 +180,34 @@ def _outcome(f, u):
 
 
 def test_scalar_and_numpy_paths_fail_alike():
-    tight = ModularSetup(tau=0.06j, eta=0.31, n_max=2)
-    for u in (0.3 + 0.1j, np.asarray(0.3 + 0.1j)):
+    low = ModularSetup(tau=0.05j, eta=0.31)
+    for u in (2.6j, np.asarray(2.6j)):  # past the term cap, as above
         with pytest.raises(ConvergenceError):
-            sigma(u, tight)
+            sigma(u, low)
     setup = ModularSetup(tau=1j, eta=0.31)
     for u in (0.3, np.asarray(0.3)):
         with pytest.raises(DomainError):
-            theta_char(ThetaChar(0.5, 0.5), u, 0.01j, setup)
+            theta_char(ThetaChar(0.5, 0.5), u, 0.01j)
     # Terms past the double range: cmath raises where numpy overflows, so
     # the scalar falls back to the numpy loop and ends as it does; an
     # overflowed (inf or nan) sum is refused, never returned.
     f = lambda u: sigma(u, setup)
-    with np.errstate(all="ignore"):
-        for u in (20j, 27j, 40j, complex("inf")):
-            assert _outcome(f, u) == _outcome(f, np.asarray(u)) == "ConvergenceError"
-        with pytest.raises(ConvergenceError):
-            f(np.array([0.3, 20j]))
+    for u in (20j, 27j, 40j, complex("inf")):
+        assert _outcome(f, u) == _outcome(f, np.asarray(u)) == "ConvergenceError"
+    with pytest.raises(ConvergenceError):
+        f(np.array([0.3, 20j]))
+
+
+def test_overflowing_terms_raise_convergence_error_not_warning(setup):
+    """Terms past the double range end as ConvergenceError on the scalar,
+    numpy and separable paths, with no numpy RuntimeWarning on the way."""
+    calls = (lambda: sigma(40j, setup), lambda: sigma(np.array([0.3, 40j]), setup),
+             lambda: sigma_separable([20j], [0.2], setup))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ConvergenceError):
+                call()
 
 
 def _reference_numpy_loop(a, b, u, tau, series_tol, n_max):
@@ -219,7 +229,7 @@ def _reference_numpy_loop(a, b, u, tau, series_tol, n_max):
             if not np.all(np.isfinite(total)):
                 _not_finite(a, b)
             return total if u_arr.ndim else complex(total)
-    _not_converged(a, b, n_max, last)
+    _not_converged(a, b, last)
 
 
 def _loop_outcome(f, *args):
@@ -230,7 +240,7 @@ def _loop_outcome(f, *args):
 
 
 @pytest.mark.parametrize("tau", BIT_IDENTITY_TAUS)
-def test_numpy_loop_bit_identical_to_reference(tau):
+def test_numpy_loop_bit_identical_to_reference(tau, monkeypatch):
     """Arrays give the reference loop's bits, or its error, at every
     size, characteristic and series cap, overflowing inputs included."""
     rng = np.random.default_rng(77)
@@ -242,9 +252,10 @@ def test_numpy_loop_bit_identical_to_reference(tau):
         for a, b in [(0.5 + 0.5 * a1, 0.5 + 0.5 * a2) for a1 in (0, 1) for a2 in (0, 1)]:
             for u in grids:
                 for n_max in (60, 3):
-                    args = (a, b, u, tau, 1e-15, n_max)
-                    assert (_loop_outcome(_theta_series, *args)
-                            == _loop_outcome(_reference_numpy_loop, *args))
+                    monkeypatch.setattr(elliptic, "N_MAX", n_max)
+                    assert (_loop_outcome(_theta_series, a, b, u, tau)
+                            == _loop_outcome(_reference_numpy_loop,
+                                             a, b, u, tau, 1e-15, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +299,13 @@ def test_sigma_separable_matches_reference(tau, s, c):
         assert abs(ref[0, 0]) < 1e-8  # sigma(-1e-9 (1 + i)), close to its zero
 
 
-def test_sigma_separable_errors():
-    with pytest.raises(ConvergenceError):
-        sigma_separable([0.1], [0.2], ModularSetup(tau=0.06j, eta=0.31, n_max=3))
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
-        # the window fits n_max = 200, but the terms leave the double range
-        sigma_separable([40j], [0.2], ModularSetup(tau=1j, eta=0.31, n_max=200))
-    low = SimpleNamespace(tau=0.01j, eta=0.31, series_tol=1e-15, n_max=60)
+def test_sigma_separable_errors(setup):
+    with pytest.raises(ConvergenceError, match="window exceeds N_MAX = 60"):
+        sigma_separable([2.6j], [0.2], ModularSetup(tau=0.05j, eta=0.31))
+    with pytest.raises(ConvergenceError, match="not finite"):
+        # the window fits N_MAX, but the terms leave the double range
+        sigma_separable([20j], [0.2], setup)
+    low = SimpleNamespace(tau=0.01j, eta=0.31)
     for p in ([0.1], []):
         with pytest.raises(DomainError):
             sigma_separable(p, [0.2], low)

@@ -500,3 +500,13 @@ def test_refusal_matrix(family, u, xi, refused, bc, setup):
 def test_require_generic_names_each_grid_family(family, u, xi, setup):
     with pytest.raises(SingularityError, match=re.escape(f"sigma({family})")):
         SpectralConfig(u=u, xi=xi).require_generic(setup)
+
+
+def test_oracle_routes_name_the_boundary_family_alike(bc, setup):
+    """sigma(lambda2 + zeta + u_a) below the floor: the vertex routes (through
+    K(u)) and the face route (through its boundary check) name one family."""
+    u, xi = next(row[1:3] for row in REFUSAL_MATRIX if row[0] == "lambda2 + zeta + u_a")
+    for route in (partition_bruteforce, partition_enumeration, partition_face_route):
+        with pytest.raises(SingularityError,
+                           match=re.escape("sigma(lambda_i + zeta + u)")):
+            route(SpectralConfig(u=u, xi=xi), bc, setup)
