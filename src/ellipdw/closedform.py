@@ -36,7 +36,7 @@ from .boundary import LAMBDA_ZETA_U, BoundaryConfig
 from .elliptic import ModularSetup, sigma
 from .errors import ConditioningWarning, SingularityError, SizeError
 from .oracle import SpectralConfig, SpectralGrids
-from .rmatrices import GENERICITY_FLOOR, _floor_checked
+from .rmatrices import GENERICITY_FLOOR, SIGMA_ETA, _checked_sigma, _floor_checked
 
 MAX_PERMSUM_N = 9
 MAX_DETERMINANT_N = 512
@@ -78,7 +78,8 @@ def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig):
 
 def _permsum_ab(g: SpectralGrids, lam_u, lam_xi):
     """A, B of term(s) = prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)]."""
-    table_a = (lam_xi[None, :] * g.s2u[:, None] * sigma(g.setup.eta, g.setup)
+    s_eta = _checked_sigma(g.setup.eta, g.setup, SIGMA_ETA)
+    table_a = (lam_xi[None, :] * g.s2u[:, None] * s_eta
                / (lam_u[:, None] * g.minus_eta * g.plus))
     table_b = g.minus * g.plus_eta / (g.minus_eta * g.plus)
     return table_a, table_b
@@ -155,7 +156,8 @@ def _log_z_det(g: SpectralGrids, lam_u, lam_xi) -> complex:
     """
     log_pairs = _log_pair_products(g)
     row = g.s2u / lam_u
-    kernel = sigma(g.setup.eta, g.setup) / (g.minus * g.plus_eta * g.minus_eta * g.plus)
+    s_eta = _checked_sigma(g.setup.eta, g.setup, SIGMA_ETA)
+    kernel = s_eta / (g.minus * g.plus_eta * g.minus_eta * g.plus)
     matrix = row[:, None] * kernel * lam_xi[None, :]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

@@ -159,9 +159,11 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
         if not isinstance(routes, (list, tuple)):
             raise ValidationError(f"routes must be a list, got {routes!r}")
         routes = tuple(routes)
-        for r in routes:
+        for i, r in enumerate(routes):
             if not isinstance(r, str) or r not in ROUTE_GUARDS:
                 raise ValidationError(f"unknown route {r!r}")
+            if r in routes[:i]:
+                raise ValidationError(f"route {r!r} given twice")
             if n > ROUTE_GUARDS[r]:
                 raise ValidationError(f"{r} limited to N <= {ROUTE_GUARDS[r]}, got N={n}")
 

@@ -14,13 +14,16 @@ functions) is assembled from three families evaluated here:
 
 All evaluators accept scalars or numpy arrays for the spectral argument.
 Python scalars (numpy float64/complex128 included) are summed with cmath,
-bit-identical to the numpy path that serves arrays.
+bit-identical to the numpy path that serves arrays.  Inside a
+``scalar_memo`` scope each distinct scalar sum is computed once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,28 @@ from .errors import ConvergenceError, DomainError
 MIN_IM_TAU = 0.05
 SERIES_TOL = 1e-15  # a series stops once its last pair of terms is this small
 N_MAX = 60          # ... or fails past this many pairs
+
+# the open scalar_memo scope's table, per thread and task; None outside any scope
+_memo = ContextVar("scalar_memo", default=None)
+
+
+@contextmanager
+def scalar_memo():
+    """A scope in which each distinct scalar theta sum is computed once.
+
+    The scalar (cmath) branch of ``_theta_series`` reads and fills one dict
+    keyed on (a, b, u, tau, SERIES_TOL, N_MAX); arrays and raised errors are
+    never stored.  A nested scope reuses the outer table, and the table is
+    dropped when the outermost scope exits.
+    """
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
 
 
 @dataclass(frozen=True)
@@ -61,16 +86,27 @@ def _theta_series(a, b, u, tau):
     inf or nan by overflowing terms raises ConvergenceError, not numpy's
     RuntimeWarning.  A Python scalar u (int, float, complex, or their numpy
     subclasses) is summed with cmath, bit-identical to the numpy path taken
-    by arrays; an empty array gives an empty array.
+    by arrays, and looked up first in an open ``scalar_memo`` table; an
+    empty array gives an empty array.
     """
     tau, series_tol, n_max = complex(tau), SERIES_TOL, N_MAX
     if tau.imag < MIN_IM_TAU:
         raise DomainError(f"Im(tau) = {tau.imag} below {MIN_IM_TAU}")
     if isinstance(u, (int, float, complex)):
+        memo, z = _memo.get(), complex(u)
+        if memo is not None:
+            key = (a, b, z, tau, series_tol, n_max)
+            total = memo.get(key)
+            if total is not None:
+                return total
         try:
-            return _theta_scalar(a, b, complex(u), tau, series_tol, n_max)
+            total = _theta_scalar(a, b, z, tau, series_tol, n_max)
         except (OverflowError, ValueError):
             pass  # cmath refuses overflowing or non-finite terms; numpy sums them
+        else:
+            if memo is not None:
+                memo[key] = total
+            return total
     u_arr = np.asarray(u, dtype=complex)
     if u_arr.size == 0:
         return np.zeros_like(u_arr)

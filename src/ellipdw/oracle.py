@@ -16,7 +16,8 @@ The vertex routes read each bar line's R and K factors from one builder,
 ``_bar_line_factors``.  Every dynamical R factor goes through
 ``rmatrices.apply_sos_R``; dense operators apply it to the identity
 reshaped as a batch of basis kets, as ``double_row_monodromy`` does with
-the vertex factors.
+the vertex factors.  Each route sums a scalar theta argument once per call
+(``elliptic.scalar_memo``, open while it evaluates theta functions).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
                        vertex_K_matrix)
-from .elliptic import ModularSetup, sigma, sigma_separable
+from .elliptic import ModularSetup, scalar_memo, sigma, sigma_separable
 from .errors import SizeError
 from .rmatrices import (WeightVector, _checked_sigma, _floor_checked,
                         apply_sos_R, vertex_R_matrix)
@@ -242,12 +243,13 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"bruteforce route limited to N <= {MAX_BRUTEFORCE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(setup, n, spectral.u)
-    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
-        bc, spectral.xi, spectral.u, setup)
-    # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
-    factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
+    with scalar_memo():
+        spectral.require_generic(setup)
+        bc.require_generic(setup, n, spectral.u)
+        omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
+            bc, spectral.xi, spectral.u, setup)
+        # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
+        factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
     psi = product_state(omega2_ket).reshape((2,) * n)
     for a in range(n, 0, -1):
         phi = np.tensordot(psi, omega1bar_ket[a - 1], axes=0)  # aux on last axis
@@ -270,10 +272,11 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"enumeration limited to N <= {MAX_ENUMERATION_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
-        bc, spectral.xi, spectral.u, setup)
-    factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
+    with scalar_memo():
+        spectral.require_generic(setup)
+        omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
+            bc, spectral.xi, spectral.u, setup)
+        factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
     total = 0.0 + 0.0j
 
     def close(frontier, w):
@@ -417,12 +420,13 @@ def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"face route limited to N <= {MAX_FACE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(setup, n, spectral.u)
-    lam = bc.weight
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[(1,) * n] = 1.0
-    for step in range(n, 0, -1):
-        m = lam.shifted(1, setup.eta, -(2 * step - n))
-        psi = face_creation_apply(m, bc, spectral.u[step - 1], psi, spectral, setup)
+    with scalar_memo():
+        spectral.require_generic(setup)
+        bc.require_generic(setup, n, spectral.u)
+        lam = bc.weight
+        psi = np.zeros((2,) * n, dtype=complex)
+        psi[(1,) * n] = 1.0
+        for step in range(n, 0, -1):
+            m = lam.shifted(1, setup.eta, -(2 * step - n))
+            psi = face_creation_apply(m, bc, spectral.u[step - 1], psi, spectral, setup)
     return complex(psi[(0,) * n])

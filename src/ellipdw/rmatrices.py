@@ -22,6 +22,8 @@ from .tensor import DenseOperator, embed_matrix
 # No sigma in a denominator may fall below this: the closed forms hold for
 # generic (u, xi, lambda, zeta) only.
 GENERICITY_FLOOR = 1e-8
+# the one name of a refused sigma(eta), in every route
+SIGMA_ETA = "sigma(eta)"
 
 # Fundamental shift vectors e_hat_i = eps_i - (eps_1 + eps_2)/2.
 E_HAT = {1: (0.5, -0.5), 2: (-0.5, 0.5)}
@@ -84,7 +86,7 @@ def vertex_R_matrix(u: complex, setup: ModularSetup) -> np.ndarray:
     t1 = lambda z: theta_level2(1, z, setup)
     t0 = lambda z: theta_level2(2, z, setup)
     s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
-    s_eta = sigma(eta, setup)
+    s_eta = _checked_sigma(eta, setup, SIGMA_ETA)
     t10 = _floor_checked(t1(0.0), "theta2_1(0)")
     t0e = _floor_checked(t0(eta), "theta2_0(eta)")
     t1e = _floor_checked(t1(eta), "theta2_1(eta)")
@@ -110,7 +112,7 @@ def sos_R_matrix(u: complex, m: WeightVector, setup: ModularSetup) -> np.ndarray
     s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
     s_m12 = _checked_sigma(m.m12, setup, "sigma(m12)")
     s_u = sigma(u, setup)
-    s_eta = sigma(eta, setup)
+    s_eta = _checked_sigma(eta, setup, SIGMA_ETA)
     s_m21 = -s_m12
     # R^{ij}_{ij} = s(u) s(m_ij - eta) / (s(u+eta) s(m_ij)),
     # R^{ji}_{ij} = s(eta) s(u + m_ij) / (s(u+eta) s(m_ij)).
@@ -201,7 +203,7 @@ def _sigma_u_times_crossed_R(u, mi, setup):
     eta = setup.eta
     v = -u - eta
     s_u = sigma(u, setup)
-    s_eta = sigma(eta, setup)
+    s_eta = _checked_sigma(eta, setup, SIGMA_ETA)
     s_m12 = _checked_sigma(mi.m12, setup, "sigma(m12)")
     s_m21 = -s_m12
     s_v = sigma(v, setup)

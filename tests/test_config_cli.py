@@ -188,6 +188,7 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     assert main(["compare", "--route", "nonsense"]) == 2
     assert main(["compare", "--tol", "-1"]) == 2
     assert main(["compare", "--seed", "-1"]) == 2
+    assert main(["compare", "--route", "face", "--route", "face"]) == 2
     bad_sweep = tmp_path / "bad_sweep.yaml"
     bad_sweep.write_text("{mode: bench, n_sweep: [a]}")
     assert main(["bench", "--config", str(bad_sweep)]) == 2
@@ -199,7 +200,8 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         assert main([command, "--config", str(bad)]) == 2, text
 
     # Malformed field types are configuration errors, not tracebacks.
-    for text in ("tol: abc", "routes: [[a]]", "u: 5", "routes: 5", "seed: -1"):
+    for text in ("tol: abc", "routes: [[a]]", "u: 5", "routes: 5", "seed: -1",
+                 "{N: 2, routes: [face, face]}"):
         bad.write_text(text)
         assert main(["compare", "--config", str(bad)]) == 2, text
 

@@ -2,6 +2,7 @@
 the face-type creation-operator route, and the spectral configuration's
 shared sigma grids."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from ellipdw import (ModularSetup, SpectralConfig, closedform, double_row_monodr
                      face_creation_operator, face_one_row_monodromy, oracle,
                      partition_bruteforce, partition_enumeration,
                      partition_face_route)
+from ellipdw import elliptic
 from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
 from ellipdw.elliptic import sigma, sigma_separable
 from ellipdw.errors import SingularityError, SizeError
@@ -510,3 +512,57 @@ def test_oracle_routes_name_the_boundary_family_alike(bc, setup):
         with pytest.raises(SingularityError,
                            match=re.escape("sigma(lambda_i + zeta + u)")):
             route(SpectralConfig(u=u, xi=xi), bc, setup)
+
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1j], ids=["0", "1", "tau"])
+def test_every_route_refuses_sigma_eta_below_floor(eta, bc):
+    """eta = 0, 1 and tau are zeros of sigma, where sigma(eta) is rounding
+    noise: all five routes refuse, naming sigma(eta)."""
+    setup = ModularSetup(tau=1j, eta=eta)
+    spec = SpectralConfig(u=(0.27 + 0.06j, 0.19 - 0.03j), xi=(-0.13 - 0.04j, -0.3 + 0.05j))
+    routes = [partition_enumeration, partition_bruteforce, partition_face_route] + [
+        lambda s, b, t, r=r: closedform.full_z(s, b, t, r) for r in ("permsum", "determinant")]
+    for route in routes:
+        with pytest.raises(SingularityError, match=re.escape("|sigma(eta)|")):
+            route(spec, bc, setup)
+
+# ---------------------------------------------------------------------------
+# Each oracle route sums a scalar theta argument once per call.
+# ---------------------------------------------------------------------------
+
+MEMO_ROUTES = ((partition_enumeration, oracle.MAX_ENUMERATION_N),
+               (partition_bruteforce, oracle.MAX_BRUTEFORCE_N),
+               (partition_face_route, oracle.MAX_FACE_N))
+
+
+def test_oracle_routes_equal_memo_free_evaluation(draw, bc, setup, monkeypatch):
+    """With the scope replaced by a null context, every oracle route gives the
+    same value, in repr, at N = 1 up to its guard."""
+    specs = {n: draw(n, 600 + n, setup, bc) for n in range(1, oracle.MAX_BRUTEFORCE_N + 1)}
+    memo = {(route, n): repr(route(specs[n], bc, setup))
+            for route, guard in MEMO_ROUTES for n in range(1, guard + 1)}
+    monkeypatch.setattr(oracle, "scalar_memo", contextlib.nullcontext)
+    for (route, n), value in memo.items():
+        assert repr(route(specs[n], bc, setup)) == value, (route.__name__, n)
+
+
+@pytest.mark.parametrize("route", [r for r, _ in MEMO_ROUTES], ids=lambda r: r.__name__)
+def test_oracle_route_sums_each_scalar_once(route, draw, bc, setup, monkeypatch):
+    """Within one route call no scalar argument is summed twice, and a second
+    call on the same configuration sums exactly as many: no table outlives
+    the call."""
+    spec = draw(2, 610, setup, bc)
+    calls, scalar = [], elliptic._theta_scalar
+
+    def counting(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(elliptic, "_theta_scalar", counting)
+    route(spec, bc, setup)
+    first = len(calls)
+    assert first > 0 and len(set(calls)) == first
+    assert elliptic._memo.get() is None
+    route(spec, bc, setup)
+    assert len(calls) == 2 * first and calls[first:] == calls[:first]
