@@ -13,8 +13,11 @@ Three independent evaluators of the same quantity:
   ket, built from the dynamical one-row monodromy matrix.
 
 The vertex routes read each bar line's R and K factors from one builder,
-``_bar_line_factors``.  Every dynamical R factor goes through
-``rmatrices.apply_sos_R``; dense operators apply it to the identity
+``_bar_line_factors``.  The face route reads every dynamical R factor of a
+call from one table, ``_face_R_table`` (one array ``sos_R_matrix`` build),
+and its creation scalars from ``_creation_scalars``, all evaluated before
+the first contraction; each layer is one ``rmatrices.apply_R_stack`` on a
+slice of the table.  Dense operators apply the factors to the identity
 reshaped as a batch of basis kets, as ``double_row_monodromy`` does with
 the vertex factors.  Each route sums a scalar theta argument once per call
 (``elliptic.scalar_memo``, open while it evaluates theta functions).
@@ -32,7 +35,8 @@ from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
 from .elliptic import ModularSetup, scalar_memo, sigma, sigma_separable
 from .errors import SizeError
 from .rmatrices import (WeightVector, _checked_sigma, _floor_checked,
-                        apply_sos_R, vertex_R_matrix)
+                        apply_R_stack, sos_R_matrix, spectator_weight,
+                        vertex_R_matrix)
 from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state
 
 MAX_BRUTEFORCE_N = 12
@@ -342,18 +346,43 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
 # Face-type route: dynamical one-row monodromy and creation operators.
 # ---------------------------------------------------------------------------
 
+def _face_R_table(weights, us, spectral: SpectralConfig, setup: ModularSetup):
+    """Every R factor of the one-row monodromies T(weights[t] | us[t][s]), as
+    one ``sos_R_matrix`` stack of shape (T, S, N(N+1)/2, 4, 4).
+
+    Along axis 2 layer k = 1..N holds its k matrices R(u - xi_k; l seen with
+    n2 of the spectators 1..k-1 in spin 2), n2 = 0..k-1, at offset k(k-1)/2:
+    the stack ``apply_R_stack`` reads for those spectators.
+    """
+    xi = np.asarray(spectral.xi, dtype=complex)
+    # layer k of the flat axis: k - 1 spectators, n2 = 0..k-1 of them in spin 2
+    spectators, n2 = np.tril_indices(len(xi))
+    m = WeightVector(np.array([l.m1 for l in weights])[:, None, None],
+                     np.array([l.m2 for l in weights])[:, None, None])
+    u = np.asarray(us, dtype=complex)[:, :, None] - xi[spectators]
+    return sos_R_matrix(u, spectator_weight(m, setup.eta, spectators, n2), setup)
+
+
+def _apply_face_monodromy(phi, factors, n: int):
+    """Apply one monodromy's ``_face_R_table`` row to ``phi``, whose axes are
+    (aux, site1..siteN, batch...): layer k is R_{0,k}(u - xi_k) with the
+    weight shifted by the spins of sites 1..k-1."""
+    for k in range(1, n + 1):
+        off = k * (k - 1) // 2
+        phi = apply_R_stack(phi, factors[off:off + k], 0, k,
+                            spectators=tuple(range(1, k)))
+    return phi
+
+
 def face_monodromy_apply(l: WeightVector, u: complex, phi,
                          spectral: SpectralConfig, setup: ModularSetup):
     """Apply the one-row monodromy T(l|u) to ``phi``.
 
     ``phi`` has axes (aux, site1..siteN, batch...); entry i-1 of the result's
-    aux axis is sum_j T(l|u)^i_j phi[j-1].  Layer k is R_{0,k}(u - xi_k) with
-    the weight shifted by the spins of sites 1..k-1.
+    aux axis is sum_j T(l|u)^i_j phi[j-1].
     """
-    for k in range(1, spectral.n + 1):
-        phi = apply_sos_R(phi, u - spectral.xi[k - 1], l, setup, 0, k,
-                          spectators=tuple(range(1, k)))
-    return phi
+    factors = _face_R_table([l], [[u]], spectral, setup)[0, 0]
+    return _apply_face_monodromy(phi, factors, spectral.n)
 
 
 def face_one_row_monodromy(l: WeightVector, u: complex,
@@ -380,25 +409,42 @@ def _creation_scalars(m: WeightVector, bc: BoundaryConfig, u: complex,
     return pref, k1, k2
 
 
+def _creation_R_table(bc: BoundaryConfig, us, spectral: SpectralConfig,
+                      setup: ModularSetup):
+    """The ``_face_R_table`` of the creation operators at every u in ``us``:
+    axis 0 is (inner T, inner S, outer), the monodromies T(lambda + eta
+    e_hat_2 | -u - eta), T(lambda + eta e_hat_1 | -u - eta) and T(lambda|u)."""
+    lam, eta = bc.weight, setup.eta
+    us = np.asarray(us, dtype=complex)
+    return _face_R_table((lam.shifted(2, eta, -1), lam.shifted(1, eta, -1), lam),
+                         (-us - eta, -us - eta, us), spectral, setup)
+
+
+def _apply_creation(psi, scalars, factors, n: int):
+    """Apply one creation operator, given its ``_creation_scalars`` and its
+    column of ``_creation_R_table``, to ``psi`` (axes site1..siteN, batch...).
+    The two outer factors are both T(lambda|u), so they run as one batch of
+    two."""
+    pref, k1, k2 = scalars
+    inner_t, inner_s, outer = factors
+    psi = np.asarray(psi, dtype=complex)
+    zero = np.zeros_like(psi)
+    t = _apply_face_monodromy(np.stack([zero, psi]), inner_t, n)[1]
+    s = _apply_face_monodromy(np.stack([psi, zero]), inner_s, n)[1]
+    phi = np.stack([np.stack([t, zero], axis=-1), np.stack([zero, s], axis=-1)])
+    ts = _apply_face_monodromy(phi, outer, n)[1]
+    return pref * (k1 * ts[..., 0] - k2 * ts[..., 1])
+
+
 def face_creation_apply(m: WeightVector, bc: BoundaryConfig, u: complex, psi,
                         spectral: SpectralConfig, setup: ModularSetup):
     """Apply the double-row creation operator to ``psi``.
 
-    ``psi`` has axes (site1..siteN, batch...).  The two outer factors are
-    both T(lambda|u), so they run as one batch of two.
+    ``psi`` has axes (site1..siteN, batch...).
     """
-    lam = bc.weight
-    eta = setup.eta
-    pref, k1, k2 = _creation_scalars(m, bc, u, spectral, setup)
-    psi = np.asarray(psi, dtype=complex)
-    zero = np.zeros_like(psi)
-    t = face_monodromy_apply(lam.shifted(2, eta, -1), -u - eta, np.stack([zero, psi]),
-                             spectral, setup)[1]
-    s = face_monodromy_apply(lam.shifted(1, eta, -1), -u - eta, np.stack([psi, zero]),
-                             spectral, setup)[1]
-    phi = np.stack([np.stack([t, zero], axis=-1), np.stack([zero, s], axis=-1)])
-    ts = face_monodromy_apply(lam, u, phi, spectral, setup)[1]
-    return pref * (k1 * ts[..., 0] - k2 * ts[..., 1])
+    scalars = _creation_scalars(m, bc, u, spectral, setup)
+    factors = _creation_R_table(bc, [u], spectral, setup)[:, 0]
+    return _apply_creation(psi, scalars, factors, spectral.n)
 
 
 def face_creation_operator(m: WeightVector, bc: BoundaryConfig, u: complex,
@@ -420,13 +466,17 @@ def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"face route limited to N <= {MAX_FACE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
+    steps = range(n, 0, -1)
+    us = [spectral.u[step - 1] for step in steps]
     with scalar_memo():
         spectral.require_generic(setup)
         bc.require_generic(setup, n, spectral.u)
         lam = bc.weight
-        psi = np.zeros((2,) * n, dtype=complex)
-        psi[(1,) * n] = 1.0
-        for step in range(n, 0, -1):
-            m = lam.shifted(1, setup.eta, -(2 * step - n))
-            psi = face_creation_apply(m, bc, spectral.u[step - 1], psi, spectral, setup)
+        scalars = [_creation_scalars(lam.shifted(1, setup.eta, -(2 * step - n)), bc, u,
+                                     spectral, setup) for step, u in zip(steps, us)]
+        factors = _creation_R_table(bc, us, spectral, setup)
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(1,) * n] = 1.0
+    for i in range(n):
+        psi = _apply_creation(psi, scalars[i], factors[:, i], n)
     return complex(psi[(0,) * n])

@@ -2,16 +2,23 @@
 
 The 4x4 matrices act on V (x) V with basis order (11, 12, 21, 22).  The
 dynamical shift convention: acting on a site in spin state i shifts the
-weight by -eta * e_hat_i, with e_hat_1 = (1/2, -1/2) and e_hat_2 = -e_hat_1;
-``apply_sos_R`` applies that convention for the face route, the twist and
-the dynamical YBE check alike.  Relations (QYBE, dynamical YBE, crossing,
-unitarity) are exposed as normalized max-norm residuals.
+weight by -eta * e_hat_i, with e_hat_1 = (1/2, -1/2) and e_hat_2 = -e_hat_1.
+``spectator_weight`` maps spectator spins to that shifted weight;
+``sos_R_matrix`` builds one SOS R or, over array arguments, a whole stack of
+them in one evaluation.  ``apply_R_stack`` is the one dynamical-R kernel: the
+SOS R is the identity on |11> and |22>, so it updates the two mixed
+components elementwise, with the 2x2 block picked by spectator popcount; the
+face route feeds it slices of one table per call, the twist and the
+dynamical YBE check a per-call stack from ``apply_sos_R``.  Relations (QYBE,
+dynamical YBE, crossing, unitarity) are exposed as normalized max-norm
+residuals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +38,10 @@ E_HAT = {1: (0.5, -0.5), 2: (-0.5, 0.5)}
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Dynamical weight m = (m1, m2); m12 = m1 - m2."""
+    """Dynamical weight m = (m1, m2); m12 = m1 - m2.
+
+    The components may be arrays (a stack of weights for ``sos_R_matrix``);
+    ``require_generic`` takes scalars only."""
 
     m1: complex
     m2: complex
@@ -107,12 +117,18 @@ def sos_R(u: complex, m: WeightVector, setup: ModularSetup) -> DenseOperator:
     return DenseOperator((1, 2), sos_R_matrix(u, m, setup))
 
 
-def sos_R_matrix(u: complex, m: WeightVector, setup: ModularSetup) -> np.ndarray:
+def sos_R_matrix(u, m: WeightVector, setup: ModularSetup) -> np.ndarray:
+    """R(u; m) as a 4x4 matrix or, when ``u`` or the weight components are
+    arrays, a stack of shape broadcast(u, m12) + (4, 4) from one ``sigma``
+    call per family.  An array build evaluates every sigma as an array,
+    sigma(eta) as one point, so it sums no scalar series; scalar arguments
+    keep the scalar path and its bits."""
     eta = setup.eta
+    shape = np.broadcast_shapes(np.shape(u), np.shape(m.m12))
     s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
     s_m12 = _checked_sigma(m.m12, setup, "sigma(m12)")
     s_u = sigma(u, setup)
-    s_eta = _checked_sigma(eta, setup, SIGMA_ETA)
+    s_eta = _checked_sigma(np.full(1, eta) if shape else eta, setup, SIGMA_ETA)
     s_m21 = -s_m12
     # R^{ij}_{ij} = s(u) s(m_ij - eta) / (s(u+eta) s(m_ij)),
     # R^{ji}_{ij} = s(eta) s(u + m_ij) / (s(u+eta) s(m_ij)).
@@ -120,12 +136,11 @@ def sos_R_matrix(u: complex, m: WeightVector, setup: ModularSetup) -> np.ndarray
     b21 = s_u * sigma(m.m21 - eta, setup) / (s_ueta * s_m21)
     c12 = s_eta * sigma(u + m.m12, setup) / (s_ueta * s_m12)
     c21 = s_eta * sigma(u + m.m21, setup) / (s_ueta * s_m21)
-    return np.array([
-        [1, 0, 0, 0],
-        [0, b12, c21, 0],
-        [0, c12, b21, 0],
-        [0, 0, 0, 1],
-    ], dtype=complex)
+    out = np.zeros(shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = 1.0
+    out[..., 1, 1], out[..., 1, 2] = b12, c21
+    out[..., 2, 1], out[..., 2, 2] = c12, b21
+    return out
 
 
 def apply_sos_R(tensor: np.ndarray, u: complex, m: WeightVector, setup: ModularSetup,
@@ -134,19 +149,61 @@ def apply_sos_R(tensor: np.ndarray, u: complex, m: WeightVector, setup: ModularS
 
     ``tensor`` is a (2,)*k state tensor with any trailing batch axes; n1 and
     n2 count the ``spectators`` axes in spin 1 and spin 2, so every slice sees
-    the weight shifted by the spins of the sites it has passed.  R rows and
-    columns are ordered with the ax1 index most significant.  This is the one
-    place that maps spectator spins to a shifted weight.
+    the weight shifted by the spins of the sites it has passed.  The k + 1
+    shifted matrices are built one scalar call each, then applied by
+    ``apply_R_stack``.
     """
     k = len(spectators)
-    mats = np.stack([sos_R_matrix(u, m.shifted(1, setup.eta, k - 2 * n2), setup)
-                     for n2 in range(k + 1)]).reshape(k + 1, 2, 2, 2, 2)
-    # spectator popcount over the remaining axes, broadcast along the others
-    rest = [ax for ax in range(tensor.ndim) if ax not in (ax1, ax2)]
-    twos = np.indices([2 if ax in spectators else 1 for ax in rest]).sum(axis=0)
-    out = np.einsum("...ABas,...as->...AB", mats[twos],
-                    np.moveaxis(tensor, (ax1, ax2), (-2, -1)))
-    return np.moveaxis(out, (-2, -1), (ax1, ax2))
+    mats = np.stack([sos_R_matrix(u, spectator_weight(m, setup.eta, k, n2), setup)
+                     for n2 in range(k + 1)])
+    return apply_R_stack(tensor, mats, ax1, ax2, spectators)
+
+
+def spectator_weight(m: WeightVector, eta: complex, k, n2) -> WeightVector:
+    """m - (n1 - n2) eta e_hat_1, the weight a slice sees when n2 of its k
+    spectators are in spin 2 and n1 = k - n2 in spin 1 (``k`` and ``n2`` may
+    be integer arrays).  This is the one place that maps spectator spins to a
+    shifted weight."""
+    return m.shifted(1, eta, k - 2 * n2)
+
+
+# the mixed block of an SOS R: entries (12,12), (12,21), (21,12), (21,21)
+_BLOCK = ([1, 1, 2, 2], [1, 2, 1, 2])
+
+
+@lru_cache(maxsize=None)
+def _popcount(k: int) -> np.ndarray:
+    """The number of spins 2 on each of the 2^k states of k sites, (2,)*k."""
+    counts = np.array([bin(i).count("1") for i in range(2 ** k)]).reshape((2,) * k)
+    counts.flags.writeable = False
+    return counts
+
+
+def apply_R_stack(tensor: np.ndarray, mats: np.ndarray, ax1: int, ax2: int,
+                  spectators=()) -> np.ndarray:
+    """Apply ``mats[n2]`` to axes (ax1, ax2) of the slices whose ``spectators``
+    axes hold n2 spins 2.
+
+    ``mats`` is a stack of len(spectators) + 1 SOS R matrices, entry n2 at
+    ``spectator_weight``, rows and columns ordered with the ax1 index most
+    significant; ``tensor`` is a (2,)*k state tensor with any trailing batch
+    axes.  Each matrix is the identity on |11> and |22>, so only the two
+    mixed components change, by elementwise products and sums: every element
+    gets the same bits whatever the batch shape.
+    """
+    tensor = np.asarray(tensor)
+    # the block of each slice, broadcast along the non-spectator axes
+    shape = [2 if ax in spectators else 1
+             for ax in range(tensor.ndim) if ax not in (ax1, ax2)]
+    block = mats[:, _BLOCK[0], _BLOCK[1]][_popcount(len(spectators))].reshape(shape + [4])
+    i12, i21 = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
+    i12[ax1], i12[ax2], i21[ax1], i21[ax2] = 0, 1, 1, 0
+    i12, i21 = tuple(i12), tuple(i21)
+    x12, x21 = tensor[i12], tensor[i21]
+    out = np.array(tensor, dtype=complex)
+    out[i12] = block[..., 0] * x12 + block[..., 1] * x21
+    out[i21] = block[..., 2] * x12 + block[..., 3] * x21
+    return out
 
 
 def _swap_sites(mat4: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from ellipdw import (ModularSetup, SpectralConfig, closedform, double_row_monodr
                      face_creation_operator, face_one_row_monodromy, oracle,
                      partition_bruteforce, partition_enumeration,
                      partition_face_route)
-from ellipdw import elliptic
+from ellipdw import elliptic, rmatrices
 from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
 from ellipdw.elliptic import sigma, sigma_separable
 from ellipdw.errors import SingularityError, SizeError
@@ -21,6 +21,11 @@ from ellipdw.tensor import embed_matrix, product_state
 
 from conftest import dense_face_monodromy, random_weight
 from highprec import ref_sigma
+
+# the face route's array R build against scalar builds, relative to
+# max(1, |entry|): the worst case measured at N = 1..4 on both test setups
+# is 4.2e-16 (complex eta), so a few ulps
+FACE_TABLE_TOL = 2e-15
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +267,31 @@ def test_creation_operator_equals_per_ket_application(n, draw, bc, setup):
     ref = pref * (k1 * outer[1, :, 0] @ inner_t[1, :, 1]
                   - k2 * outer[1, :, 1] @ inner_s[1, :, 0])
     _assert_rel_close(op, ref)
+
+
+@pytest.mark.parametrize("setup_name", ["setup", "setup_complex_eta"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_R_table_matches_per_matrix_builds(n, setup_name, draw, bc, request):
+    """Every factor of the face route's one array build, for each (step,
+    monodromy, layer, shift), equals its own scalar ``sos_R_matrix`` build to
+    rounding: the array series may sum more terms than a scalar one."""
+    setup = request.getfixturevalue(setup_name)
+    spec = draw(n, 140 + n, setup, bc)
+    lam, eta = bc.weight, setup.eta
+    table = oracle._creation_R_table(bc, spec.u, spec, setup)
+    monodromies = ((lam.shifted(2, eta, -1), lambda u: -u - eta),
+                   (lam.shifted(1, eta, -1), lambda u: -u - eta), (lam, lambda u: u))
+    assert table.shape == (3, n, n * (n + 1) // 2, 4, 4)
+    worst = 0.0
+    for t, (l, arg) in enumerate(monodromies):
+        for s, u in enumerate(spec.u):
+            for k in range(1, n + 1):
+                for n2 in range(k):
+                    ref = sos_R_matrix(arg(u) - spec.xi[k - 1],
+                                       l.shifted(1, eta, (k - 1) - 2 * n2), setup)
+                    err = np.abs(table[t, s, k * (k - 1) // 2 + n2] - ref)
+                    worst = max(worst, float(np.max(err / np.maximum(1.0, np.abs(ref)))))
+    assert worst <= FACE_TABLE_TOL
 
 
 def test_scalar_product_equals_bruteforce_n2(draw, bc, setup):
@@ -566,3 +596,32 @@ def test_oracle_route_sums_each_scalar_once(route, draw, bc, setup, monkeypatch)
     assert elliptic._memo.get() is None
     route(spec, bc, setup)
     assert len(calls) == 2 * first and calls[first:] == calls[:first]
+
+
+def test_face_route_builds_one_R_table_per_call(draw, bc, setup, monkeypatch):
+    """A face-route call builds every R factor in one ``sos_R_matrix`` call
+    whose sigma evaluations are all arrays, so it sums no scalar series; so
+    do the creation and monodromy applications called on their own."""
+    spec = draw(3, 620, setup, bc)
+    builds, scalar_sigmas = [], []
+    build, sigma_ = oracle.sos_R_matrix, rmatrices.sigma
+
+    def counting_sigma(u, setup):
+        if np.ndim(u) == 0:
+            scalar_sigmas.append(u)
+        return sigma_(u, setup)
+
+    def counting_build(u, m, setup):
+        before = len(scalar_sigmas)
+        out = build(u, m, setup)
+        builds.append((out.shape, len(scalar_sigmas) - before))
+        return out
+
+    monkeypatch.setattr(rmatrices, "sigma", counting_sigma)
+    monkeypatch.setattr(oracle, "sos_R_matrix", counting_build)
+    partition_face_route(spec, bc, setup)
+    assert builds == [((3, 3, 6, 4, 4), 0)]
+    psi = np.ones((2,) * 3, dtype=complex)
+    oracle.face_creation_apply(bc.weight, bc, spec.u[0], psi, spec, setup)
+    oracle.face_monodromy_apply(bc.weight, spec.u[0], np.stack([psi, psi]), spec, setup)
+    assert builds[1:] == [((3, 1, 6, 4, 4), 0), ((1, 1, 6, 4, 4), 0)]

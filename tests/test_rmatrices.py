@@ -117,17 +117,20 @@ def test_dybe_degenerate_and_sweep(setup):
 
 @pytest.mark.parametrize("n,ax1,ax2,spectators", [
     (3, 0, 1, ()), (3, 2, 0, (1,)), (3, 0, 2, (1,)), (3, 1, 2, (0,)),
-    (4, 2, 1, ()), (4, 3, 1, (0, 2)), (4, 0, 3, (2, 1)), (4, 1, 2, (3, 0))])
+    (4, 2, 1, ()), (4, 3, 1, (0, 2)), (4, 0, 3, (2, 1)), (4, 1, 2, (3, 0)),
+    (5, 3, 1, (4, 0, 2)), (2, 0, 1, ())])
 def test_apply_sos_R_matches_dense_reference(n, ax1, ax2, spectators, setup, weight):
-    """The kernel on a tensor with a trailing batch axis equals the embedded R
-    with spectator projectors, for non-adjacent and reversed axes."""
+    """The kernel on a tensor with trailing batch axes equals the embedded R
+    with spectator projectors, for non-adjacent and reversed axes, spectators
+    on both sides of the active pair, and a layer with no other site."""
     rng = np.random.default_rng(26)
-    psi = rng.normal(size=(2,) * n + (3,)) + 1j * rng.normal(size=(2,) * n + (3,))
+    batch = (3, 2) if n == 5 else (3,)  # the 5-site case has two batch axes
+    psi = rng.normal(size=(2,) * n + batch) + 1j * rng.normal(size=(2,) * n + batch)
     u = 0.23 + 0.07j
     out = apply_sos_R(psi, u, weight, setup, ax1, ax2, spectators)
-    ref = dense_sos_R(n, u, weight, setup, ax1, ax2, spectators) @ psi.reshape(2 ** n, 3)
+    ref = dense_sos_R(n, u, weight, setup, ax1, ax2, spectators) @ psi.reshape(2 ** n, -1)
     assert out.shape == psi.shape
-    assert np.max(np.abs(out.reshape(2 ** n, 3) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(out.reshape(2 ** n, -1) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_crossing_points_and_sweep(setup, weight):
