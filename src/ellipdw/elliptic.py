@@ -13,9 +13,11 @@ functions) is assembled from three families evaluated here:
   re-indexes the defining sum, so theta^(0) == theta^(2)).
 
 All evaluators accept scalars or numpy arrays for the spectral argument.
-Python scalars (numpy float64/complex128 included) are summed with cmath,
-bit-identical to the numpy path that serves arrays.  Inside a
-``scalar_memo`` scope each distinct scalar sum is computed once.
+Python scalars (numpy float64/complex128 included) are summed with cmath in
+the numpy path's order.  An element of an array sum has its scalar sum's
+bits wherever the array loop stops at that element's own step (the loop runs
+until every element has converged), and equals it to rounding elsewhere.
+Inside a ``scalar_memo`` scope each distinct scalar sum is computed once.
 """
 
 from __future__ import annotations
@@ -85,9 +87,11 @@ def _theta_series(a, b, u, tau):
     everywhere (u may be an array) and fails past N_MAX pairs; a sum left
     inf or nan by overflowing terms raises ConvergenceError, not numpy's
     RuntimeWarning.  A Python scalar u (int, float, complex, or their numpy
-    subclasses) is summed with cmath, bit-identical to the numpy path taken
-    by arrays, and looked up first in an open ``scalar_memo`` table; an
-    empty array gives an empty array.
+    subclasses) is summed with cmath, with the numpy path's terms and
+    comparisons in its order, and looked up first in an open
+    ``scalar_memo`` table; an array element gets its scalar sum's bits
+    wherever the loop stops at that element's own step, and its value to
+    rounding elsewhere.  An empty array gives an empty array.
     """
     tau, series_tol, n_max = complex(tau), SERIES_TOL, N_MAX
     if tau.imag < MIN_IM_TAU:

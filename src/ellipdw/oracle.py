@@ -12,12 +12,13 @@ Three independent evaluators of the same quantity:
   pseudo-particle creation operators between the all-up bra and all-down
   ket, built from the dynamical one-row monodromy matrix.
 
-The vertex routes read each bar line's R and K factors from one builder,
-``_bar_line_factors``.  The face route reads every dynamical R factor of a
-call from one table, ``_face_R_table`` (one array ``sos_R_matrix`` build),
-and its creation scalars from ``_creation_scalars``, all evaluated before
-the first contraction; each layer is one ``rmatrices.apply_R_stack`` on a
-slice of the table.  Dense operators apply the factors to the identity
+The vertex routes read every R and K factor of a call from one table,
+``_vertex_factors`` (one array ``vertex_R_matrix`` build over u_a +- xi_j,
+then the K matrices), built before the first contraction.  The face route
+reads every dynamical R factor of a call from one table, ``_face_R_table``
+(one array ``sos_R_matrix`` build), and its creation scalars from
+``_creation_scalars``, all evaluated before the first contraction; each
+layer is one ``rmatrices.apply_R_stack`` on a slice of the table.  Dense operators apply the factors to the identity
 reshaped as a batch of basis kets, as ``double_row_monodromy`` does with
 the vertex factors.  Each route sums a scalar theta argument once per call
 (``elliptic.scalar_memo``, open while it evaluates theta functions).
@@ -198,15 +199,20 @@ class SpectralConfig:
 # Vertex-type double-row monodromy and its contraction.
 # ---------------------------------------------------------------------------
 
-def _bar_line_factors(u, xi, bc: BoundaryConfig, setup: ModularSetup):
-    """The vertex factors of the bar line at ``u``:
-    ([R(u + xi_j)]_j, K(u), [R(u - xi_j)]_j), j = 1..N."""
-    return ([vertex_R_matrix(u + x, setup) for x in xi], vertex_K_matrix(u, bc, setup),
-            [vertex_R_matrix(u - x, setup) for x in xi])
+def _vertex_factors(us, xi, bc: BoundaryConfig, setup: ModularSetup):
+    """The vertex factors of the bar lines at ``us``, one tuple per line:
+    ([R(u + xi_j)]_j, K(u), [R(u - xi_j)]_j), j = 1..N.  Every R comes from
+    one ``vertex_R_matrix`` build over the (2, len(us), N) arguments
+    u_a +- xi_j, then one K matrix per line, all before any contraction."""
+    u = np.asarray(us, dtype=complex)[:, None]
+    x = np.asarray(xi, dtype=complex)[None, :]
+    r_plus, r_minus = vertex_R_matrix(np.stack([u + x, u - x]), setup)
+    return [(rp, vertex_K_matrix(u_a, bc, setup), rm)
+            for u_a, rp, rm in zip(us, r_plus, r_minus)]
 
 
 def _apply_double_row(phi, factors, aux_axis):
-    """Contract one bar line's ``_bar_line_factors`` into ``phi``.
+    """Contract one bar line's ``_vertex_factors`` into ``phi``.
 
     ``phi`` has quantum sites on axes 0..N-1 and the bar (auxiliary) site on
     ``aux_axis``; factors act right-to-left: +xi branch (site N..1), the
@@ -233,7 +239,7 @@ def double_row_monodromy(u_i: complex, spectral: SpectralConfig,
     # (aux, site1..siteN, batch) and move aux behind the quantum axes,
     # which is where _apply_double_row expects it
     phi = np.moveaxis(cols.reshape((2,) * (n + 1) + (dim,)), 0, n)
-    phi = _apply_double_row(phi, _bar_line_factors(u_i, spectral.xi, bc, setup),
+    phi = _apply_double_row(phi, _vertex_factors([u_i], spectral.xi, bc, setup)[0],
                             aux_axis=n)
     mat = np.moveaxis(phi, n, 0).reshape(dim, dim)
     return DenseOperator((aux,) + tuple(range(1, n + 1)), mat)
@@ -253,7 +259,7 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
         omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
             bc, spectral.xi, spectral.u, setup)
         # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
-        factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
+        factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
     psi = product_state(omega2_ket).reshape((2,) * n)
     for a in range(n, 0, -1):
         phi = np.tensordot(psi, omega1bar_ket[a - 1], axes=0)  # aux on last axis
@@ -280,7 +286,7 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
         spectral.require_generic(setup)
         omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
             bc, spectral.xi, spectral.u, setup)
-        factors = [_bar_line_factors(u_a, spectral.xi, bc, setup) for u_a in spectral.u]
+        factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
     total = 0.0 + 0.0j
 
     def close(frontier, w):

@@ -625,3 +625,83 @@ def test_face_route_builds_one_R_table_per_call(draw, bc, setup, monkeypatch):
     oracle.face_creation_apply(bc.weight, bc, spec.u[0], psi, spec, setup)
     oracle.face_monodromy_apply(bc.weight, spec.u[0], np.stack([psi, psi]), spec, setup)
     assert builds[1:] == [((3, 1, 6, 4, 4), 0), ((1, 1, 6, 4, 4), 0)]
+
+
+def test_vertex_routes_build_one_R_table_per_call(draw, bc, setup, monkeypatch):
+    """A bruteforce, enumeration or dense double-row monodromy call builds
+    every eight-vertex R factor in one ``vertex_R_matrix`` call over the
+    arguments u_a +- xi_j, and that build sums no scalar theta series."""
+    spec = draw(2, 630, setup, bc)
+    builds, scalar_sums = [], []
+    build, series = oracle.vertex_R_matrix, elliptic._theta_series
+
+    def counting_series(a, b, u, tau):
+        if isinstance(u, (int, float, complex)):
+            scalar_sums.append(u)
+        return series(a, b, u, tau)
+
+    def counting_build(u, setup):
+        before = len(scalar_sums)
+        out = build(u, setup)
+        builds.append((out.shape, len(scalar_sums) - before))
+        return out
+
+    monkeypatch.setattr(elliptic, "_theta_series", counting_series)
+    monkeypatch.setattr(oracle, "vertex_R_matrix", counting_build)
+    partition_bruteforce(spec, bc, setup)
+    partition_enumeration(spec, bc, setup)
+    double_row_monodromy(spec.u[0], spec, bc, setup)
+    assert builds == [((2, 2, 2, 4, 4), 0)] * 2 + [((2, 1, 2, 4, 4), 0)]
+
+
+def test_bruteforce_scalar_theta_sums_at_n10(draw, bc, setup, monkeypatch):
+    """The R table leaves the K matrices, the boundary states and the checks
+    as the only scalar theta sums of a bruteforce call: 337 at N = 10 on
+    this draw, where one scalar build per R matrix summed 1,341."""
+    spec = draw(10, 1016, setup, bc)
+    calls, scalar = [], elliptic._theta_scalar
+
+    def counting(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(elliptic, "_theta_scalar", counting)
+    partition_bruteforce(spec, bc, setup)
+    assert len(calls) <= 350
+
+
+def _per_matrix_factors(spec, bc, setup):
+    """Each bar line's (R(u + xi_j), K(u), R(u - xi_j)), one scalar
+    ``vertex_R_matrix`` build per matrix."""
+    return [([vertex_R_matrix(u + x, setup) for x in spec.xi], vertex_K_matrix(u, bc, setup),
+             [vertex_R_matrix(u - x, setup) for x in spec.xi]) for u in spec.u]
+
+
+def _bruteforce_reference(spec, bc, setup):
+    """The bruteforce contraction of ``_per_matrix_factors``: bar lines N..1,
+    each closed between its boundary states."""
+    n = spec.n
+    o1b, o2bb, o1bk, o2k = boundary_state_factors(bc, spec.xi, spec.u, setup)
+    factors = _per_matrix_factors(spec, bc, setup)
+    psi = product_state(o2k).reshape((2,) * n)
+    for a in range(n, 0, -1):
+        phi = np.tensordot(psi, o1bk[a - 1], axes=0)
+        phi = oracle._apply_double_row(phi, factors[a - 1], aux_axis=n)
+        psi = np.tensordot(phi, o2bb[a - 1], axes=([n], [0]))
+    return complex(np.dot(product_state(o1b), psi.ravel()))
+
+
+def test_vertex_routes_equal_per_matrix_builds(draw, bc, setup, monkeypatch):
+    """Bruteforce at N = 1..12 and enumeration at N <= 2 equal, in repr, the
+    same contraction of one scalar ``vertex_R_matrix`` build per matrix."""
+    specs = {n: draw(n, 600 + n, setup, bc) for n in range(1, oracle.MAX_BRUTEFORCE_N + 1)}
+    for n, spec in specs.items():
+        assert repr(partition_bruteforce(spec, bc, setup)) == \
+            repr(_bruteforce_reference(spec, bc, setup)), n
+    table = {n: repr(partition_enumeration(specs[n], bc, setup))
+             for n in range(1, oracle.MAX_ENUMERATION_N + 1)}
+    monkeypatch.setattr(oracle, "_vertex_factors",
+                        lambda us, xi, bc, setup: _per_matrix_factors(
+                            SpectralConfig(tuple(us), tuple(xi)), bc, setup))
+    for n, value in table.items():
+        assert repr(partition_enumeration(specs[n], bc, setup)) == value, n

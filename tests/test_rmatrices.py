@@ -49,6 +49,23 @@ def test_vertex_R_singularity_guard(setup):
         vertex_R_matrix(-setup.eta, setup)
 
 
+def test_vertex_R_stack_equals_scalar_builds_bit_for_bit(draw, bc, setup):
+    """An array ``vertex_R_matrix`` build is the stack of the scalar builds,
+    bit for bit: on the arguments u_a +- xi_j of the oracle draws at N = 1..12,
+    on a (3, 2, 5) array, and on a 0-d array."""
+    rng = np.random.default_rng(31)
+    stacks = [random_points(rng, 30).reshape(3, 2, 5), np.asarray(0.29 + 0.07j)]
+    for n in range(1, 13):
+        spec = draw(n, 600 + n, setup, bc)
+        u = np.asarray(spec.u, dtype=complex)[:, None]
+        xi = np.asarray(spec.xi, dtype=complex)[None, :]
+        stacks.append(np.stack([u + xi, u - xi]))
+    for args in stacks:
+        out = vertex_R_matrix(args, setup)
+        ref = np.array([vertex_R_matrix(z, setup) for z in args.ravel().tolist()])
+        assert np.array_equal(out, ref.reshape(args.shape + (4, 4))), args.shape
+
+
 def test_six_vertex_limit_smoke():
     """Large Im(tau): the anti-diagonal weight collapses (six-vertex limit)."""
     for tau_im, bound in ((4.0, 1e-2), (8.0, 1e-4)):
