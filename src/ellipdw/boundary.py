@@ -13,19 +13,24 @@ The vertex-face dictionary implemented here:
   face_K as a residual,
 * ``boundary_states`` -- the four domain-wall boundary states, with the
   per-site shift sequences tracked in integer steps of eta * e_hat_1.
+
+The K-matrix, intertwiner, dual and face-K builders take scalars or array
+arguments (a stack, batch axes first); the residuals take scalars or
+equal-shape arrays of draws and return a float or an array of residuals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import ModularSetup, sigma, sigma_char, theta_level2
 from .errors import DomainError, SingularityError
-from .rmatrices import (GENERICITY_FLOOR, WeightVector, _checked_sigma,
-                        _floor_checked, sos_R_matrix, vertex_R_matrix)
-from .tensor import DenseOperator, product_state
+from .rmatrices import (GENERICITY_FLOOR, WeightVector, _checked_sigma, _floor_checked,
+                        _least_modulus, _swap_sites, sos_R_matrix, vertex_R_matrix)
+from .tensor import DenseOperator, embed_matrix, max_abs, product_state
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,117 +80,168 @@ def vertex_K(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> DenseOperat
     return DenseOperator((1,), vertex_K_matrix(u, bc, setup))
 
 
-def vertex_K_matrix(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
-    if abs(complex(u)) < 1e-12:
-        # k0 -> 1 and kx, ky, kz -> 0 as u -> 0 (sigma(2u)/2sigma(u) -> 1).
-        return np.eye(2, dtype=complex)
-    lam_sum = bc.lambda1 + bc.lambda2 - 0.5
-    s2u = sigma(2 * u, setup)
-    denom_shared = (2.0
-                    * _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)")
-                    * _checked_sigma(bc.lambda1 + bc.zeta + u, setup, LAMBDA_ZETA_U)
-                    * _checked_sigma(bc.lambda2 + bc.zeta + u, setup, LAMBDA_ZETA_U))
+def vertex_K_matrix(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
+    """K(u) as a 2x2 matrix or, for an array ``u``, a stack of shape
+    u.shape + (2, 2) from one theta call per family.
 
-    def coeff(alpha, extra):
+    An element with |u| < 1e-12 gives the identity, the limit u -> 0 (k0 -> 1
+    and kx, ky, kz -> 0, as sigma(2u)/2sigma(u) -> 1), and is left out of the
+    evaluation and its floor checks.  The coefficients are combined per
+    element in Python complex arithmetic, as a scalar build combines them, so
+    each matrix of a stack has the bits of its scalar build wherever the
+    array theta sums stop at the element's own step."""
+    if isinstance(u, (int, float, complex)):
+        return np.eye(2, dtype=complex) if abs(complex(u)) < 1e-12 else _k_from_paulis(u, bc, setup)
+    u = np.asarray(u, dtype=complex)
+    out = np.broadcast_to(np.eye(2, dtype=complex), u.shape + (2, 2)).copy()
+    live = ~(np.abs(u) < 1e-12)
+    if live.any():
+        out[live] = _k_from_paulis(u[live], bc, setup)
+    return out
+
+
+# (alpha, extra factor, Pauli matrix) of k0, kx, ky, kz
+_K_TERMS = (((0, 0), 1.0, np.eye(2)), ((1, 0), 1.0, _PAULI_X),
+            ((1, 1), 1j, _PAULI_Y), ((0, 1), 1.0, _PAULI_Z))
+
+
+def _k_from_paulis(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
+    """k0*1 + kx*sx + ky*sy + kz*sz at a scalar u or over a 1-d array, each
+    element's coefficients combined in Python complex arithmetic:
+
+    k_alpha = extra * sigma(2u) s_alpha(l1+l2-1/2) s_alpha(l1+zeta)
+    s_alpha(l2+zeta) / (s_alpha(u) * 2 sigma(-u+l1+l2-1/2) sigma(l1+zeta+u)
+    sigma(l2+zeta+u)), s_alpha the sigma of characteristic alpha."""
+    lam_sum = bc.lambda1 + bc.lambda2 - 0.5
+    families = [sigma(2 * u, setup),
+                _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)"),
+                _checked_sigma(bc.lambda1 + bc.zeta + u, setup, LAMBDA_ZETA_U),
+                _checked_sigma(bc.lambda2 + bc.zeta + u, setup, LAMBDA_ZETA_U)]
+    consts = []
+    for alpha, extra, _ in _K_TERMS:
         if alpha == (0, 0):
             s = lambda z: sigma(z, setup)
-            s_own = _checked_sigma(u, setup, "sigma(u)")
+            families.append(_checked_sigma(u, setup, "sigma(u)"))
         else:
             s = lambda z: sigma_char(alpha[0], alpha[1], z, setup)
-            s_own = s(u)
-            if abs(s_own) < GENERICITY_FLOOR:
+            families.append(s(u))
+            if _least_modulus(families[-1]) < GENERICITY_FLOOR:
                 raise DomainError(f"sigma_{alpha}(u) below genericity floor")
-        return extra * s2u * s(lam_sum) * s(bc.lambda1 + bc.zeta) \
-            * s(bc.lambda2 + bc.zeta) / (s_own * denom_shared)
+        consts.append((extra, s(lam_sum), s(bc.lambda1 + bc.zeta), s(bc.lambda2 + bc.zeta)))
+    if isinstance(u, (int, float, complex)):
+        coeffs = _k_coefficients(*families, consts)
+    else:
+        coeffs = np.array([_k_coefficients(*vals, consts) for vals in
+                           zip(*(f.tolist() for f in families))], dtype=complex)
+        coeffs = coeffs.T[:, :, None, None]
+    terms = [k * pauli for k, (_, _, pauli) in zip(coeffs, _K_TERMS)]
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
-    k0 = coeff((0, 0), 1.0)
-    kx = coeff((1, 0), 1.0)
-    ky = coeff((1, 1), 1j)
-    kz = coeff((0, 1), 1.0)
-    return k0 * np.eye(2) + kx * _PAULI_X + ky * _PAULI_Y + kz * _PAULI_Z
+
+def _k_coefficients(s2u, d_lam, d_1, d_2, own0, own1, own2, own3, consts):
+    """k0, kx, ky, kz of one element, in Python complex arithmetic."""
+    denom_shared = 2.0 * d_lam * d_1 * d_2
+    return tuple(extra * s2u * c_lam * c_1 * c_2 / (own * denom_shared)
+                 for own, (extra, c_lam, c_1, c_2) in zip((own0, own1, own2, own3), consts))
 
 
-def re_residual(u1: complex, u2: complex, bc: BoundaryConfig,
-                setup: ModularSetup) -> float:
+def re_residual(u1, u2, bc: BoundaryConfig, setup: ModularSetup):
     """Normalized residual of the reflection equation on V (x) V."""
-    k1 = vertex_K(u1, bc, setup).on_sites((1, 2)).mat
-    k2 = vertex_K_matrix(u2, bc, setup)
-    k2 = DenseOperator((2,), k2).on_sites((1, 2)).mat
+    k1 = embed_matrix(vertex_K_matrix(u1, bc, setup), (0,), 2)
+    k2 = embed_matrix(vertex_K_matrix(u2, bc, setup), (1,), 2)
     r = lambda z: vertex_R_matrix(z, setup)
-    swap = lambda m: m[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
-    lhs = r(u1 - u2) @ k1 @ swap(r(u1 + u2)) @ k2
-    rhs = k2 @ r(u1 + u2) @ k1 @ swap(r(u1 - u2))
-    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+    lhs = r(u1 - u2) @ k1 @ _swap_sites(r(u1 + u2)) @ k2
+    rhs = k2 @ r(u1 + u2) @ k1 @ _swap_sites(r(u1 - u2))
+    return max_abs(lhs - rhs) / max_abs(rhs)
 
 
-def intertwiner(m: WeightVector, j: int, u: complex, setup: ModularSetup) -> np.ndarray:
-    """Column vector phi_{m, m - eta e_hat_j}(u), entries theta^(k)(u + 2 m_j)."""
+def intertwiner(m: WeightVector, j: int, u, setup: ModularSetup) -> np.ndarray:
+    """Column vector phi_{m, m - eta e_hat_j}(u), entries theta^(k)(u + 2 m_j);
+    over array arguments a stack of shape broadcast(u, m_j) + (2,)."""
     arg = u + 2 * m.component(j)
-    return np.array([theta_level2(1, arg, setup), theta_level2(2, arg, setup)])
+    return _last_axis(theta_level2(1, arg, setup), theta_level2(2, arg, setup))
 
 
-def _column_matrix(m: WeightVector, u: complex, setup: ModularSetup) -> np.ndarray:
+def _last_axis(x, y) -> np.ndarray:
+    """x and y, scalars or equal-shape arrays, stacked along a new last axis."""
+    out = np.array([x, y])
+    return out.T if out.ndim <= 2 else np.moveaxis(out, 0, -1)
+
+
+def _column_matrix(m: WeightVector, u, setup: ModularSetup) -> np.ndarray:
     """2x2 matrix whose columns are phi_{m, m - eta e_hat_j}(u), j = 1, 2."""
-    return np.column_stack([intertwiner(m, 1, u, setup), intertwiner(m, 2, u, setup)])
+    return _last_axis(intertwiner(m, 1, u, setup), intertwiner(m, 2, u, setup))
 
 
 def _inverse_rows(mat: np.ndarray):
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if abs(det) < GENERICITY_FLOOR:
-        raise SingularityError(f"intertwiner matrix near singular, |det| = {abs(det):.2e}")
-    inv = np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
-    return inv
+    """Inverse of a 2x2 matrix or of a stack of them, refused when any
+    determinant is below the genericity floor.  Each determinant is formed in
+    Python complex arithmetic, which rounds as numpy's scalar arithmetic does
+    and numpy's array loops may not, so a stack has its per-matrix bits."""
+    entries = mat.reshape(-1, 4).tolist()
+    dets = [a * d - b * c for a, b, c, d in entries]
+    least = min(map(abs, dets), default=math.inf)
+    if least < GENERICITY_FLOOR:
+        raise SingularityError(f"intertwiner matrix near singular, |det| = {least:.2e}")
+    adj = np.array([[d, -b, -c, a] for a, b, c, d in entries]).reshape(mat.shape)
+    return adj / np.array(dets).reshape(mat.shape[:-2] + (1, 1))
 
 
-def dual_intertwiners(m: WeightVector, u: complex, setup: ModularSetup):
+def dual_intertwiners(m: WeightVector, u, setup: ModularSetup):
     """Bar and tilde dual rows at weight m and argument u, as (bar, tilde)
-    2x2 arrays whose row j - 1 is the dual of index j.
+    2x2 arrays whose row j - 1 is the dual of index j (stacks over array
+    arguments, rows on the second-to-last axis).
 
     Bar rows invert [phi_{m, m-eta e_j}(u)]; tilde rows invert
     [phi_{m+eta e_j, m}(u)].  Biorthogonality holds by construction.
     """
-    cols_tilde = np.column_stack([intertwiner(m.shifted(1, setup.eta, -1), 1, u, setup),
-                                  intertwiner(m.shifted(2, setup.eta, -1), 2, u, setup)])
+    cols_tilde = _last_axis(intertwiner(m.shifted(1, setup.eta, -1), 1, u, setup),
+                            intertwiner(m.shifted(2, setup.eta, -1), 2, u, setup))
     return _inverse_rows(_column_matrix(m, u, setup)), _inverse_rows(cols_tilde)
 
 
-def face_vertex_residual(u1: complex, u2: complex, m: WeightVector,
-                         setup: ModularSetup) -> float:
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_s b_t over the last axis of each, batch axes broadcast."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def face_vertex_residual(u1, u2, m: WeightVector, setup: ModularSetup):
     """Residual of the face-vertex correspondence over all in-pairs (i, j)."""
     rbar = vertex_R_matrix(u1 - u2, setup)
     r_sos = sos_R_matrix(u1 - u2, m, setup)
     eta = setup.eta
+    kron = lambda a, b: _outer(a, b).reshape(a.shape[:-1] + (4,))
     worst, scale = 0.0, 0.0
     for i in (1, 2):
         mi = m.shifted(i, eta)
         for j in (1, 2):
-            lhs = rbar @ np.kron(intertwiner(m, i, u1, setup),
-                                 intertwiner(mi, j, u2, setup))
-            rhs = np.zeros(4, dtype=complex)
+            lhs = (rbar @ kron(intertwiner(m, i, u1, setup),
+                               intertwiner(mi, j, u2, setup))[..., None])[..., 0]
+            rhs = 0.0
             for k in (1, 2):
                 for l in (1, 2):
                     ml = m.shifted(l, eta)
-                    coeff = r_sos[2 * (k - 1) + (l - 1), 2 * (i - 1) + (j - 1)]
-                    if coeff == 0.0:
+                    coeff = r_sos[..., 2 * (k - 1) + (l - 1), 2 * (i - 1) + (j - 1)]
+                    if not np.any(coeff):
                         continue
-                    rhs = rhs + coeff * np.kron(
+                    rhs = rhs + coeff[..., None] * kron(
                         intertwiner(ml, k, u1, setup), intertwiner(m, l, u2, setup))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            scale = max(scale, float(np.max(np.abs(rhs))))
-    return worst / scale
+            worst = np.maximum(worst, max_abs(lhs - rhs, 1))
+            scale = np.maximum(scale, max_abs(rhs, 1))
+    return max_abs(worst / scale, 0)
 
 
-def face_K(bc: BoundaryConfig, u: complex, setup: ModularSetup) -> np.ndarray:
-    """Diagonal face-type reflection matrix Diag(k_1, k_2)."""
-    out = np.zeros((2, 2), dtype=complex)
+def face_K(bc: BoundaryConfig, u, setup: ModularSetup) -> np.ndarray:
+    """Diagonal face-type reflection matrix Diag(k_1, k_2), or a stack of
+    them over an array ``u``."""
+    out = np.zeros(np.shape(u) + (2, 2), dtype=complex)
     for i, lam in enumerate((bc.lambda1, bc.lambda2)):
-        out[i, i] = sigma(lam + bc.zeta - u, setup) / _checked_sigma(
+        out[..., i, i] = sigma(lam + bc.zeta - u, setup) / _checked_sigma(
             lam + bc.zeta + u, setup, LAMBDA_ZETA_U)
     return out
 
 
-def k_factorization_residual(u: complex, bc: BoundaryConfig,
-                             setup: ModularSetup) -> float:
+def k_factorization_residual(u, bc: BoundaryConfig, setup: ModularSetup):
     """Residual between vertex_K(u) and its intertwiner factorization.
 
     K(u)^s_t = sum_i phi^(s)_{lam, lam - eta e_i}(u) k_i(lam|u)
@@ -194,11 +250,12 @@ def k_factorization_residual(u: complex, bc: BoundaryConfig,
     lam = bc.weight
     kf = face_K(bc, u, setup)
     bar, _ = dual_intertwiners(lam, -u, setup)
-    rebuilt = np.zeros((2, 2), dtype=complex)
+    rebuilt = 0.0
     for i in (1, 2):
-        rebuilt += kf[i - 1, i - 1] * np.outer(intertwiner(lam, i, u, setup), bar[i - 1])
+        rebuilt = rebuilt + kf[..., i - 1, i - 1, None, None] * _outer(
+            intertwiner(lam, i, u, setup), bar[..., i - 1, :])
     kv = vertex_K_matrix(u, bc, setup)
-    return float(np.max(np.abs(kv - rebuilt)) / np.max(np.abs(kv)))
+    return max_abs(kv - rebuilt) / max_abs(kv)
 
 
 # ---------------------------------------------------------------------------

@@ -256,14 +256,16 @@ def theta_level2(j: int, u, setup: ModularSetup):
     return _theta_series(0.5 * (1 - j_red), 0.5, u, 2 * complex(setup.tau))
 
 
-def riemann_residual(u, v, x, y, setup: ModularSetup) -> float:
+def riemann_residual(u, v, x, y, setup: ModularSetup):
     """Relative residual of the Riemann identity for sigma.
 
     |s(u+x)s(u-x)s(v+y)s(v-y) - s(u+y)s(u-y)s(v+x)s(v-x)
-     - s(u+v)s(u-v)s(x+y)s(x-y)| / max(1, |rhs|).
+     - s(u+v)s(u-v)s(x+y)s(x-y)| / max(1, |rhs|): a float for scalar
+    arguments, an array of residuals for equal-shape array arguments.
     """
     s = lambda z: sigma(z, setup)
     lhs = s(u + x) * s(u - x) * s(v + y) * s(v - y) \
         - s(u + y) * s(u - y) * s(v + x) * s(v - x)
     rhs = s(u + v) * s(u - v) * s(x + y) * s(x - y)
-    return float(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    return float(res) if np.ndim(res) == 0 else res

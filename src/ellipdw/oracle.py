@@ -287,6 +287,14 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
         omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
             bc, spectral.xi, spectral.u, setup)
         factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
+    # The recursion multiplies single entries some 10^4 times at N = 2: read
+    # as Python complex they cost less than numpy scalars, and their
+    # products round as numpy's scalar products do, so the value keeps its
+    # bits.
+    factors = [(np.asarray(rp).tolist(), k.tolist(), np.asarray(rm).tolist())
+               for rp, k, rm in factors]
+    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = (
+        np.asarray(vs).tolist() for vs in (omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket))
     total = 0.0 + 0.0j
 
     def close(frontier, w):
@@ -310,14 +318,14 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
             q = frontier[j]
             for bp in (0, 1):
                 for qp in (0, 1):
-                    amp = r_minus[j][2 * bp + qp, 2 * b + q]
+                    amp = r_minus[j][2 * bp + qp][2 * b + q]
                     if amp != 0.0:
                         minus_branch(j + 1, bp, frontier[:j] + (qp,) + frontier[j + 1:],
                                      w * amp)
 
         def k_step(b, frontier, w):
             for bp in (0, 1):
-                amp = k[bp, b]
+                amp = k[bp][b]
                 if amp != 0.0:
                     minus_branch(0, bp, frontier, w * amp)
 
@@ -328,7 +336,7 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
             q = frontier[j]
             for qp in (0, 1):
                 for bp in (0, 1):
-                    amp = r_plus[j][2 * qp + bp, 2 * q + b]
+                    amp = r_plus[j][2 * qp + bp][2 * q + b]
                     if amp != 0.0:
                         plus_branch(j - 1, bp, frontier[:j] + (qp,) + frontier[j + 1:],
                                     w * amp)

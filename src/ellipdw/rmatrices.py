@@ -10,10 +10,11 @@ stack of them with the bits of its scalar builds (see there).
 them in one evaluation.  ``apply_R_stack`` is the one dynamical-R kernel: the
 SOS R is the identity on |11> and |22>, so it updates the two mixed
 components elementwise, with the 2x2 block picked by spectator popcount; the
-face route feeds it slices of one table per call, the twist and the
-dynamical YBE check a per-call stack from ``apply_sos_R``.  Relations (QYBE,
-dynamical YBE, crossing, unitarity) are exposed as normalized max-norm
-residuals.
+face route feeds it slices of one table per call, the twist a per-call
+stack from ``apply_sos_R``.  Relations (QYBE, dynamical YBE, crossing,
+unitarity) are exposed as normalized max-norm residuals; each takes scalars
+or equal-shape arrays of draws and returns a float or an array of residuals,
+so a sampled check is one evaluation over all its draws.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .elliptic import ModularSetup, sigma, theta_level2
 from .errors import SingularityError
-from .tensor import DenseOperator, embed_matrix
+from .tensor import DenseOperator, embed_matrix, max_abs
 
 # No sigma in a denominator may fall below this: the closed forms hold for
 # generic (u, xi, lambda, zeta) only.
@@ -42,8 +43,9 @@ E_HAT = {1: (0.5, -0.5), 2: (-0.5, 0.5)}
 class WeightVector:
     """Dynamical weight m = (m1, m2); m12 = m1 - m2.
 
-    The components may be arrays (a stack of weights for ``sos_R_matrix``);
-    ``require_generic`` takes scalars only."""
+    The components may be equal-shape arrays: a stack of weights, which
+    ``sos_R_matrix``, the intertwiners and ``require_generic`` take
+    elementwise."""
 
     m1: complex
     m2: complex
@@ -65,19 +67,29 @@ class WeightVector:
         return WeightVector(self.m1 - steps * eta * e1, self.m2 - steps * eta * e2)
 
     def require_generic(self, setup: ModularSetup, floor: float = GENERICITY_FLOOR):
+        """Refuse the weight, or a stack holding a weight, at which sigma(m12)
+        or sigma(m12 +- eta) falls below ``floor``; the error names the
+        family and the m12 of its least value."""
         eta = setup.eta
         for z, what in ((self.m12, "sigma(m12)"),
                         (self.m12 + eta, "sigma(m12+eta)"),
                         (self.m12 - eta, "sigma(m12-eta)")):
-            if abs(sigma(z, setup)) < floor:
-                raise SingularityError(f"{what} below genericity floor at m12={self.m12}")
+            vals = sigma(z, setup)
+            if _least_modulus(vals) < floor:
+                m12 = np.ravel(self.m12)[np.argmin(np.abs(vals))]
+                raise SingularityError(f"{what} below genericity floor at m12={m12}")
+
+
+def _least_modulus(vals) -> float:
+    """The least |v| of a scalar or an array; inf for an empty array."""
+    return (abs(vals) if isinstance(vals, complex)
+            else float(np.abs(vals).min(initial=math.inf)))
 
 
 def _floor_checked(vals, what):
     """``vals``, a scalar or an array, refused when its least modulus is below
     the genericity floor; an empty array passes."""
-    least = (abs(vals) if isinstance(vals, complex)
-             else float(np.abs(vals).min(initial=math.inf)))
+    least = _least_modulus(vals)
     if least < GENERICITY_FLOOR:
         raise SingularityError(
             f"|{what}| = {least:.2e} below floor {GENERICITY_FLOOR:.0e}")
@@ -242,36 +254,38 @@ def apply_R_stack(tensor: np.ndarray, mats: np.ndarray, ax1: int, ax2: int,
 
 
 def _swap_sites(mat4: np.ndarray) -> np.ndarray:
-    """P M P for a 4x4 two-site matrix."""
+    """P M P for a 4x4 two-site matrix or a stack of them."""
     p = [0, 2, 1, 3]
-    return mat4[np.ix_(p, p)]
+    return mat4[..., p, :][..., :, p]
 
 
-def unitarity_residual(u: complex, m: WeightVector, setup: ModularSetup) -> float:
+def unitarity_residual(u, m: WeightVector, setup: ModularSetup):
     """|| R_{12}(u;m) R_{21}(-u;m) - id || (max norm)."""
     prod = sos_R_matrix(u, m, setup) @ _swap_sites(sos_R_matrix(-u, m, setup))
-    return float(np.max(np.abs(prod - np.eye(4))))
+    return max_abs(prod - np.eye(4))
 
 
-def qybe_residual(u1: complex, u2: complex, u3: complex,
-                  setup: ModularSetup) -> float:
+def qybe_residual(u1, u2, u3, setup: ModularSetup):
     """Normalized max-norm residual of the quantum Yang-Baxter equation."""
     r12 = embed_matrix(vertex_R_matrix(u1 - u2, setup), (0, 1), 3)
     r13 = embed_matrix(vertex_R_matrix(u1 - u3, setup), (0, 2), 3)
     r23 = embed_matrix(vertex_R_matrix(u2 - u3, setup), (1, 2), 3)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
-    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+    return max_abs(lhs - rhs) / max_abs(rhs)
 
 
 def _dynamical_embed(u, m, setup, active, spectator):
-    """R on two of three sites with the weight shifted by the spectator spin."""
-    eye = np.eye(8, dtype=complex).reshape(2, 2, 2, 8)
-    return apply_sos_R(eye, u, m, setup, *active, spectators=(spectator,)).reshape(8, 8)
+    """R on two of three sites with the weight shifted by the spectator spin:
+    the embedded R(u; spectator_weight(m, eta, 1, n2)) on the columns whose
+    spectator holds n2 spins 2."""
+    spin2 = (np.arange(8) >> (2 - spectator)) & 1
+    return sum(embed_matrix(sos_R_matrix(u, spectator_weight(m, setup.eta, 1, n2), setup),
+                            active, 3) * (spin2 == n2)
+               for n2 in (0, 1))
 
 
-def dybe_residual(u1: complex, u2: complex, u3: complex, m: WeightVector,
-                  setup: ModularSetup) -> float:
+def dybe_residual(u1, u2, u3, m: WeightVector, setup: ModularSetup):
     """Normalized residual of the dynamical Yang-Baxter (star-triangle) relation."""
     m.require_generic(setup)
     r12_h3 = _dynamical_embed(u1 - u2, m, setup, (0, 1), 2)
@@ -282,7 +296,7 @@ def dybe_residual(u1: complex, u2: complex, u3: complex, m: WeightVector,
     r12 = embed_matrix(sos_R_matrix(u1 - u2, m, setup), (0, 1), 3)
     lhs = r12_h3 @ r13 @ r23_h1
     rhs = r23 @ r13_h2 @ r12
-    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+    return max_abs(lhs - rhs) / max_abs(rhs)
 
 
 def _sigma_u_times_crossed_R(u, mi, setup):
@@ -299,21 +313,17 @@ def _sigma_u_times_crossed_R(u, mi, setup):
     s_m12 = _checked_sigma(mi.m12, setup, "sigma(m12)")
     s_m21 = -s_m12
     s_v = sigma(v, setup)
-    one = s_u
-    b12 = -s_v * sigma(mi.m12 - eta, setup) / s_m12
-    b21 = -s_v * sigma(mi.m21 - eta, setup) / s_m21
-    c12 = -s_eta * sigma(v + mi.m12, setup) / s_m12
-    c21 = -s_eta * sigma(v + mi.m21, setup) / s_m21
-    return np.array([
-        [one, 0, 0, 0],
-        [0, b12, c21, 0],
-        [0, c12, b21, 0],
-        [0, 0, 0, one],
-    ], dtype=complex)
+    out = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(mi.m12)) + (4, 4),
+                   dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = s_u
+    out[..., 1, 1] = -s_v * sigma(mi.m12 - eta, setup) / s_m12
+    out[..., 2, 2] = -s_v * sigma(mi.m21 - eta, setup) / s_m21
+    out[..., 2, 1] = -s_eta * sigma(v + mi.m12, setup) / s_m12
+    out[..., 1, 2] = -s_eta * sigma(v + mi.m21, setup) / s_m21
+    return out
 
 
-def crossing_residual(u: complex, m: WeightVector, setup: ModularSetup,
-                      parities=(1.0, -1.0)) -> float:
+def crossing_residual(u, m: WeightVector, setup: ModularSetup, parities=(1.0, -1.0)):
     """Normalized residual of the crossing relation of the SOS R-matrix.
 
     ``parities`` is (eps_1, eps_2); the non-default value is a test hook for
@@ -324,7 +334,6 @@ def crossing_residual(u: complex, m: WeightVector, setup: ModularSetup,
     eps = {1: parities[0], 2: parities[1]}
     r_m = sos_R_matrix(u, m, setup)
     worst = 0.0
-    scale = float(np.max(np.abs(r_m)))
     for i in (1, 2):
         mi = m.shifted(i, eta)
         factor = sigma(mi.m21, setup) / (
@@ -334,8 +343,8 @@ def crossing_residual(u: complex, m: WeightVector, setup: ModularSetup,
         for j in (1, 2):
             for k in (1, 2):
                 for l in (1, 2):
-                    lhs = r_m[2 * (k - 1) + (l - 1), 2 * (i - 1) + (j - 1)]
+                    lhs = r_m[..., 2 * (k - 1) + (l - 1), 2 * (i - 1) + (j - 1)]
                     rhs = eps[l] * eps[j] * factor * r_cross[
-                        2 * (bar[j] - 1) + (k - 1), 2 * (bar[l] - 1) + (i - 1)]
-                    worst = max(worst, abs(lhs - rhs))
-    return worst / scale
+                        ..., 2 * (bar[j] - 1) + (k - 1), 2 * (bar[l] - 1) + (i - 1)]
+                    worst = np.maximum(worst, np.abs(lhs - rhs))
+    return max_abs(worst, 0) / max_abs(r_m)

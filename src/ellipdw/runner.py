@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from . import boundary, closedform, elliptic, fbasis, oracle, rmatrices
 from .config import ROUTE_GUARDS, RunConfig, draw_spectral, spectral_for
 from .errors import EllipdwError
 from .report import PartitionReport, RouteResult, value_digest
+from .tensor import max_abs
 
 
 def _route_value(route: str, spectral, bc, setup):
@@ -79,11 +81,24 @@ def _points_and_weight(rng, setup, count):
     return (*_draw_points(rng, count), m)
 
 
-def _sampled_max(seed, count, residual):
-    """Largest of ``count`` values of ``residual(rng)``, all drawing from one
-    generator seeded with ``seed``; a nan residual makes it nan."""
+def _stacked(values):
+    """One argument over all draws: an array, or a WeightVector of arrays."""
+    if isinstance(values[0], rmatrices.WeightVector):
+        return rmatrices.WeightVector(np.array([m.m1 for m in values], dtype=complex),
+                                      np.array([m.m2 for m in values], dtype=complex))
+    return np.array(values, dtype=complex)
+
+
+def _sampled_max(seed, count, draw, residual):
+    """Largest residual over ``count`` draws from one generator seeded with
+    ``seed``; a nan residual makes it nan.
+
+    ``draw(rng)`` returns one sample's arguments; the samples are drawn one
+    after another, then each argument is stacked over them and ``residual``
+    is called once on the stacks."""
     rng = np.random.default_rng(seed)
-    return float(np.max([residual(rng) for _ in range(count)]))
+    samples = [tuple(draw(rng)) for _ in range(count)]
+    return float(np.max(residual(*map(_stacked, zip(*samples)))))
 
 
 def identity_checks(cfg: RunConfig):
@@ -96,63 +111,54 @@ def identity_checks(cfg: RunConfig):
     setup = cfg.setup
     bc = cfg.bc
     seed = cfg.seed
+    points = lambda count: lambda rng: _draw_points(rng, count)
+    points_and_weight = lambda count: lambda rng: _points_and_weight(rng, setup, count)
     checks = [("riemann_identity", _sampled_max(
-        seed, 100, lambda rng: elliptic.riemann_residual(*_draw_points(rng, 4), setup)),
-        1e-12)]
+        seed, 100, points(4), partial(elliptic.riemann_residual, setup=setup)), 1e-12)]
 
-    rng = np.random.default_rng(seed + 1)
-    worst_odd = worst_p1 = worst_ptau = 0.0
+    u = _draw_points(np.random.default_rng(seed + 1), 100)
     tau = complex(setup.tau)
-    for u in _draw_points(rng, 100):
-        su = elliptic.sigma(u, setup)
-        scale = max(1.0, abs(su))
-        worst_odd = max(worst_odd, abs(elliptic.sigma(-u, setup) + su) / scale)
-        worst_p1 = max(worst_p1, abs(elliptic.sigma(u + 1, setup) + su) / scale)
-        worst_ptau = max(worst_ptau, abs(
-            elliptic.sigma(u + tau, setup)
-            + np.exp(-2j * np.pi * (u + tau / 2)) * su) / scale)
-    checks.append(("sigma_oddness", worst_odd, 1e-13))
-    checks.append(("sigma_period_1", worst_p1, 1e-12))
-    checks.append(("sigma_period_tau", worst_ptau, 1e-12))
+    su = elliptic.sigma(u, setup)
+    scale = np.maximum(1.0, np.abs(su))
+    periodic = (
+        ("sigma_oddness", elliptic.sigma(-u, setup) + su, 1e-13),
+        ("sigma_period_1", elliptic.sigma(u + 1, setup) + su, 1e-12),
+        ("sigma_period_tau", elliptic.sigma(u + tau, setup)
+         + np.exp(-2j * np.pi * (u + tau / 2)) * su, 1e-12))
+    checks += [(name, float(np.max(np.abs(defect) / scale)), tol)
+               for name, defect, tol in periodic]
 
-    for offset, name, residual, tol in (
-            (2, "qybe", lambda rng: rmatrices.qybe_residual(
-                *_draw_points(rng, 3), setup), 1e-10),
-            (3, "dynamical_ybe", lambda rng: rmatrices.dybe_residual(
-                *_points_and_weight(rng, setup, 3), setup), 1e-10),
-            (4, "sos_unitarity", lambda rng: rmatrices.unitarity_residual(
-                *_points_and_weight(rng, setup, 1), setup), 1e-11),
-            (5, "crossing", lambda rng: rmatrices.crossing_residual(
-                *_points_and_weight(rng, setup, 1), setup), 1e-11),
-            (6, "reflection_equation", lambda rng: boundary.re_residual(
-                *_draw_points(rng, 2), bc, setup), 1e-10),
-            (7, "face_vertex", lambda rng: boundary.face_vertex_residual(
-                *_points_and_weight(rng, setup, 2), setup), 1e-10),
-            (8, "k_factorization", lambda rng: boundary.k_factorization_residual(
-                *_draw_points(rng, 1), bc, setup), 1e-9)):
-        checks.append((name, _sampled_max(seed + offset, 50, residual), tol))
+    for offset, name, draw, residual, tol in (
+            (2, "qybe", points(3), partial(rmatrices.qybe_residual, setup=setup), 1e-10),
+            (3, "dynamical_ybe", points_and_weight(3),
+             partial(rmatrices.dybe_residual, setup=setup), 1e-10),
+            (4, "sos_unitarity", points_and_weight(1),
+             partial(rmatrices.unitarity_residual, setup=setup), 1e-11),
+            (5, "crossing", points_and_weight(1),
+             partial(rmatrices.crossing_residual, setup=setup), 1e-11),
+            (6, "reflection_equation", points(2),
+             partial(boundary.re_residual, bc=bc, setup=setup), 1e-10),
+            (7, "face_vertex", points_and_weight(2),
+             partial(boundary.face_vertex_residual, setup=setup), 1e-10),
+            (8, "k_factorization", points(1),
+             partial(boundary.k_factorization_residual, bc=bc, setup=setup), 1e-9)):
+        checks.append((name, _sampled_max(seed + offset, 50, draw, residual), tol))
 
-    rng = np.random.default_rng(seed + 9)
-    m = _draw_weight(rng, setup)
-    ratios = []
-    for u in np.linspace(-0.3, 0.5, 20):
-        mat = np.column_stack([boundary.intertwiner(m, 1, u, setup),
-                               boundary.intertwiner(m, 2, u, setup)])
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        ratios.append(det / (elliptic.sigma(u + m.m1 + m.m2 - 0.5, setup)
-                             * elliptic.sigma(m.m12, setup)))
-    ratios = np.array(ratios)
+    m = _draw_weight(np.random.default_rng(seed + 9), setup)
+    u = np.linspace(-0.3, 0.5, 20)
+    mat = boundary._column_matrix(m, u, setup)
+    det = mat[:, 0, 0] * mat[:, 1, 1] - mat[:, 0, 1] * mat[:, 1, 0]
+    ratios = det / (elliptic.sigma(u + m.m1 + m.m2 - 0.5, setup)
+                    * elliptic.sigma(m.m12, setup))
     checks.append(("intertwiner_det_constancy",
                    float(np.max(np.abs(ratios - ratios[0])) / abs(ratios[0])), 1e-10))
 
     def biorthogonality_defect(u, m):
         bar, _ = boundary.dual_intertwiners(m, u, setup)
-        cols = np.column_stack([boundary.intertwiner(m, j, u, setup) for j in (1, 2)])
-        return float(np.max(np.abs(bar @ cols - np.eye(2))))
+        return max_abs(bar @ boundary._column_matrix(m, u, setup) - np.eye(2))
 
     checks.append(("dual_biorthogonality", _sampled_max(
-        seed + 10, 100,
-        lambda rng: biorthogonality_defect(*_points_and_weight(rng, setup, 1))), 1e-12))
+        seed + 10, 100, points_and_weight(1), biorthogonality_defect), 1e-12))
 
     seed11 = np.random.default_rng(seed + 11)
     spec3 = draw_spectral(3, seed + 11, setup, bc)

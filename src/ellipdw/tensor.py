@@ -40,13 +40,27 @@ class DenseOperator:
 
 
 def embed_matrix(mat: np.ndarray, pos, n: int) -> np.ndarray:
-    """Embed ``mat`` (acting on site positions ``pos``) into n sites."""
+    """Embed ``mat`` (acting on site positions ``pos``) into n sites.
+
+    ``mat`` may carry leading batch axes, (..., 2^k, 2^k); each matrix is
+    embedded with the products ``np.kron(mat, eye)`` forms, so a stack gives
+    the bits of its per-matrix embeddings."""
     k = len(pos)
     rest = [q for q in range(n) if q not in pos]
-    big = np.kron(mat, np.eye(2 ** (n - k), dtype=complex))
+    dim, r = 2 ** k, 2 ** (n - k)
+    eye = np.eye(r, dtype=complex)[None, :, None, :]
+    big = (mat[..., :, None, :, None] * eye).reshape(mat.shape[:-2] + (dim * r, dim * r))
     order = list(pos) + rest
     idx = _basis_reindex(tuple(order), n)
-    return big[np.ix_(idx, idx)]
+    return big[..., idx, :][..., :, idx]
+
+
+def max_abs(x, axes: int = 2):
+    """Largest modulus over the trailing ``axes`` axes of ``x`` (0: none):
+    a float when no batch axis is left, else an array over the batch axes.
+    A nan entry gives nan."""
+    out = np.abs(x).max(axis=tuple(range(-axes, 0)))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @lru_cache(maxsize=None)

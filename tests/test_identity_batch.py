@@ -1,0 +1,184 @@
+"""Sampled identity checks as one array evaluation over all their draws.
+
+Every residual takes scalars or equal-shape arrays through one code path; a
+stack must give its per-sample values, refuse a below-floor sample as the
+scalar call does, and keep a nan sample visible in the check's maximum.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from ellipdw import (BoundaryConfig, WeightVector, boundary, elliptic, parse_config,
+                     rmatrices, run_identities, runner)
+from ellipdw.errors import EllipdwError, SingularityError
+from ellipdw.tensor import embed_matrix
+
+BC = BoundaryConfig(lambda1=0.41, lambda2=-0.23, zeta=0.17)
+LAM_SUM = BC.lambda1 + BC.lambda2 - 0.5   # sigma(-u + LAM_SUM) vanishes at u = LAM_SUM
+
+# name -> (draw(rng, setup), residual(*args, setup))
+RESIDUALS = {
+    "riemann": (lambda rng, s: runner._draw_points(rng, 4), elliptic.riemann_residual),
+    "qybe": (lambda rng, s: runner._draw_points(rng, 3), rmatrices.qybe_residual),
+    "dybe": (lambda rng, s: runner._points_and_weight(rng, s, 3), rmatrices.dybe_residual),
+    "unitarity": (lambda rng, s: runner._points_and_weight(rng, s, 1),
+                  rmatrices.unitarity_residual),
+    "crossing": (lambda rng, s: runner._points_and_weight(rng, s, 1),
+                 rmatrices.crossing_residual),
+    "re": (lambda rng, s: runner._draw_points(rng, 2),
+           lambda u1, u2, s: boundary.re_residual(u1, u2, BC, s)),
+    "face_vertex": (lambda rng, s: runner._points_and_weight(rng, s, 2),
+                    boundary.face_vertex_residual),
+    "k_factorization": (lambda rng, s: runner._draw_points(rng, 1),
+                        lambda u, s: boundary.k_factorization_residual(u, BC, s)),
+}
+
+# name -> the arguments of one sample whose scalar call is refused
+BELOW_FLOOR = {
+    "qybe": lambda s: (0.1, 0.1 + s.eta, -0.2),
+    "dybe": lambda s: (0.1, 0.2, -0.2, WeightVector(0.3, 0.3)),
+    "unitarity": lambda s: (-s.eta, WeightVector(0.3, -0.1)),
+    "crossing": lambda s: (-s.eta, WeightVector(0.3, -0.1)),
+    "re": lambda s: (LAM_SUM, 0.1),
+    "re_domain": lambda s: (0.5 - 0.5j, 0.1),
+    "face_vertex": lambda s: (0.1, 0.1 + s.eta, WeightVector(0.3, -0.1)),
+    "k_factorization": lambda s: (LAM_SUM,),
+    "k_factorization_domain": lambda s: (0.5,),
+}
+
+
+def _draws(name, setup, count=8, seed=5):
+    draw = RESIDUALS[name][0]
+    rng = np.random.default_rng(seed)
+    return [tuple(draw(rng, setup)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("setup_name", ["setup", "setup_complex_eta"])
+@pytest.mark.parametrize("name", sorted(RESIDUALS))
+def test_residual_stack_equals_per_sample_calls(name, setup_name, request):
+    setup = request.getfixturevalue(setup_name)
+    residual = RESIDUALS[name][1]
+    samples = _draws(name, setup)
+    scalar = [residual(*s, setup) for s in samples]
+    assert all(type(r) is float for r in scalar)
+    stacked = residual(*map(runner._stacked, zip(*samples)), setup)
+    assert stacked.shape == (len(samples),)
+    assert np.max(np.abs(stacked - np.array(scalar))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(BELOW_FLOOR))
+def test_below_floor_sample_raises_the_scalar_error(name, setup):
+    residual = RESIDUALS[name.removesuffix("_domain")][1]
+    bad = BELOW_FLOOR[name](setup)
+    with pytest.raises(EllipdwError) as scalar_exc:
+        residual(*bad, setup)
+    samples = _draws(name.removesuffix("_domain"), setup)
+    samples[3] = bad
+    with pytest.raises(EllipdwError) as stack_exc:
+        residual(*map(runner._stacked, zip(*samples)), setup)
+    assert type(stack_exc.value) is type(scalar_exc.value)
+
+
+def test_nan_sample_keeps_the_check_max_nan(monkeypatch):
+    qybe = rmatrices.qybe_residual
+
+    def with_nan(u1, u2, u3, setup):
+        out = qybe(u1, u2, u3, setup)
+        out[len(out) // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(rmatrices, "qybe_residual", with_nan)
+    result = run_identities(parse_config("{mode: identities, seed: 4}"))
+    entry = next(c for c in result["checks"] if c["name"] == "qybe")
+    assert math.isnan(entry["max_residual"]) and entry["pass"] is False
+    assert result["pass"] is False
+
+
+def test_weight_stack_require_generic_names_the_family(setup):
+    eta = setup.eta
+    m2 = np.array([-0.1, 0.2, -0.3, 0.05], dtype=complex)
+    WeightVector(m2 + 0.45, m2).require_generic(setup)
+    for m12, family in ((0.0, "sigma(m12)"), (-eta, "sigma(m12+eta)"),
+                        (eta, "sigma(m12-eta)")):
+        m1 = m2 + 0.45
+        m1[2] = m2[2] + m12
+        for weight in (WeightVector(m1, m2), WeightVector(m1[2], m2[2])):
+            with pytest.raises(SingularityError, match="^" + re.escape(family) + " "):
+                weight.require_generic(setup)
+
+
+def test_sampled_max_passes_the_per_sample_draws(setup, monkeypatch):
+    """The stacks are the points and weights the per-sample loop drew, also
+    through rejected weight draws (every other weight is refused here)."""
+    count, calls = 20, [0]
+    generic = WeightVector.require_generic
+
+    def every_other(self, s, floor=rmatrices.GENERICITY_FLOOR):
+        calls[0] += 1
+        if calls[0] % 2:
+            raise SingularityError("rejected")
+        return generic(self, s, floor)
+
+    monkeypatch.setattr(WeightVector, "require_generic", every_other)
+    rng = np.random.default_rng(7)
+    expected = [runner._points_and_weight(rng, setup, 2) for _ in range(count)]
+    assert calls[0] == 2 * count
+    seen = []
+    worst = runner._sampled_max(7, count, lambda r: runner._points_and_weight(r, setup, 2),
+                                lambda *args: seen.append(args) or np.arange(count) / 4.0)
+    assert worst == (count - 1) / 4.0
+    (u1, u2, m), = seen
+    assert np.array_equal(u1, [e[0] for e in expected])
+    assert np.array_equal(u2, [e[1] for e in expected])
+    assert np.array_equal(m.m1, [e[2].m1 for e in expected])
+    assert np.array_equal(m.m2, [e[2].m2 for e in expected])
+
+
+def test_vertex_K_stack_equals_scalar_builds(setup):
+    """Bit for bit at tau = i on these draws: the coefficients are combined
+    in Python complex arithmetic, as a scalar build combines them."""
+    u = runner._draw_points(np.random.default_rng(3), 12).reshape(3, 4)
+    u[1, 2], u[2, 0] = 0.0, 3e-13
+    stack = boundary.vertex_K_matrix(u, BC, setup)
+    assert stack.shape == (3, 4, 2, 2)
+    assert np.array_equal(stack[1, 2], np.eye(2)) and np.array_equal(stack[2, 0], np.eye(2))
+    for idx in np.ndindex(u.shape):
+        assert np.array_equal(stack[idx], boundary.vertex_K_matrix(complex(u[idx]), BC, setup))
+
+
+def test_intertwiner_stacks_equal_scalar_builds(setup):
+    """Dual stacks bit for bit at tau = i on these draws: each determinant is
+    formed in Python complex arithmetic, as a single matrix's is."""
+    rng = np.random.default_rng(4)
+    u = runner._draw_points(rng, 6)
+    weights = [runner._draw_weight(rng, setup) for _ in range(6)]
+    m = runner._stacked(weights)
+    for j in (1, 2):
+        phi = boundary.intertwiner(m, j, u, setup)
+        assert phi.shape == (6, 2)
+        for k, w in enumerate(weights):
+            assert np.allclose(phi[k], boundary.intertwiner(w, j, u[k], setup), rtol=1e-14)
+    bar, tilde = boundary.dual_intertwiners(m, u, setup)
+    for k, w in enumerate(weights):
+        bar_k, tilde_k = boundary.dual_intertwiners(w, u[k], setup)
+        assert np.array_equal(bar[k], bar_k) and np.array_equal(tilde[k], tilde_k)
+
+
+def test_embed_matrix_stack_equals_per_matrix_embeddings():
+    rng = np.random.default_rng(2)
+    mats = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    stack = embed_matrix(mats, (2, 0), 3)
+    assert stack.shape == (2, 3, 8, 8)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(stack[idx], embed_matrix(mats[idx], (2, 0), 3))
+
+
+@pytest.mark.parametrize("tau", [0.3j, 0.3 + 0.6j])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_identities_passes_below_im_tau_0_9(tau, seed):
+    result = run_identities(parse_config(
+        f"{{mode: identities, seed: {seed}, tau: [{tau.real}, {tau.imag}]}}"))
+    assert result["pass"], [c["name"] for c in result["checks"] if not c["pass"]]
