@@ -12,10 +12,12 @@ The vertex-face dictionary implemented here:
 * ``k_factorization_residual`` -- K(u) reassembled from intertwiners and
   face_K as a residual,
 * ``boundary_states`` -- the four domain-wall boundary states, with the
-  per-site shift sequences tracked in integer steps of eta * e_hat_1.
+  per-site shift sequences tracked in integer steps of eta * e_hat_1; each
+  family of per-site vectors is one array build over the sites.
 
-The K-matrix, intertwiner, dual and face-K builders take scalars or array
-arguments (a stack, batch axes first); the residuals take scalars or
+The intertwiner, dual and face-K builders take scalars or array arguments
+(a stack, batch axes first); ``vertex_K_matrix`` always builds a stack, a
+scalar ``u`` being a one-point stack.  The residuals take scalars or
 equal-shape arrays of draws and return a float or an array of residuals.
 """
 
@@ -81,17 +83,15 @@ def vertex_K(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> DenseOperat
 
 
 def vertex_K_matrix(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
-    """K(u) as a 2x2 matrix or, for an array ``u``, a stack of shape
-    u.shape + (2, 2) from one theta call per family.
+    """K(u) as a stack of shape shape(u) + (2, 2), a 2x2 matrix for a scalar
+    ``u``, from one theta call per family.
 
     An element with |u| < 1e-12 gives the identity, the limit u -> 0 (k0 -> 1
     and kx, ky, kz -> 0, as sigma(2u)/2sigma(u) -> 1), and is left out of the
     evaluation and its floor checks.  The coefficients are combined per
-    element in Python complex arithmetic, as a scalar build combines them, so
-    each matrix of a stack has the bits of its scalar build wherever the
-    array theta sums stop at the element's own step."""
-    if isinstance(u, (int, float, complex)):
-        return np.eye(2, dtype=complex) if abs(complex(u)) < 1e-12 else _k_from_paulis(u, bc, setup)
+    element in Python complex arithmetic, so each matrix of a stack has the
+    bits of its own one-point build wherever the array theta sums stop at the
+    element's own step."""
     u = np.asarray(u, dtype=complex)
     out = np.broadcast_to(np.eye(2, dtype=complex), u.shape + (2, 2)).copy()
     live = ~(np.abs(u) < 1e-12)
@@ -106,8 +106,8 @@ _K_TERMS = (((0, 0), 1.0, np.eye(2)), ((1, 0), 1.0, _PAULI_X),
 
 
 def _k_from_paulis(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
-    """k0*1 + kx*sx + ky*sy + kz*sz at a scalar u or over a 1-d array, each
-    element's coefficients combined in Python complex arithmetic:
+    """k0*1 + kx*sx + ky*sy + kz*sz over a 1-d array u, each element's
+    coefficients combined in Python complex arithmetic:
 
     k_alpha = extra * sigma(2u) s_alpha(l1+l2-1/2) s_alpha(l1+zeta)
     s_alpha(l2+zeta) / (s_alpha(u) * 2 sigma(-u+l1+l2-1/2) sigma(l1+zeta+u)
@@ -128,12 +128,9 @@ def _k_from_paulis(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
             if _least_modulus(families[-1]) < GENERICITY_FLOOR:
                 raise DomainError(f"sigma_{alpha}(u) below genericity floor")
         consts.append((extra, s(lam_sum), s(bc.lambda1 + bc.zeta), s(bc.lambda2 + bc.zeta)))
-    if isinstance(u, (int, float, complex)):
-        coeffs = _k_coefficients(*families, consts)
-    else:
-        coeffs = np.array([_k_coefficients(*vals, consts) for vals in
-                           zip(*(f.tolist() for f in families))], dtype=complex)
-        coeffs = coeffs.T[:, :, None, None]
+    coeffs = np.array([_k_coefficients(*vals, consts) for vals in
+                       zip(*(f.tolist() for f in families))], dtype=complex)
+    coeffs = coeffs.T[:, :, None, None]
     terms = [k * pauli for k, (_, _, pauli) in zip(coeffs, _K_TERMS)]
     return terms[0] + terms[1] + terms[2] + terms[3]
 
@@ -193,11 +190,16 @@ def dual_intertwiners(m: WeightVector, u, setup: ModularSetup):
     arguments, rows on the second-to-last axis).
 
     Bar rows invert [phi_{m, m-eta e_j}(u)]; tilde rows invert
-    [phi_{m+eta e_j, m}(u)].  Biorthogonality holds by construction.
+    [phi_{m+eta e_j, m}(u)] (``_tilde_duals``).  Biorthogonality holds by
+    construction.
     """
-    cols_tilde = _last_axis(intertwiner(m.shifted(1, setup.eta, -1), 1, u, setup),
-                            intertwiner(m.shifted(2, setup.eta, -1), 2, u, setup))
-    return _inverse_rows(_column_matrix(m, u, setup)), _inverse_rows(cols_tilde)
+    return _inverse_rows(_column_matrix(m, u, setup)), _tilde_duals(m, u, setup)
+
+
+def _tilde_duals(m: WeightVector, u, setup: ModularSetup) -> np.ndarray:
+    """The tilde rows of ``dual_intertwiners``, without the bar rows."""
+    return _inverse_rows(_last_axis(intertwiner(m.shifted(1, setup.eta, -1), 1, u, setup),
+                                    intertwiner(m.shifted(2, setup.eta, -1), 2, u, setup)))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,40 +267,35 @@ def k_factorization_residual(u, bc: BoundaryConfig, setup: ModularSetup):
 # shifts into steps of e_hat_1).
 # ---------------------------------------------------------------------------
 
-def _lam_shift(bc: BoundaryConfig, setup: ModularSetup, steps: int) -> WeightVector:
+def _lam_shift(bc: BoundaryConfig, setup: ModularSetup, steps) -> WeightVector:
     return bc.weight.shifted(1, setup.eta, -steps)
 
 
-def _tilde_row(m_bottom: WeightVector, mu: int, u: complex,
-               setup: ModularSetup) -> np.ndarray:
-    return dual_intertwiners(m_bottom, u, setup)[1][mu - 1]
-
-
 def boundary_state_factors(bc: BoundaryConfig, xi, us, setup: ModularSetup):
-    """Per-site 2-vectors of the four boundary states.
+    """Per-site 2-vectors of the four boundary states, each family one
+    ``intertwiner`` or ``_tilde_duals`` build over the sites.
 
-    Returns (omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket); the bra
-    lists hold row vectors for quantum sites / bar lines, the ket lists
-    column vectors.
+    Returns (omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket), each an
+    (N, 2) array whose row i - 1 belongs to quantum site / bar line i: row
+    vectors in the bra arrays, column vectors in the ket arrays.
     """
+    xi = np.asarray(xi, dtype=complex)
+    us = np.asarray(us, dtype=complex)
     n = len(xi)
-    omega2_ket = [intertwiner(_lam_shift(bc, setup, i - 1), 2, xi[i - 1], setup)
-                  for i in range(1, n + 1)]
-    omega1_bra = [_tilde_row(_lam_shift(bc, setup, -i), 1, xi[i - 1], setup)
-                  for i in range(1, n + 1)]
-    omega1bar_ket = [intertwiner(_lam_shift(bc, setup, 2 * a - n), 1, -us[a - 1], setup)
-                     for a in range(1, n + 1)]
-    omega2bar_bra = [_tilde_row(_lam_shift(bc, setup, 2 * a - 1 - n), 2, us[a - 1], setup)
-                     for a in range(1, n + 1)]
+    i = np.arange(1, n + 1)
+    omega2_ket = intertwiner(_lam_shift(bc, setup, i - 1), 2, xi, setup)
+    omega1_bra = _tilde_duals(_lam_shift(bc, setup, -i), xi, setup)[:, 0]
+    omega1bar_ket = intertwiner(_lam_shift(bc, setup, 2 * i - n), 1, -us, setup)
+    omega2bar_bra = _tilde_duals(_lam_shift(bc, setup, 2 * i - 1 - n), us, setup)[:, 1]
     return omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket
 
 
 def boundary_states(bc: BoundaryConfig, spectral, setup: ModularSetup):
-    """The four domain-wall boundary states as full 2^N tensors.
+    """The four domain-wall boundary states as full 2^N tensors (the empty
+    product [1] at N = 0).
 
     Returns (omega2_ket, omega1bar_ket, omega1_bra, omega2bar_bra).
     """
-    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
-        bc, spectral.xi, spectral.u, setup)
-    return (product_state(omega2_ket), product_state(omega1bar_ket),
-            product_state(omega1_bra), product_state(omega2bar_bra))
+    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = map(
+        product_state, boundary_state_factors(bc, spectral.xi, spectral.u, setup))
+    return omega2_ket, omega1bar_ket, omega1_bra, omega2bar_bra

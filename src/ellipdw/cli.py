@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(_load_config(args), _overrides(args))
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

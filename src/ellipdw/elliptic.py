@@ -17,15 +17,12 @@ Python scalars (numpy float64/complex128 included) are summed with cmath in
 the numpy path's order.  An element of an array sum has its scalar sum's
 bits wherever the array loop stops at that element's own step (the loop runs
 until every element has converged), and equals it to rounding elsewhere.
-Inside a ``scalar_memo`` scope each distinct scalar sum is computed once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,28 +32,6 @@ from .errors import ConvergenceError, DomainError
 MIN_IM_TAU = 0.05
 SERIES_TOL = 1e-15  # a series stops once its last pair of terms is this small
 N_MAX = 60          # ... or fails past this many pairs
-
-# the open scalar_memo scope's table, per thread and task; None outside any scope
-_memo = ContextVar("scalar_memo", default=None)
-
-
-@contextmanager
-def scalar_memo():
-    """A scope in which each distinct scalar theta sum is computed once.
-
-    The scalar (cmath) branch of ``_theta_series`` reads and fills one dict
-    keyed on (a, b, u, tau, SERIES_TOL, N_MAX); arrays and raised errors are
-    never stored.  A nested scope reuses the outer table, and the table is
-    dropped when the outermost scope exits.
-    """
-    if _memo.get() is not None:
-        yield
-        return
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
 
 
 @dataclass(frozen=True)
@@ -88,8 +63,7 @@ def _theta_series(a, b, u, tau):
     inf or nan by overflowing terms raises ConvergenceError, not numpy's
     RuntimeWarning.  A Python scalar u (int, float, complex, or their numpy
     subclasses) is summed with cmath, with the numpy path's terms and
-    comparisons in its order, and looked up first in an open
-    ``scalar_memo`` table; an array element gets its scalar sum's bits
+    comparisons in its order; an array element gets its scalar sum's bits
     wherever the loop stops at that element's own step, and its value to
     rounding elsewhere.  An empty array gives an empty array.
     """
@@ -97,20 +71,10 @@ def _theta_series(a, b, u, tau):
     if tau.imag < MIN_IM_TAU:
         raise DomainError(f"Im(tau) = {tau.imag} below {MIN_IM_TAU}")
     if isinstance(u, (int, float, complex)):
-        memo, z = _memo.get(), complex(u)
-        if memo is not None:
-            key = (a, b, z, tau, series_tol, n_max)
-            total = memo.get(key)
-            if total is not None:
-                return total
         try:
-            total = _theta_scalar(a, b, z, tau, series_tol, n_max)
+            return _theta_scalar(a, b, complex(u), tau, series_tol, n_max)
         except (OverflowError, ValueError):
             pass  # cmath refuses overflowing or non-finite terms; numpy sums them
-        else:
-            if memo is not None:
-                memo[key] = total
-            return total
     u_arr = np.asarray(u, dtype=complex)
     if u_arr.size == 0:
         return np.zeros_like(u_arr)

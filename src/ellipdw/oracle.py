@@ -13,15 +13,16 @@ Three independent evaluators of the same quantity:
   ket, built from the dynamical one-row monodromy matrix.
 
 The vertex routes read every R and K factor of a call from one table,
-``_vertex_factors`` (one array ``vertex_R_matrix`` build over u_a +- xi_j,
-then the K matrices), built before the first contraction.  The face route
-reads every dynamical R factor of a call from one table, ``_face_R_table``
-(one array ``sos_R_matrix`` build), and its creation scalars from
-``_creation_scalars``, all evaluated before the first contraction; each
-layer is one ``rmatrices.apply_R_stack`` on a slice of the table.  Dense operators apply the factors to the identity
+``_vertex_factors`` (one array ``vertex_R_matrix`` build over u_a +- xi_j and
+one array ``vertex_K_matrix`` build over u_a), and their boundary states from
+``boundary.boundary_state_factors`` (one array build per family), all built
+before the first contraction.  The face route reads every dynamical R factor
+of a call from one table, ``_face_R_table`` (one array ``sos_R_matrix``
+build), and its creation scalars from ``_creation_scalars``, all evaluated
+before the first contraction; each layer is one ``rmatrices.apply_R_stack``
+on a slice of the table.  Dense operators apply the factors to the identity
 reshaped as a batch of basis kets, as ``double_row_monodromy`` does with
-the vertex factors.  Each route sums a scalar theta argument once per call
-(``elliptic.scalar_memo``, open while it evaluates theta functions).
+the vertex factors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
                        vertex_K_matrix)
-from .elliptic import ModularSetup, scalar_memo, sigma, sigma_separable
+from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
 from .rmatrices import (WeightVector, _checked_sigma, _floor_checked,
                         apply_R_stack, sos_R_matrix, spectator_weight,
@@ -203,12 +204,11 @@ def _vertex_factors(us, xi, bc: BoundaryConfig, setup: ModularSetup):
     """The vertex factors of the bar lines at ``us``, one tuple per line:
     ([R(u + xi_j)]_j, K(u), [R(u - xi_j)]_j), j = 1..N.  Every R comes from
     one ``vertex_R_matrix`` build over the (2, len(us), N) arguments
-    u_a +- xi_j, then one K matrix per line, all before any contraction."""
-    u = np.asarray(us, dtype=complex)[:, None]
+    u_a +- xi_j and every K from one ``vertex_K_matrix`` build over us."""
+    u = np.asarray(us, dtype=complex)
     x = np.asarray(xi, dtype=complex)[None, :]
-    r_plus, r_minus = vertex_R_matrix(np.stack([u + x, u - x]), setup)
-    return [(rp, vertex_K_matrix(u_a, bc, setup), rm)
-            for u_a, rp, rm in zip(us, r_plus, r_minus)]
+    r_plus, r_minus = vertex_R_matrix(np.stack([u[:, None] + x, u[:, None] - x]), setup)
+    return list(zip(r_plus, vertex_K_matrix(u, bc, setup), r_minus))
 
 
 def _apply_double_row(phi, factors, aux_axis):
@@ -253,13 +253,12 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"bruteforce route limited to N <= {MAX_BRUTEFORCE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    with scalar_memo():
-        spectral.require_generic(setup)
-        bc.require_generic(setup, n, spectral.u)
-        omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
-            bc, spectral.xi, spectral.u, setup)
-        # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
-        factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
+    spectral.require_generic(setup)
+    bc.require_generic(setup, n, spectral.u)
+    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
+        bc, spectral.xi, spectral.u, setup)
+    # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
+    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
     psi = product_state(omega2_ket).reshape((2,) * n)
     for a in range(n, 0, -1):
         phi = np.tensordot(psi, omega1bar_ket[a - 1], axes=0)  # aux on last axis
@@ -282,11 +281,10 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"enumeration limited to N <= {MAX_ENUMERATION_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    with scalar_memo():
-        spectral.require_generic(setup)
-        omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
-            bc, spectral.xi, spectral.u, setup)
-        factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
+    spectral.require_generic(setup)
+    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
+        bc, spectral.xi, spectral.u, setup)
+    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
     # The recursion multiplies single entries some 10^4 times at N = 2: read
     # as Python complex they cost less than numpy scalars, and their
     # products round as numpy's scalar products do, so the value keeps its
@@ -294,7 +292,7 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
     factors = [(np.asarray(rp).tolist(), k.tolist(), np.asarray(rm).tolist())
                for rp, k, rm in factors]
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = (
-        np.asarray(vs).tolist() for vs in (omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket))
+        vs.tolist() for vs in (omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket))
     total = 0.0 + 0.0j
 
     def close(frontier, w):
@@ -482,13 +480,12 @@ def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
         return 1.0 + 0.0j
     steps = range(n, 0, -1)
     us = [spectral.u[step - 1] for step in steps]
-    with scalar_memo():
-        spectral.require_generic(setup)
-        bc.require_generic(setup, n, spectral.u)
-        lam = bc.weight
-        scalars = [_creation_scalars(lam.shifted(1, setup.eta, -(2 * step - n)), bc, u,
-                                     spectral, setup) for step, u in zip(steps, us)]
-        factors = _creation_R_table(bc, us, spectral, setup)
+    spectral.require_generic(setup)
+    bc.require_generic(setup, n, spectral.u)
+    lam = bc.weight
+    scalars = [_creation_scalars(lam.shifted(1, setup.eta, -(2 * step - n)), bc, u,
+                                 spectral, setup) for step, u in zip(steps, us)]
+    factors = _creation_R_table(bc, us, spectral, setup)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(1,) * n] = 1.0
     for i in range(n):

@@ -3,8 +3,8 @@
 The 4x4 matrices act on V (x) V with basis order (11, 12, 21, 22).  The
 dynamical shift convention: acting on a site in spin state i shifts the
 weight by -eta * e_hat_i, with e_hat_1 = (1/2, -1/2) and e_hat_2 = -e_hat_1.
-``vertex_R_matrix`` builds one eight-vertex R or, over an array ``u``, a
-stack of them with the bits of its scalar builds (see there).
+``vertex_R_matrix`` builds a stack of eight-vertex R matrices over ``u`` in
+one array evaluation, a scalar ``u`` being a one-point stack (see there).
 ``spectator_weight`` maps spectator spins to that shifted weight;
 ``sos_R_matrix`` builds one SOS R or, over array arguments, a whole stack of
 them in one evaluation.  ``apply_R_stack`` is the one dynamical-R kernel: the
@@ -106,42 +106,33 @@ def vertex_R(u: complex, setup: ModularSetup) -> DenseOperator:
 
 
 def vertex_R_matrix(u, setup: ModularSetup) -> np.ndarray:
-    """R(u) as a 4x4 matrix or, for an array ``u``, a stack of shape
-    u.shape + (4, 4) from one theta call per family.
+    """R(u) as a stack of shape shape(u) + (4, 4), a 4x4 matrix for a scalar
+    ``u``, from one array theta call per family.
 
     The constants sigma(eta), theta2_1(0), theta2_0(eta) and theta2_1(eta)
-    are evaluated and floor-checked first, once per build; an array build
-    evaluates them on 0-d arrays, so it sums no scalar series.  The weights
-    are then combined per element by ``_vertex_weights`` in Python complex
-    arithmetic (numpy's complex products and quotients may round
-    differently), so each matrix of a stack has the bits of its scalar build
-    wherever the array theta sums stop at the element's own step.
+    are evaluated on 0-d arrays and floor-checked first, once per build, so
+    a build sums no scalar series.  The weights are then combined per
+    element by ``_vertex_weights`` in Python complex arithmetic (numpy's
+    complex products and quotients may round differently), so each matrix
+    of a stack has the bits of its own one-point build wherever the array
+    theta sums stop at the element's own step.
     """
-    eta = setup.eta
+    eta = np.asarray(setup.eta, dtype=complex)
     t1 = lambda z: theta_level2(1, z, setup)
     t0 = lambda z: theta_level2(2, z, setup)
-    scalar = isinstance(u, (int, float, complex))
-    at = (lambda z: z) if scalar else (lambda z: np.asarray(z, dtype=complex))
-    consts = (_checked_sigma(at(eta), setup, SIGMA_ETA),
-              _floor_checked(t1(at(0.0)), "theta2_1(0)"),
-              _floor_checked(t0(at(eta)), "theta2_0(eta)"),
-              _floor_checked(t1(at(eta)), "theta2_1(eta)"))
-    u = at(u)
+    consts = (_checked_sigma(eta, setup, SIGMA_ETA),
+              _floor_checked(t1(np.zeros((), dtype=complex)), "theta2_1(0)"),
+              _floor_checked(t0(eta), "theta2_0(eta)"),
+              _floor_checked(t1(eta), "theta2_1(eta)"))
+    shape = np.shape(u)
+    u = np.ravel(np.asarray(u, dtype=complex))  # a scalar is a one-point stack
     ue = u + eta
     s_ueta = _checked_sigma(ue, setup, "sigma(u+eta)")
     families = (t1(u), t0(u), t1(ue), t0(ue), s_ueta)
-    if scalar:
-        a, b, c, d = _vertex_weights(*families, *consts)
-        return np.array([
-            [a, 0, 0, d],
-            [0, b, c, 0],
-            [0, c, b, 0],
-            [d, 0, 0, a],
-        ], dtype=complex)
     w = np.array([_vertex_weights(*vals, *consts)
-                  for vals in zip(*(np.ravel(f).tolist() for f in families))],
-                 dtype=complex).reshape(u.shape + (4,))
-    out = np.zeros(u.shape + (4, 4), dtype=complex)
+                  for vals in zip(*(f.tolist() for f in families))],
+                 dtype=complex).reshape(shape + (4,))
+    out = np.zeros(shape + (4, 4), dtype=complex)
     out[..., 0, 0] = out[..., 3, 3] = w[..., 0]
     out[..., 1, 1] = out[..., 2, 2] = w[..., 1]
     out[..., 1, 2] = out[..., 2, 1] = w[..., 2]

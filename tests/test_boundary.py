@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ellipdw import (BoundaryConfig, boundary_states, dual_intertwiners,
+from ellipdw import (BoundaryConfig, ModularSetup, boundary_states, dual_intertwiners,
                      face_K, face_vertex_residual, intertwiner,
                      k_factorization_residual, re_residual, sigma)
 from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
@@ -166,6 +166,40 @@ def test_boundary_states_n2_product_structure(bc, setup):
     assert np.max(np.abs(omega1bar - product_state(o1bk))) < 1e-12
     assert np.max(np.abs(omega1 - product_state(o1b))) < 1e-12
     assert np.max(np.abs(omega2bar - product_state(o2bb))) < 1e-12
+
+
+def _per_site_boundary_factors(bc, xi, us, setup):
+    """``boundary_state_factors`` one site at a time: one scalar
+    ``intertwiner`` per ket vector and one scalar ``dual_intertwiners`` per
+    bra vector, keeping tilde row mu - 1."""
+    n, eta = len(xi), setup.eta
+    lam = lambda steps: bc.weight.shifted(1, eta, -steps)
+    tilde_row = lambda m, mu, u: dual_intertwiners(m, u, setup)[1][mu - 1]
+    return ([tilde_row(lam(-i), 1, xi[i - 1]) for i in range(1, n + 1)],
+            [tilde_row(lam(2 * a - 1 - n), 2, us[a - 1]) for a in range(1, n + 1)],
+            [intertwiner(lam(2 * a - n), 1, -us[a - 1], setup) for a in range(1, n + 1)],
+            [intertwiner(lam(i - 1), 2, xi[i - 1], setup) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3j], ids=["tau=i", "tau=0.3i"])
+def test_boundary_state_factors_equal_per_site_builds(tau, draw, bc):
+    """Each family, one array build over the sites, equals the per-site
+    scalar builds bit for bit at N = 1..12."""
+    setup = ModularSetup(tau=tau, eta=0.31)
+    for n in range(1, 13):
+        spec = draw(n, 1000 + n, setup, bc)
+        batched = boundary_state_factors(bc, spec.xi, spec.u, setup)
+        reference = _per_site_boundary_factors(bc, spec.xi, spec.u, setup)
+        for got, ref in zip(batched, reference):
+            assert got.shape == (n, 2)
+            assert np.array_equal(got, np.array(ref)), n
+
+
+def test_boundary_states_n0_are_the_empty_product(bc, setup):
+    """At N = 0 every boundary state is [1], as every route's value is 1."""
+    assert np.array_equal(product_state([]), [1.0])
+    for state in boundary_states(bc, SpectralConfig(u=(), xi=()), setup):
+        assert np.array_equal(state, [1.0]) and state.dtype == complex
 
 
 def test_spectral_compatibility_matches_pointwise_check(bc, setup):

@@ -225,6 +225,15 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
         assert main(["compare", "--config", str(bad)]) == 2, text
 
 
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    """A document that is not UTF-8 is refused with exit 2, not a traceback."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xff\xfe{N: 2}")
+    for command in ("compare", "identities", "bench"):
+        assert main([command, "--config", str(bad)]) == 2, command
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_cli_unconverged_series_is_a_failed_report(tmp_path, capsys, monkeypatch):
     """A theta series that cannot converge within the term cap fails the
     report (exit 1) in every command, with the error in the report, not a

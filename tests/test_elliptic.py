@@ -139,72 +139,6 @@ def test_convergence_error():
         sigma(2.6j, ModularSetup(tau=0.05j, eta=0.31))
 
 
-def _counting_scalar_sums(monkeypatch):
-    """The list of arguments of every scalar sum from now on."""
-    calls, scalar = [], elliptic._theta_scalar
-
-    def counting(*args):
-        calls.append(args)
-        return scalar(*args)
-
-    monkeypatch.setattr(elliptic, "_theta_scalar", counting)
-    return calls
-
-
-def test_scalar_memo_sums_each_scalar_once_per_scope(setup, monkeypatch):
-    """Inside a scope a repeated scalar argument is summed once and returns
-    the same value; a nested scope shares the table; arrays are not stored;
-    the table is dropped when the outer scope exits."""
-    calls = _counting_scalar_sums(monkeypatch)
-    first = sigma(0.3 + 0.1j, setup)
-    with elliptic.scalar_memo():
-        assert sigma(0.3 + 0.1j, setup) == first
-        with elliptic.scalar_memo():
-            assert sigma(0.3 + 0.1j, setup) == first
-            assert theta_level2(1, 0.3 + 0.1j, setup) == theta_level2(1, 0.3 + 0.1j, setup)
-        assert sigma(0.3 + 0.1j, setup) == first
-        stored = len(elliptic._memo.get())
-        sigma(np.array([0.3 + 0.1j, 0.2]), setup)
-        assert len(elliptic._memo.get()) == stored == 2
-    assert elliptic._memo.get() is None
-    sigma(0.3 + 0.1j, setup)
-    assert len(calls) == 4  # before, in the scope (sigma, theta_level2), after
-
-
-def test_scalar_memo_stores_no_error(monkeypatch):
-    """A series that does not converge raises again on a repeat in a scope."""
-    calls = _counting_scalar_sums(monkeypatch)
-    low = ModularSetup(tau=0.05j, eta=0.31)
-    with elliptic.scalar_memo():
-        for _ in range(2):
-            with pytest.raises(ConvergenceError, match=r"not converged"):
-                sigma(2.6j, low)
-        assert elliptic._memo.get() == {}
-    assert len(calls) == 2
-
-
-def test_scalar_memo_honours_tolerance_and_cap(setup, monkeypatch):
-    """SERIES_TOL and N_MAX are part of the key: changing either inside a
-    scope sums again, as outside any scope."""
-    u = 0.3 + 0.1j
-    full = sigma(u, setup)
-    monkeypatch.setattr(elliptic, "SERIES_TOL", 1e-3)
-    loose = sigma(u, setup)
-    assert loose != full
-    monkeypatch.undo()
-    with elliptic.scalar_memo():
-        assert sigma(u, setup) == full
-        monkeypatch.setattr(elliptic, "SERIES_TOL", 1e-3)
-        assert sigma(u, setup) == loose
-        monkeypatch.undo()
-        assert sigma(u, setup) == full
-        monkeypatch.setattr(elliptic, "N_MAX", 1)
-        with pytest.raises(ConvergenceError, match=r"\|n\| = 1 "):
-            sigma(u, setup)
-        monkeypatch.undo()
-        assert sigma(u, setup) == full
-
-
 BIT_IDENTITY_TAUS = (1j, 0.3 + 0.9j, 0.06j, 2.5j)
 
 
