@@ -37,13 +37,15 @@ from .tensor import DenseOperator, embed_matrix, max_abs, product_state
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-# the one name of the refused family sigma(lambda_1,2 + zeta + u), in every route
+# the one name of each refused boundary family, in every route
 LAMBDA_ZETA_U = "sigma(lambda_i + zeta + u)"
+LAMBDA12_ETA = "sigma(lambda12 + k eta)"
 
 
 @dataclass(frozen=True)
 class BoundaryConfig:
-    """Boundary parameters (lambda1, lambda2, zeta) of the reflection matrix."""
+    """Boundary parameters (lambda1, lambda2, zeta) of the reflection matrix,
+    and the one place that evaluates, checks and names their sigma families."""
 
     lambda1: complex
     lambda2: complex
@@ -57,24 +59,33 @@ class BoundaryConfig:
     def weight(self) -> WeightVector:
         return WeightVector(self.lambda1, self.lambda2)
 
-    def require_spectral_compatible(self, setup: ModularSetup, spectral_u=()):
-        """Reject spectral points that put a face-K denominator near zero."""
-        u = np.asarray(spectral_u, dtype=complex)
-        for lam in (self.lambda1, self.lambda2):
-            _floor_checked(sigma(lam + self.zeta + u, setup), LAMBDA_ZETA_U)
+    def sigma_lambda_zeta(self, setup: ModularSetup, v, v2=None) -> np.ndarray:
+        """[sigma(lambda1 + zeta + v), sigma(lambda2 + zeta + v2)] over the
+        points ``v`` and ``v2`` (``v`` unless given), as an array of shape
+        (2,) + shape(v), one ``sigma`` call per lambda_i; refused under
+        LAMBDA_ZETA_U when a value is below the floor."""
+        out = []
+        for lam, p in ((self.lambda1, v), (self.lambda2, v if v2 is None else v2)):
+            vals = sigma(lam + self.zeta + np.asarray(p, dtype=complex), setup)
+            out.append(_floor_checked(vals, LAMBDA_ZETA_U))
+        return np.array(out)
+
+    def sigma_lattice(self, setup: ModularSetup, k) -> np.ndarray:
+        """sigma(lambda12 + k eta) over the integers ``k``, one ``sigma`` call;
+        refused under LAMBDA12_ETA when a value is below the floor."""
+        return _floor_checked(sigma(self.lambda12 + np.asarray(k) * setup.eta, setup),
+                              LAMBDA12_ETA)
 
     def require_generic(self, setup: ModularSetup, n: int, spectral_u=()):
-        """Reject lambda12 within eta*Z of a sigma zero and singular k-ratios.
+        """Reject lambda12 within eta*Z of a sigma zero and spectral points
+        that put a K or face-K denominator sigma(lambda_i + zeta + u) near zero.
 
         The lattice sweep |k| <= 2N+2 covers every shifted weight the
         monodromy/creation chains can reach at size N; routes that never
-        shift lambda (the normalized closed forms) use only
-        require_spectral_compatible.
+        shift lambda (the normalized closed forms) check only the k they read.
         """
-        for k in range(-(2 * n + 2), 2 * n + 3):
-            _checked_sigma(self.lambda12 + k * setup.eta, setup,
-                           f"sigma(lambda12 + {k} eta)")
-        self.require_spectral_compatible(setup, spectral_u)
+        self.sigma_lattice(setup, np.arange(-(2 * n + 2), 2 * n + 3))
+        self.sigma_lambda_zeta(setup, spectral_u)
 
 
 def vertex_K(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> DenseOperator:
@@ -115,15 +126,15 @@ def _k_from_paulis(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
     lam_sum = bc.lambda1 + bc.lambda2 - 0.5
     families = [sigma(2 * u, setup),
                 _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)"),
-                _checked_sigma(bc.lambda1 + bc.zeta + u, setup, LAMBDA_ZETA_U),
-                _checked_sigma(bc.lambda2 + bc.zeta + u, setup, LAMBDA_ZETA_U)]
+                *bc.sigma_lambda_zeta(setup, u)]
     consts = []
     for alpha, extra, _ in _K_TERMS:
+        # the numerators s_alpha(l_i + zeta) are K's constants, sigma itself
+        # at alpha = (0, 0), and vanish harmlessly: they are not floor-checked
+        s = lambda z: sigma_char(alpha[0], alpha[1], z, setup)
         if alpha == (0, 0):
-            s = lambda z: sigma(z, setup)
             families.append(_checked_sigma(u, setup, "sigma(u)"))
         else:
-            s = lambda z: sigma_char(alpha[0], alpha[1], z, setup)
             families.append(s(u))
             if _least_modulus(families[-1]) < GENERICITY_FLOOR:
                 raise DomainError(f"sigma_{alpha}(u) below genericity floor")
@@ -235,12 +246,11 @@ def face_vertex_residual(u1, u2, m: WeightVector, setup: ModularSetup):
 
 def face_K(bc: BoundaryConfig, u, setup: ModularSetup) -> np.ndarray:
     """Diagonal face-type reflection matrix Diag(k_1, k_2), or a stack of
-    them over an array ``u``."""
-    out = np.zeros(np.shape(u) + (2, 2), dtype=complex)
-    for i, lam in enumerate((bc.lambda1, bc.lambda2)):
-        out[..., i, i] = sigma(lam + bc.zeta - u, setup) / _checked_sigma(
-            lam + bc.zeta + u, setup, LAMBDA_ZETA_U)
-    return out
+    them over an array ``u``: k_i = sigma(lambda_i + zeta - u) /
+    sigma(lambda_i + zeta + u)."""
+    u = np.asarray(u, dtype=complex)
+    diag = bc.sigma_lambda_zeta(setup, -u) / bc.sigma_lambda_zeta(setup, u)
+    return np.moveaxis(diag, 0, -1)[..., None] * np.eye(2)
 
 
 def k_factorization_residual(u, bc: BoundaryConfig, setup: ModularSetup):

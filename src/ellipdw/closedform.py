@@ -4,9 +4,10 @@ Every sigma table that does not depend on the boundary -- the (u, xi) grids,
 the pair products, sigma(2u) and the xi-ratio G -- is read from the
 configuration's ``SpectralGrids``, which the genericity check of a drawn
 configuration has already filled and which refuses a family below the
-genericity floor when it is evaluated.  This module evaluates only the
-boundary vectors sigma(l1+z+u) sigma(l2+z+u) and sigma(l1+z-xi)
-sigma(l2+z+xi), sigma(eta) and the lambda product.
+genericity floor when it is evaluated.  The boundary vectors sigma(l1+z+u)
+sigma(l2+z+u) and sigma(l1+z-xi) sigma(l2+z+xi) and the lambda product are
+read from the two ``BoundaryConfig`` families; this module evaluates only
+sigma(eta).
 
 * ``normalized_z_permsum`` -- the symmetric sum over S_N of per-permutation
   sigma-products, by a DP over the subsets of xi indices already placed
@@ -32,14 +33,16 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .boundary import LAMBDA_ZETA_U, BoundaryConfig
-from .elliptic import ModularSetup, sigma
+from .boundary import BoundaryConfig
+from .elliptic import ModularSetup
 from .errors import ConditioningWarning, SingularityError, SizeError
 from .oracle import SpectralConfig, SpectralGrids
-from .rmatrices import GENERICITY_FLOOR, SIGMA_ETA, _checked_sigma, _floor_checked
+from .rmatrices import GENERICITY_FLOOR, SIGMA_ETA, _checked_sigma
 
 MAX_PERMSUM_N = 9
 MAX_DETERMINANT_N = 512
+RING_POINTS = 4        # points of residue_estimate's circle
+POLE_SCAN_EPS = 1e-4   # the circle's radius in pole_scan
 _SIZE_GUARDS = {"permsum": MAX_PERMSUM_N, "determinant": MAX_DETERMINANT_N}
 
 
@@ -62,18 +65,16 @@ def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig):
     """(lam_u, lam_xi) = (sigma(l1+z+u) sigma(l2+z+u), sigma(l1+z-xi) sigma(l2+z+xi)).
 
     Every consumer divides by the four (u, xi) grids and by lam_u, so all
-    four grids are read (each is checked against the floor when evaluated)
-    and lam_u is checked here.  Each factor is its own sigma call: the numpy
-    series stops on the largest term of the whole array, so merging them
-    would move their bits.
+    four grids are read (each is checked against the floor when evaluated);
+    the four factors come from ``BoundaryConfig.sigma_lambda_zeta``, which
+    checks them.  Each factor is its own sigma call: the numpy series stops
+    on the largest term of the whole array, so merging them would move their
+    bits.
     """
     g.minus, g.plus, g.minus_eta, g.plus_eta  # read, so checked
-    u, xi, setup = g.u, g.xi, g.setup
-    l1u = _floor_checked(sigma(bc.lambda1 + bc.zeta + u, setup), LAMBDA_ZETA_U)
-    l2u = _floor_checked(sigma(bc.lambda2 + bc.zeta + u, setup), LAMBDA_ZETA_U)
-    lam_xi = (sigma(bc.lambda1 + bc.zeta - xi, setup)
-              * sigma(bc.lambda2 + bc.zeta + xi, setup))
-    return l1u * l2u, lam_xi
+    l1u, l2u = bc.sigma_lambda_zeta(g.setup, g.u)
+    l1xi, l2xi = bc.sigma_lambda_zeta(g.setup, -g.xi, g.xi)
+    return l1u * l2u, l1xi * l2xi
 
 
 def _permsum_ab(g: SpectralGrids, lam_u, lam_xi):
@@ -222,16 +223,9 @@ def _log_lambda_factor(n: int, bc: BoundaryConfig, setup: ModularSetup) -> compl
     of the sector it acts on.  It holds at odd N as at even N: the tests
     check it against the face route at N = 1..7.
     """
-    eta = setup.eta
-    l12 = bc.lambda12
-    out = 0.0 + 0.0j
-    for k in range(1, n + 1):
-        num = sigma(l12 + (2 * k - n) * eta, setup)
-        den = sigma(l12 - (k - 1) * eta, setup)
-        if min(abs(den), abs(num)) < GENERICITY_FLOOR:
-            raise SingularityError("lambda12 within eta*Z of a sigma zero")
-        out += cmath.log(num) - cmath.log(den)
-    return out
+    k = np.arange(1, n + 1)
+    return (_log_product(bc.sigma_lattice(setup, 2 * k - n))
+            - _log_product(bc.sigma_lattice(setup, 1 - k)))
 
 
 def partition_prefactor(bc: BoundaryConfig, spectral: SpectralConfig,
@@ -314,27 +308,26 @@ def _pair_with_last_u(order, spectral, u_last, bc, setup):
     return pole_matching_pair(order, sub, bc, setup)
 
 
-def residue_estimate(func, center: complex, eps: float = 1e-5,
-                     points: int = 4) -> complex:
-    """Residue of a simple pole by a circular epsilon-ring average."""
+def residue_estimate(func, center: complex, eps: float = 1e-5) -> complex:
+    """Residue of a simple pole by an average over RING_POINTS points of the
+    circle of radius ``eps``."""
     acc = 0.0 + 0.0j
-    for k in range(points):
-        z = eps * cmath.exp(2j * math.pi * k / points)
+    for k in range(RING_POINTS):
+        z = eps * cmath.exp(2j * math.pi * k / RING_POINTS)
         acc += z * func(center + z)
-    return acc / points
+    return acc / RING_POINTS
 
 
 def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
-              setup: ModularSetup, eps: float = 1e-4,
-              perturb_permsum_side: float = 1.0):
+              setup: ModularSetup, perturb_permsum_side: float = 1.0):
     """Classify candidate poles of (determinant side - permsum side).
 
     Checks the true candidate locations xi_i - eta and -xi_i, and the
     apparent points u_l and -u_l - eta (l < order) where the determinant
     side alone must stay bounded.  A point is regular when the ring-estimated
-    residue is negligible against the on-ring magnitude scale eps*max|f|
-    (scale-free: a simple pole gives |residue| ~ that scale, a regular
-    function ~1e-12 of it).  ``perturb_permsum_side`` scales the
+    residue is negligible against the on-ring magnitude scale eps*max|f|,
+    eps = POLE_SCAN_EPS (scale-free: a simple pole gives |residue| ~ that
+    scale, a regular function ~1e-12 of it).  ``perturb_permsum_side`` scales the
     permutation-sum side; a deliberate mismatch is the negative control.
     Returns a list of (location_label, location, is_regular).
     """
@@ -348,7 +341,7 @@ def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
             peak.append(abs(f_val))
             return np.array([f_val - perturb_permsum_side * b_val, f_val])
 
-        res_d, res_f = residue_estimate(sides, z0, eps)
+        res_d, res_f = residue_estimate(sides, z0, POLE_SCAN_EPS)
         return res_d, res_f, max(peak)
 
     def diff_regular(z0):
@@ -361,7 +354,7 @@ def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
         # regular iff the ring residue is negligible against eps * max|f|,
         # the size a genuine simple pole would give it
         _, res_f, peak = ring(z0)
-        return abs(res_f) <= 1e-3 * max(eps * peak, 1e-300)
+        return abs(res_f) <= 1e-3 * max(POLE_SCAN_EPS * peak, 1e-300)
 
     out = []
     for i in range(order):

@@ -16,12 +16,11 @@ import numpy as np
 import yaml
 
 from .boundary import BoundaryConfig
-from .elliptic import ModularSetup, sigma
+from .elliptic import ModularSetup
 from .errors import DomainError, ParseError, SingularityError, ValidationError
 from .oracle import (MAX_BRUTEFORCE_N, MAX_ENUMERATION_N, MAX_FACE_N,
                      SpectralConfig)
 from .closedform import MAX_DETERMINANT_N, MAX_PERMSUM_N
-from .rmatrices import _floor_checked
 
 ROUTE_GUARDS = {
     "enumeration": MAX_ENUMERATION_N,
@@ -210,11 +209,8 @@ def draw_spectral(n: int, seed: int, setup: ModularSetup,
         spectral = SpectralConfig(u=u, xi=xi)
         try:
             spectral.require_generic(setup)
-            bc.require_spectral_compatible(setup, u)
-            xi_arr = np.asarray(xi)
-            for lam in (bc.lambda1, bc.lambda2):
-                for z in (lam + bc.zeta - xi_arr, lam + bc.zeta + xi_arr):
-                    _floor_checked(sigma(z, setup), "sigma(lambda_i + zeta -+ xi)")
+            for v in (u, -np.asarray(xi), xi):
+                bc.sigma_lambda_zeta(setup, v)
         except SingularityError:
             continue
         return spectral

@@ -13,10 +13,11 @@ functions) is assembled from three families evaluated here:
   re-indexes the defining sum, so theta^(0) == theta^(2)).
 
 All evaluators accept scalars or numpy arrays for the spectral argument.
-Python scalars (numpy float64/complex128 included) are summed with cmath in
-the numpy path's order.  An element of an array sum has its scalar sum's
-bits wherever the array loop stops at that element's own step (the loop runs
-until every element has converged), and equals it to rounding elsewhere.
+Python scalars (numpy float64/complex128 included) and one-element arrays
+are summed with cmath in the numpy path's order.  An element of a larger
+array sum has its scalar sum's bits wherever the array loop stops at that
+element's own step (the loop runs until every element has converged), and
+equals it to rounding elsewhere.
 """
 
 from __future__ import annotations
@@ -62,19 +63,24 @@ def _theta_series(a, b, u, tau):
     everywhere (u may be an array) and fails past N_MAX pairs; a sum left
     inf or nan by overflowing terms raises ConvergenceError, not numpy's
     RuntimeWarning.  A Python scalar u (int, float, complex, or their numpy
-    subclasses) is summed with cmath, with the numpy path's terms and
-    comparisons in its order; an array element gets its scalar sum's bits
-    wherever the loop stops at that element's own step, and its value to
-    rounding elsewhere.  An empty array gives an empty array.
+    subclasses) or a one-element array is summed with cmath, with the numpy
+    path's terms and comparisons in its order, in u's shape (0-d: a complex);
+    an element of a larger array gets its scalar sum's bits wherever the loop
+    stops at that element's own step, and its value to rounding elsewhere.
+    An empty array gives an empty array.
     """
     tau, series_tol, n_max = complex(tau), SERIES_TOL, N_MAX
     if tau.imag < MIN_IM_TAU:
         raise DomainError(f"Im(tau) = {tau.imag} below {MIN_IM_TAU}")
-    if isinstance(u, (int, float, complex)):
+    scalar = isinstance(u, (int, float, complex))
+    if scalar or np.size(u) == 1:
         try:
-            return _theta_scalar(a, b, complex(u), tau, series_tol, n_max)
+            value = _theta_scalar(a, b, complex(u if scalar else np.ravel(u)[0]),
+                                  tau, series_tol, n_max)
         except (OverflowError, ValueError):
             pass  # cmath refuses overflowing or non-finite terms; numpy sums them
+        else:
+            return value if scalar or not np.ndim(u) else np.full(np.shape(u), value)
     u_arr = np.asarray(u, dtype=complex)
     if u_arr.size == 0:
         return np.zeros_like(u_arr)

@@ -270,24 +270,19 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
     N <= 4).
     """
     n = spectral.n
-    lam = bc.weight
-    eta = setup.eta
     at_u = SpectralGrids((u,), spectral.xi, setup)
     table_a, table_b = _permsum_ab(at_u, *_boundary_vectors(at_u, bc))
     table_g = spectral.grids(setup).xi_ratio
-    scalar = (sigma(m.m12, setup) / sigma(lam.m12, setup)
-              * cmath.exp(_log_uxi_ratio(at_u)))
+    lattice = bc.sigma_lattice(setup, -np.arange(n + 1))  # sigma(l12 - k eta)
+    scalar = sigma(m.m12, setup) / lattice[0] * cmath.exp(_log_uxi_ratio(at_u))
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for i in range(n):
         dress = _diag_dressing({j + 1: table_b[0, j] * table_g[i, j]
                                 for j in range(n) if j != i}, n)
         e12 = embed_matrix(np.array([[0, 1], [0, 0]], dtype=complex), (i,), n)
         out += table_a[0, i] * (e12 * dress[None, :])
-    states = np.arange(2 ** n)
-    ups = np.array([n - bin(x).count("1") for x in states])
-    weight = np.array([sigma(lam.m12, setup) / sigma(lam.m12 - k * eta, setup)
-                       for k in ups])
-    return scalar * (out * weight[None, :])
+    ups = np.array([n - bin(x).count("1") for x in range(2 ** n)])
+    return scalar * (out * (lattice[0] / lattice[ups])[None, :])
 
 
 def twisted_creation_residual(n_index: int, bc: BoundaryConfig,
@@ -305,7 +300,7 @@ def twisted_creation_residual(n_index: int, bc: BoundaryConfig,
     lam = bc.weight
     m = lam.shifted(1, setup.eta, -(2 * n_index - n))
     u = spectral.u[n_index - 1]
-    raw = face_creation_operator(m, bc, u, spectral, setup).mat
+    raw = face_creation_operator(m, bc, n_index - 1, spectral, setup).mat
     f_lam = f_matrix(lam, spectral, setup)
     twisted = f_lam.mat @ raw @ f_inverse_matrix(f_lam)
     explicit = twisted_creation_explicit(m, bc, u, spectral, setup)

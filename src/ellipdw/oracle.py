@@ -18,11 +18,11 @@ one array ``vertex_K_matrix`` build over u_a), and their boundary states from
 ``boundary.boundary_state_factors`` (one array build per family), all built
 before the first contraction.  The face route reads every dynamical R factor
 of a call from one table, ``_face_R_table`` (one array ``sos_R_matrix``
-build), and its creation scalars from ``_creation_scalars``, all evaluated
-before the first contraction; each layer is one ``rmatrices.apply_R_stack``
-on a slice of the table.  Dense operators apply the factors to the identity
-reshaped as a batch of basis kets, as ``double_row_monodromy`` does with
-the vertex factors.
+build), and its creation scalars from one ``_creation_scalars`` call over
+its N points, all evaluated before the first contraction; each layer is one
+``rmatrices.apply_R_stack`` on a slice of the table.  Dense operators apply
+the factors to the identity reshaped as a batch of basis kets, as
+``double_row_monodromy`` does with the vertex factors.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
                        vertex_K_matrix)
 from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
-from .rmatrices import (WeightVector, _checked_sigma, _floor_checked,
-                        apply_R_stack, sos_R_matrix, spectator_weight,
-                        vertex_R_matrix)
+from .rmatrices import (WeightVector, _floor_checked, apply_R_stack, sos_R_matrix,
+                        spectator_weight, vertex_R_matrix)
 from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state
 
 MAX_BRUTEFORCE_N = 12
@@ -410,15 +409,16 @@ def face_one_row_monodromy(l: WeightVector, u: complex,
             for i in (1, 2) for j in (1, 2)}
 
 
-def _creation_scalars(m: WeightVector, bc: BoundaryConfig, u: complex,
+def _creation_scalars(ms: WeightVector, bc: BoundaryConfig, a,
                       spectral: SpectralConfig, setup: ModularSetup):
-    lam = bc.weight
-    pref = sigma(m.m21, setup) / _checked_sigma(lam.m21, setup, "sigma(l21)")
-    for xk in spectral.xi:
-        pref = pref * sigma(u + xk, setup) / _checked_sigma(
-            u + xk + setup.eta, setup, "sigma(u+xi+eta)")
-    k1, k2 = np.diag(face_K(bc, u, setup))
-    return pref, k1, k2
+    """(pref, k1, k2) of the creation operators at u_a and weights ``ms``, each
+    an array over the indices ``a``: pref = sigma(m12)/sigma(l12) prod_k
+    sigma(u_a + xi_k)/sigma(u_a + xi_k + eta), the last from the grids."""
+    g = spectral.grids(setup)
+    pref = (sigma(ms.m12, setup) / bc.sigma_lattice(setup, 0)
+            * np.prod(g.plus[a] / g.plus_eta[a], axis=-1))
+    k = face_K(bc, g.u[a], setup)
+    return pref, k[..., 0, 0], k[..., 1, 1]
 
 
 def _creation_R_table(bc: BoundaryConfig, us, spectral: SpectralConfig,
@@ -448,46 +448,43 @@ def _apply_creation(psi, scalars, factors, n: int):
     return pref * (k1 * ts[..., 0] - k2 * ts[..., 1])
 
 
-def face_creation_apply(m: WeightVector, bc: BoundaryConfig, u: complex, psi,
+def face_creation_apply(m: WeightVector, bc: BoundaryConfig, a: int, psi,
                         spectral: SpectralConfig, setup: ModularSetup):
-    """Apply the double-row creation operator to ``psi``.
-
-    ``psi`` has axes (site1..siteN, batch...).
-    """
-    scalars = _creation_scalars(m, bc, u, spectral, setup)
-    factors = _creation_R_table(bc, [u], spectral, setup)[:, 0]
+    """Apply the double-row creation operator at weight ``m`` and u_a =
+    spectral.u[a] to ``psi``, whose axes are (site1..siteN, batch...)."""
+    scalars = _creation_scalars(m, bc, a, spectral, setup)
+    factors = _creation_R_table(bc, [spectral.u[a]], spectral, setup)[:, 0]
     return _apply_creation(psi, scalars, factors, spectral.n)
 
 
-def face_creation_operator(m: WeightVector, bc: BoundaryConfig, u: complex,
+def face_creation_operator(m: WeightVector, bc: BoundaryConfig, a: int,
                            spectral: SpectralConfig,
                            setup: ModularSetup) -> DenseOperator:
-    """The creation operator as a dense matrix on the quantum space."""
+    """The creation operator at u_a as a dense matrix on the quantum space."""
     n = spectral.n
     dim = 2 ** n
     eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    mat = face_creation_apply(m, bc, u, eye, spectral, setup).reshape(dim, dim)
+    mat = face_creation_apply(m, bc, a, eye, spectral, setup).reshape(dim, dim)
     return DenseOperator(tuple(range(1, n + 1)), mat)
 
 
 def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
                          setup: ModularSetup) -> complex:
-    """Product of N creation operators between <1...1| and |2...2>."""
+    """Product of N creation operators between <1...1| and |2...2>, the one
+    at u_a (a = N-1..0) at weight lambda - (2a + 2 - N) eta e_hat_1."""
     n = spectral.n
     if n > MAX_FACE_N:
         raise SizeError(f"face route limited to N <= {MAX_FACE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    steps = range(n, 0, -1)
-    us = [spectral.u[step - 1] for step in steps]
     spectral.require_generic(setup)
     bc.require_generic(setup, n, spectral.u)
-    lam = bc.weight
-    scalars = [_creation_scalars(lam.shifted(1, setup.eta, -(2 * step - n)), bc, u,
-                                 spectral, setup) for step, u in zip(steps, us)]
-    factors = _creation_R_table(bc, us, spectral, setup)
+    a = np.arange(n - 1, -1, -1)
+    ms = bc.weight.shifted(1, setup.eta, -(2 * a + 2 - n))
+    pref, k1, k2 = _creation_scalars(ms, bc, a, spectral, setup)
+    factors = _creation_R_table(bc, np.asarray(spectral.u)[a], spectral, setup)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(1,) * n] = 1.0
     for i in range(n):
-        psi = _apply_creation(psi, scalars[i], factors[:, i], n)
+        psi = _apply_creation(psi, (pref[i], k1[i], k2[i]), factors[:, i], n)
     return complex(psi[(0,) * n])

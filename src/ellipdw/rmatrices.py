@@ -110,12 +110,12 @@ def vertex_R_matrix(u, setup: ModularSetup) -> np.ndarray:
     ``u``, from one array theta call per family.
 
     The constants sigma(eta), theta2_1(0), theta2_0(eta) and theta2_1(eta)
-    are evaluated on 0-d arrays and floor-checked first, once per build, so
-    a build sums no scalar series.  The weights are then combined per
-    element by ``_vertex_weights`` in Python complex arithmetic (numpy's
-    complex products and quotients may round differently), so each matrix
-    of a stack has the bits of its own one-point build wherever the array
-    theta sums stop at the element's own step.
+    are evaluated (four one-point sums) and floor-checked first, once per
+    build.  The weights are then combined per element by ``_vertex_weights``
+    in Python complex arithmetic (numpy's complex products and quotients may
+    round differently), so each matrix of a stack has the bits of its own
+    one-point build wherever the array theta sums stop at the element's own
+    step.
     """
     eta = np.asarray(setup.eta, dtype=complex)
     t1 = lambda z: theta_level2(1, z, setup)
@@ -159,8 +159,8 @@ def sos_R_matrix(u, m: WeightVector, setup: ModularSetup) -> np.ndarray:
     """R(u; m) as a 4x4 matrix or, when ``u`` or the weight components are
     arrays, a stack of shape broadcast(u, m12) + (4, 4) from one ``sigma``
     call per family.  An array build evaluates every sigma as an array,
-    sigma(eta) as one point, so it sums no scalar series; scalar arguments
-    keep the scalar path and its bits."""
+    sigma(eta) as a one-point array; scalar arguments keep the scalar path
+    and its bits."""
     eta = setup.eta
     shape = np.broadcast_shapes(np.shape(u), np.shape(m.m12))
     s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")

@@ -215,7 +215,7 @@ def test_spectral_compatibility_matches_pointwise_check(bc, setup):
                         ((-bc.lambda2 - bc.zeta, 0.3), False), ((), True)):
         assert pointwise(u) is expected
         if expected:
-            bc.require_spectral_compatible(setup, u)
+            assert bc.sigma_lambda_zeta(setup, u).shape == (2, len(u))
         else:
             with pytest.raises(SingularityError):
-                bc.require_spectral_compatible(setup, u)
+                bc.sigma_lambda_zeta(setup, u)

@@ -156,8 +156,11 @@ def _entry_points(setup):
 
 @pytest.mark.parametrize("tau", BIT_IDENTITY_TAUS)
 def test_scalar_path_bit_identical_to_numpy(tau):
-    """Python scalars take the cmath loop; a 0-d array takes the numpy loop.
-    (Multi-point grids may differ from both in the last bits.)"""
+    """Python scalars and one-element arrays take the cmath loop, returned in
+    the input's shape (a Python complex for a 0-d array); an array of two
+    equal points takes the numpy loop, which stops at their own step, and
+    gives the same bits.  (Grids of distinct points may differ from both in
+    the last bits.)"""
     setup = ModularSetup(tau=tau, eta=0.31)
     rng = np.random.default_rng(2024)
     zs = rng.uniform(-1.2, 1.2, 12) + 1j * rng.uniform(-0.5, 0.5, 12)
@@ -167,9 +170,11 @@ def test_scalar_path_bit_identical_to_numpy(tau):
     for f in _entry_points(setup):
         for u in inputs:
             value = f(u)
-            assert type(value) is complex
+            assert type(value) is complex and type(f(np.asarray(u))) is complex
             # repr round-trips a double and also tells the sign of a zero
             assert repr(value) == repr(f(np.asarray(u)))
+            assert repr(value) == repr(complex(f(np.full((1, 1), u))[0, 0]))
+            assert repr(value) == repr(complex(f(np.array([u, u]))[1]))
 
 
 def _outcome(f, u):

@@ -188,7 +188,7 @@ def test_creation_operator_weight_structure(draw, bc, setup):
     spec = draw(2, 109, setup, bc)
     lam = bc.weight
     m = lam.shifted(1, setup.eta, -2)
-    op = face_creation_operator(m, bc, spec.u[1], spec, setup).mat
+    op = face_creation_operator(m, bc, 1, spec, setup).mat
     psi = np.zeros(4, dtype=complex)
     psi[3] = 1.0
     out = op @ psi
@@ -211,7 +211,7 @@ def test_creation_operator_n1_hand_expansion(spec1, bc, setup):
     c_t = s(eta) * s(lam.m12 - u - xi) / (s(-u - xi) * s(lam.m12 + eta))
     term2 = k2 * b21 * c_t
     expected = (s(m.m21) / s(lam.m21)) * (s(u + xi) / s(u + xi + eta)) * (term1 - term2)
-    op = face_creation_operator(m, bc, u, spec1, setup).mat
+    op = face_creation_operator(m, bc, 0, spec1, setup).mat
     assert abs(op[0, 1] - expected) <= 1e-12 * abs(expected)
 
 
@@ -254,12 +254,12 @@ def test_creation_operator_equals_per_ket_application(n, draw, bc, setup):
     m = lam.shifted(1, eta, n - 2)
     u = spec.u[0]
     dim = 2 ** n
-    op = face_creation_operator(m, bc, u, spec, setup).mat
-    per_ket = np.stack([oracle.face_creation_apply(m, bc, u, ket.reshape((2,) * n),
+    op = face_creation_operator(m, bc, 0, spec, setup).mat
+    per_ket = np.stack([oracle.face_creation_apply(m, bc, 0, ket.reshape((2,) * n),
                                                    spec, setup).ravel()
                         for ket in np.eye(dim, dtype=complex)], axis=-1)
     assert op.tobytes() == per_ket.tobytes()
-    pref, k1, k2 = oracle._creation_scalars(m, bc, u, spec, setup)
+    pref, k1, k2 = oracle._creation_scalars(m, bc, 0, spec, setup)
     outer = dense_face_monodromy(lam, u, spec, setup)
     inner_t = dense_face_monodromy(lam.shifted(2, eta, -1), -u - eta, spec, setup)
     inner_s = dense_face_monodromy(lam.shifted(1, eta, -1), -u - eta, spec, setup)
@@ -301,7 +301,7 @@ def test_scalar_product_equals_bruteforce_n2(draw, bc, setup):
     acc[3] = 1.0
     for step in (2, 1):
         m = lam.shifted(1, setup.eta, -(2 * step - 2))
-        acc = face_creation_operator(m, bc, spec.u[step - 1], spec, setup).mat @ acc
+        acc = face_creation_operator(m, bc, step - 1, spec, setup).mat @ acc
     z_bf = partition_bruteforce(spec, bc, setup)
     assert abs(acc[0] - z_bf) <= 1e-9 * abs(z_bf)
 
@@ -404,8 +404,7 @@ def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypat
             separable.append(args)
         return sigma_separable(p, q, s, *args)
 
-    for module in (oracle, closedform):
-        monkeypatch.setattr(module, "sigma", counting_sigma)
+    monkeypatch.setattr(oracle, "sigma", counting_sigma)  # closedform calls no sigma
     monkeypatch.setattr(oracle, "sigma_separable", counting_separable)
     closedform.normalized_z_permsum(spec, bc, setup)
     closedform.normalized_z_determinant(spec, bc, setup)
@@ -565,10 +564,8 @@ ORACLE_ROUTES = (partition_enumeration, partition_bruteforce, partition_face_rou
 
 @pytest.mark.parametrize("route", ORACLE_ROUTES, ids=lambda r: r.__name__)
 def test_oracle_route_sums_each_scalar_once(route, draw, bc, setup, monkeypatch):
-    """Within one vertex-route call no scalar argument is summed twice; the
-    face route repeats only sigma(lambda21), the denominator of each creation
-    operator's prefactor.  A second call on the same configuration sums
-    exactly as many."""
+    """Within one oracle-route call no scalar argument is summed twice.  A
+    second call on the same configuration sums exactly as many."""
     spec = draw(2, 610, setup, bc)
     calls, scalar = [], elliptic._theta_scalar
 
@@ -581,18 +578,15 @@ def test_oracle_route_sums_each_scalar_once(route, draw, bc, setup, monkeypatch)
     first = len(calls)
     repeated = {args for args in calls if calls.count(args) > 1}
     assert first > 0
-    if route is partition_face_route:
-        assert {args[2] for args in repeated} <= {complex(bc.weight.m21)}
-    else:
-        assert not repeated
+    assert not repeated
     route(spec, bc, setup)
     assert len(calls) == 2 * first and calls[first:] == calls[:first]
 
 
 def test_face_route_builds_one_R_table_per_call(draw, bc, setup, monkeypatch):
     """A face-route call builds every R factor in one ``sos_R_matrix`` call
-    whose sigma evaluations are all arrays, so it sums no scalar series; so
-    do the creation and monodromy applications called on their own."""
+    whose sigma evaluations are all arrays (sigma(eta) a one-point array);
+    so do the creation and monodromy applications called on their own."""
     spec = draw(3, 620, setup, bc)
     builds, scalar_sigmas = [], []
     build, sigma_ = oracle.sos_R_matrix, rmatrices.sigma
@@ -613,7 +607,7 @@ def test_face_route_builds_one_R_table_per_call(draw, bc, setup, monkeypatch):
     partition_face_route(spec, bc, setup)
     assert builds == [((3, 3, 6, 4, 4), 0)]
     psi = np.ones((2,) * 3, dtype=complex)
-    oracle.face_creation_apply(bc.weight, bc, spec.u[0], psi, spec, setup)
+    oracle.face_creation_apply(bc.weight, bc, 0, psi, spec, setup)
     oracle.face_monodromy_apply(bc.weight, spec.u[0], np.stack([psi, psi]), spec, setup)
     assert builds[1:] == [((3, 1, 6, 4, 4), 0), ((1, 1, 6, 4, 4), 0)]
 
@@ -621,7 +615,8 @@ def test_face_route_builds_one_R_table_per_call(draw, bc, setup, monkeypatch):
 def test_vertex_routes_build_one_R_table_per_call(draw, bc, setup, monkeypatch):
     """A bruteforce, enumeration or dense double-row monodromy call builds
     every eight-vertex R factor in one ``vertex_R_matrix`` call over the
-    arguments u_a +- xi_j, and that build sums no scalar theta series."""
+    arguments u_a +- xi_j, and that build passes no Python scalar to the
+    theta series."""
     spec = draw(2, 630, setup, bc)
     builds, scalar_sums = [], []
     build, series = oracle.vertex_R_matrix, elliptic._theta_series
@@ -646,9 +641,10 @@ def test_vertex_routes_build_one_R_table_per_call(draw, bc, setup, monkeypatch):
 
 
 def test_bruteforce_scalar_theta_sums_at_n10(draw, bc, setup, monkeypatch):
-    """With the R and K tables and the boundary states each one array build,
-    the only scalar theta sums of a bruteforce call are the K constants and
-    the boundary lattice check: 57 at N = 10 on this draw, where one scalar
+    """With the R and K tables, the boundary states and the boundary lattice
+    check each one array build, the only scalar theta sums of a bruteforce
+    call are the constants of the K and R builds: 12 K constants and the
+    four one-point R constants, 16 at N = 10 on this draw, where one scalar
     build per K matrix and per boundary vector summed 337."""
     spec = draw(10, 1016, setup, bc)
     calls, scalar = [], elliptic._theta_scalar
@@ -659,7 +655,7 @@ def test_bruteforce_scalar_theta_sums_at_n10(draw, bc, setup, monkeypatch):
 
     monkeypatch.setattr(elliptic, "_theta_scalar", counting)
     partition_bruteforce(spec, bc, setup)
-    assert len(calls) <= 57
+    assert len(calls) <= 16
 
 
 def _per_matrix_factors(spec, bc, setup):
