@@ -9,6 +9,13 @@ sigma(l2+z+u) and sigma(l1+z-xi) sigma(l2+z+xi) and the lambda product are
 read from the two ``BoundaryConfig`` families; this module evaluates only
 sigma(eta).
 
+The kernels -- the boundary vectors, the A/B tables, the subset DP, the
+log-space determinant and the pole pair's scale -- take the grids of one
+configuration or of a stack of them (u of shape (..., N), see
+``SpectralGrids``) and return one value per configuration; a lone
+configuration runs the same code with no leading axis and keeps its bits.
+``pole_scan`` evaluates every ring point of a scan as one stack.
+
 * ``normalized_z_permsum`` -- the symmetric sum over S_N of per-permutation
   sigma-products, by a DP over the subsets of xi indices already placed
   (O(2^N N^2)),
@@ -51,10 +58,11 @@ def _require_size(route: str, n: int):
         raise SizeError(f"{route} route limited to N <= {_SIZE_GUARDS[route]}, got {n}")
 
 
-def _log_product(values) -> complex:
-    """Sum of complex logs; the real part may exceed the double exp range."""
-    v = np.asarray(values, dtype=complex).ravel()
-    return complex(np.sum(np.log(v)))
+def _log_product(values, ndim: int = 1):
+    """Sum of complex logs over the trailing ``ndim`` axes, one per leading
+    index; the real part may exceed the double exp range."""
+    v = np.asarray(values, dtype=complex)
+    return np.sum(np.log(v.reshape(v.shape[:v.ndim - ndim] + (-1,))), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +70,8 @@ def _log_product(values) -> complex:
 # ---------------------------------------------------------------------------
 
 def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig):
-    """(lam_u, lam_xi) = (sigma(l1+z+u) sigma(l2+z+u), sigma(l1+z-xi) sigma(l2+z+xi)).
+    """(lam_u, lam_xi) = (sigma(l1+z+u) sigma(l2+z+u), sigma(l1+z-xi) sigma(l2+z+xi)),
+    in the shapes of g.u and g.xi.
 
     Every consumer divides by the four (u, xi) grids and by lam_u, so all
     four grids are read (each is checked against the floor when evaluated);
@@ -78,22 +87,23 @@ def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig):
 
 
 def _permsum_ab(g: SpectralGrids, lam_u, lam_xi):
-    """A, B of term(s) = prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)]."""
+    """A, B of term(s) = prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)],
+    indexed [..., n, k]."""
     s_eta = _checked_sigma(g.setup.eta, g.setup, SIGMA_ETA)
-    table_a = (lam_xi[None, :] * g.s2u[:, None] * s_eta
-               / (lam_u[:, None] * g.minus_eta * g.plus))
+    table_a = (lam_xi[..., None, :] * g.s2u[..., :, None] * s_eta
+               / (lam_u[..., :, None] * g.minus_eta * g.plus))
     table_b = g.minus * g.plus_eta / (g.minus_eta * g.plus)
     return table_a, table_b
 
 
 def _log_uxi_ratio(g: SpectralGrids) -> complex:
     """log prod_{a,k} sigma(u_a + xi_k) / sigma(u_a + xi_k + eta)."""
-    return _log_product(g.plus) - _log_product(g.plus_eta)
+    return _log_product(g.plus, 2) - _log_product(g.plus_eta, 2)
 
 
-def _log_pair_products(g: SpectralGrids) -> complex:
+def _log_pair_products(g: SpectralGrids):
     """log prod_{a<b} s(u_b-u_a) s(u_a+u_b+eta) s(xi_a-xi_b) s(xi_a+xi_b)."""
-    if len(g.u) < 2:
+    if g.u.shape[-1] < 2:
         return 0.0 + 0.0j
     return (_log_product(g.u_diff) + _log_product(g.u_sum_eta)
             + _log_product(g.xi_diff) + _log_product(g.xi_sum))
@@ -103,33 +113,35 @@ def _log_pair_products(g: SpectralGrids) -> complex:
 # Permutation-sum route.
 # ---------------------------------------------------------------------------
 
-def _permsum(g: SpectralGrids, lam_u, lam_xi) -> complex:
-    """sum over s in S_N of prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)].
+def _permsum(g: SpectralGrids, lam_u, lam_xi):
+    """sum over s in S_N of prod_n A[n, s(n)] prod_{n<k} B[n, s(k)] G[s(n), s(k)],
+    one per configuration of the stack.
 
     A permutation's factors for its position m depend only on s(m) and the
     set S of indices at positions 0..m-1, so the sum is a DP over subsets:
     f({}) = 1, f(S + {j}) += f(S) A[|S|, j] prod_{l<|S|} B[l, j]
-    prod_{i in S} G[i, j], and the sum is f(all).  O(2^N N^2).
+    prod_{i in S} G[i, j], and the sum is f(all).  O(2^N N^2) per
+    configuration, the stack's leading axes carried along.
     """
-    n = len(g.u)
+    n = g.u.shape[-1]
     step, table_b = _permsum_ab(g, lam_u, lam_xi)
-    step[1:] *= np.cumprod(table_b[:-1], axis=0)  # A[m, j] prod_{l<m} B[l, j]
+    step[..., 1:, :] *= np.cumprod(table_b[..., :-1, :], axis=-2)  # A[m, j] prod_{l<m} B[l, j]
     # g_in[S, j] = prod_{i in S} G[i, j], each S from S without its top bit
-    g_in = np.ones((1 << n, n), dtype=complex)
+    g_in = np.ones(g.xi_ratio.shape[:-2] + (1 << n, n), dtype=complex)
     for i in range(n):
-        g_in[1 << i:2 << i] = g_in[:1 << i] * g.xi_ratio[i]
+        g_in[..., 1 << i:2 << i, :] = g_in[..., :1 << i, :] * g.xi_ratio[..., i, None, :]
     cols = np.arange(n)
     masks = np.arange(1 << n)
     member = (masks[:, None] >> cols) & 1 == 1
     size = member.sum(axis=1)
-    f = np.zeros(1 << n, dtype=complex)
-    f[0] = 1.0
+    f = np.zeros(step.shape[:-2] + (1 << n,), dtype=complex)
+    f[..., 0] = 1.0
     for m in range(1, n + 1):
         sets = masks[size == m]
         parents = sets[:, None] ^ (1 << cols)  # S = T - {j} where j is in T
-        terms = f[parents] * g_in[parents, cols] * step[m - 1]
-        f[sets] = np.where(member[sets], terms, 0.0).sum(axis=1)
-    return complex(f[-1])
+        terms = f[..., parents] * g_in[..., parents, cols] * step[..., m - 1, None, :]
+        f[..., sets] = np.where(member[sets], terms, 0.0).sum(axis=-1)
+    return f[..., -1][()]  # a scalar, not a 0-d array, for one configuration
 
 
 def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,
@@ -139,41 +151,44 @@ def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,
     if spectral.n == 0:
         return 1.0 + 0.0j
     g = spectral.grids(setup)
-    return _permsum(g, *_boundary_vectors(g, bc))
+    return complex(_permsum(g, *_boundary_vectors(g, bc)))
 
 
 # ---------------------------------------------------------------------------
 # Determinant route (log-space).
 # ---------------------------------------------------------------------------
 
-def _log_z_det(g: SpectralGrids, lam_u, lam_xi) -> complex:
-    """log of the normalized value from the single determinant.
+def _log_z_det(g: SpectralGrids, lam_u, lam_xi):
+    """log of the normalized value from the single determinant, one per
+    configuration of the stack.
 
-    log(det) comes from a partial-pivoted LU, with a pivot-ratio digit-loss
-    warning.  The pair products are read first: a pair family below the
-    floor (xi_a = -xi_b makes two columns equal) is refused by name before
-    the LU sees an exactly singular matrix, and any other exact zero pivot
-    is refused here rather than by scipy's LinAlgWarning.
+    log(det) comes from a partial-pivoted LU (one ``lu_factor`` call over the
+    stack of matrices), with a pivot-ratio digit-loss warning.  The pair
+    products are read first: a pair family below the floor (xi_a = -xi_b
+    makes two columns equal) is refused by name before the LU sees an
+    exactly singular matrix, and any other exact zero pivot is refused here
+    rather than by scipy's LinAlgWarning.
     """
     log_pairs = _log_pair_products(g)
     row = g.s2u / lam_u
     s_eta = _checked_sigma(g.setup.eta, g.setup, SIGMA_ETA)
     kernel = s_eta / (g.minus * g.plus_eta * g.minus_eta * g.plus)
-    matrix = row[:, None] * kernel * lam_xi[None, :]
+    matrix = row[..., :, None] * kernel * lam_xi[..., None, :]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    diag = np.diag(lu)
+    diag = np.diagonal(lu, axis1=-2, axis2=-1)
     if np.any(diag == 0):
         raise SingularityError("singular matrix in normalized_z_determinant")
     mags = np.abs(diag)
-    if mags.max() / mags.min() >= 1e6:
+    ratio = np.max(mags.max(axis=-1) / mags.min(axis=-1))
+    if ratio >= 1e6:
         warnings.warn(
-            f"normalized_z_determinant: pivot ratio {mags.max() / mags.min():.2e} "
+            f"normalized_z_determinant: pivot ratio {ratio:.2e} "
             "indicates >= 6 digits lost", ConditioningWarning, stacklevel=3)
-    sign_flips = int(np.sum(piv != np.arange(len(diag))))
-    log_det = complex(np.sum(np.log(diag))) + (1j * math.pi) * (sign_flips % 2)
-    log_num = _log_product(g.minus) + _log_product(g.plus_eta)
+    sign_flips = np.sum(piv != np.arange(diag.shape[-1]), axis=-1)
+    log_det = np.sum(np.log(diag), axis=-1) + (1j * math.pi) * (sign_flips % 2)
+    log_num = _log_product(g.minus, 2) + _log_product(g.plus_eta, 2)
     return log_num + log_det - log_pairs
 
 
@@ -187,11 +202,15 @@ def _log_normalized_z_determinant(spectral, bc, setup,
     if spectral.n == 0:
         return 0.0 + 0.0j
     g = spectral.grids(setup)
-    return _log_z_det(g, *_boundary_vectors(g, bc))
+    return complex(_log_z_det(g, *_boundary_vectors(g, bc)))
 
 
-def _exp_saturating(log_value: complex) -> complex:
-    """exp of a complex log, saturating to 0 or a phased inf out of range."""
+def _exp_saturating(log_value):
+    """exp of a complex log, saturating to 0 or a phased inf out of range;
+    over an array of logs, entry by entry, so an entry keeps its lone bits."""
+    if np.ndim(log_value):
+        return np.array([_exp_saturating(v) for v in log_value.ravel().tolist()],
+                        dtype=complex).reshape(log_value.shape)
     if log_value.real > 705.0:
         return cmath.rect(math.inf, log_value.imag)
     if log_value.real < -745.0:
@@ -292,30 +311,50 @@ def pole_matching_pair(order: int, spectral: SpectralConfig,
     prod_a sigma(l1+z+u_a) sigma(l2+z+u_a) / (sigma(2 u_a) lam_xi_a), which
     strips the boundary row and column factors from the normalized value.
     """
-    if not 1 <= order <= min(spectral.n, 8):
+    _require_pair_order(order, spectral.n)
+    b_val, f_val = _pair_with_last_u(order, spectral, spectral.u[order - 1], bc, setup)
+    return complex(b_val), complex(f_val)
+
+
+def _require_pair_order(order: int, n: int):
+    if not 1 <= order <= min(n, 8):
         raise SizeError(f"pole-matching pair limited to 1 <= I <= min(N, 8), got {order}")
-    sub = SpectralConfig(u=spectral.u[:order], xi=spectral.xi[:order])
-    g = sub.grids(setup)
+
+
+def _pair_with_last_u(order, spectral, u_last, bc, setup):
+    """pole_matching_pair as a function of u_order, the others held fixed,
+    over an array ``u_last``: both sides have its shape, from one stacked
+    ``SpectralGrids`` (u of shape shape(u_last) + (order,), xi shared)."""
+    _require_pair_order(order, spectral.n)
+    u_last = np.asarray(u_last, dtype=complex)
+    fixed = np.broadcast_to(np.asarray(spectral.u[:order - 1], dtype=complex),
+                            u_last.shape + (order - 1,))
+    g = SpectralGrids(np.concatenate([fixed, u_last[..., None]], axis=-1),
+                      spectral.xi[:order], setup)
     lam_u, lam_xi = _boundary_vectors(g, bc)
-    scale = complex(np.prod(lam_u / (lam_xi * g.s2u)))
+    scale = np.prod(lam_u / (lam_xi * g.s2u), axis=-1)
     return (scale * _permsum(g, lam_u, lam_xi),
             scale * _exp_saturating(_log_z_det(g, lam_u, lam_xi)))
 
 
-def _pair_with_last_u(order, spectral, u_last, bc, setup):
-    """pole_matching_pair as a function of u_order, the others held fixed."""
-    sub = SpectralConfig(u=spectral.u[:order - 1] + (u_last,), xi=spectral.xi[:order])
-    return pole_matching_pair(order, sub, bc, setup)
+def _ring(eps: float):
+    """The RING_POINTS offsets of residue_estimate's circle of radius ``eps``."""
+    return [eps * cmath.exp(2j * math.pi * k / RING_POINTS) for k in range(RING_POINTS)]
+
+
+def _ring_mean(offsets, values):
+    """sum_k offsets[k] values[k] / RING_POINTS, summed in ring order."""
+    acc = 0.0 + 0.0j
+    for z, v in zip(offsets, values):
+        acc = acc + z * v
+    return acc / RING_POINTS
 
 
 def residue_estimate(func, center: complex, eps: float = 1e-5) -> complex:
     """Residue of a simple pole by an average over RING_POINTS points of the
     circle of radius ``eps``."""
-    acc = 0.0 + 0.0j
-    for k in range(RING_POINTS):
-        z = eps * cmath.exp(2j * math.pi * k / RING_POINTS)
-        acc += z * func(center + z)
-    return acc / RING_POINTS
+    ring = _ring(eps)
+    return _ring_mean(ring, [func(center + z) for z in ring])
 
 
 def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
@@ -329,45 +368,30 @@ def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
     eps = POLE_SCAN_EPS (scale-free: a simple pole gives |residue| ~ that
     scale, a regular function ~1e-12 of it).  ``perturb_permsum_side`` scales the
     permutation-sum side; a deliberate mismatch is the negative control.
+    All (4 order - 2) x RING_POINTS ring points are evaluated as one stack.
     Returns a list of (location_label, location, is_regular).
     """
-    def ring(z0):
-        """Residues of (difference, determinant side) and max |f| on the
-        eps-ring, from one pole_matching_pair call per ring point."""
-        peak = []
-
-        def sides(u_last):
-            b_val, f_val = _pair_with_last_u(order, spectral, u_last, bc, setup)
-            peak.append(abs(f_val))
-            return np.array([f_val - perturb_permsum_side * b_val, f_val])
-
-        res_d, res_f = residue_estimate(sides, z0, POLE_SCAN_EPS)
-        return res_d, res_f, max(peak)
-
-    def diff_regular(z0):
-        # regular iff the sides' (equal, nonzero) residues cancel in the
-        # difference far below their own size
-        res_d, res_f, _ = ring(z0)
-        return abs(res_d) <= 1e-6 * max(abs(res_f), 1e-300)
-
-    def side_regular(z0):
-        # regular iff the ring residue is negligible against eps * max|f|,
-        # the size a genuine simple pole would give it
-        _, res_f, peak = ring(z0)
-        return abs(res_f) <= 1e-3 * max(POLE_SCAN_EPS * peak, 1e-300)
-
-    out = []
+    labels, centers = [], []
     for i in range(order):
-        z0 = spectral.xi[i] - setup.eta
-        out.append((f"xi_{i + 1}-eta", z0, diff_regular(z0)))
-        z1 = -spectral.xi[i]
-        out.append((f"-xi_{i + 1}", z1, diff_regular(z1)))
+        labels += [f"xi_{i + 1}-eta", f"-xi_{i + 1}"]
+        centers += [spectral.xi[i] - setup.eta, -spectral.xi[i]]
     for l in range(order - 1):
-        z2 = spectral.u[l]
-        out.append((f"u_{l + 1}", z2, side_regular(z2)))
-        z3 = -spectral.u[l] - setup.eta
-        out.append((f"-u_{l + 1}-eta", z3, side_regular(z3)))
-    return out
+        labels += [f"u_{l + 1}", f"-u_{l + 1}-eta"]
+        centers += [spectral.u[l], -spectral.u[l] - setup.eta]
+    ring = _ring(POLE_SCAN_EPS)
+    # [k, c]: ring point k around centre c
+    b_val, f_val = _pair_with_last_u(order, spectral, np.add.outer(ring, centers), bc, setup)
+    res_d = np.abs(_ring_mean(ring, f_val - perturb_permsum_side * b_val))
+    res_f = np.abs(_ring_mean(ring, f_val))
+    # xi points: regular iff the sides' (equal, nonzero) residues cancel in
+    # the difference far below their own size; u points: iff the ring
+    # residue is negligible against eps * max|f|, the size a genuine simple
+    # pole would give it
+    diff_regular = res_d <= 1e-6 * np.maximum(res_f, 1e-300)
+    side_regular = res_f <= 1e-3 * np.maximum(POLE_SCAN_EPS * np.abs(f_val).max(axis=0),
+                                             1e-300)
+    regular = np.where(np.arange(len(centers)) < 2 * order, diff_regular, side_regular)
+    return [(label, z0, bool(reg)) for label, z0, reg in zip(labels, centers, regular)]
 
 
 def f_quasi_period_residual(spectral: SpectralConfig, bc: BoundaryConfig,
@@ -376,10 +400,10 @@ def f_quasi_period_residual(spectral: SpectralConfig, bc: BoundaryConfig,
 
     The scale is the larger side's magnitude (f itself vanishes identically,
     so the residual is measured relative to the functions being compared).
+    u and u + 1 are evaluated as one two-point stack.
     """
     order = spectral.n
     u0 = spectral.u[order - 1]
-    b0, f0 = _pair_with_last_u(order, spectral, u0, bc, setup)
-    b1, f1 = _pair_with_last_u(order, spectral, u0 + 1.0, bc, setup)
-    scale = max(abs(b0), abs(f0), abs(b1), abs(f1), 1e-300)
-    return float(abs((f1 - b1) - (f0 - b0)) / scale)
+    b, f = _pair_with_last_u(order, spectral, [u0, u0 + 1.0], bc, setup)
+    scale = max(np.abs(b).max(), np.abs(f).max(), 1e-300)
+    return float(abs((f[1] - b[1]) - (f[0] - b[0])) / scale)

@@ -194,20 +194,28 @@ def sigma_separable(p, q, setup: ModularSetup, s: int = 1, c: complex = 0.0):
     Im tau, SERIES_TOL and |Im(p + c)| + |Im q| (see ``_separable_window``);
     each product X[a, n] Y[k, n] is the n-th term of the series.  The terms
     are those of ``sigma`` but summed in another order and window, so the
-    values agree with it to rounding, not bit for bit.  Raises DomainError
-    below MIN_IM_TAU and ConvergenceError when the window exceeds N_MAX or a
-    value is not finite.
+    values agree with it to rounding, not bit for bit.  ``p`` of shape
+    (..., A) and ``q`` of shape (..., K) give shape (..., A, K), the leading
+    axes broadcast and the products one stacked matmul; each leading index
+    keeps the window of its own p and q (Y is zero past it), so an entry of
+    a stack sums the terms of its lone evaluation.  Raises DomainError below
+    MIN_IM_TAU and ConvergenceError when a window exceeds N_MAX or a value is
+    not finite.
     """
     tau = complex(setup.tau)
-    p = np.asarray(p, dtype=complex).ravel() + complex(c)
-    q = np.asarray(q, dtype=complex).ravel()
-    im_max = float(np.abs(p.imag).max(initial=0.0) + np.abs(q.imag).max(initial=0.0))
-    k = _separable_window(tau, im_max)
+    p = np.asarray(p, dtype=complex) + complex(c)
+    q = np.asarray(q, dtype=complex)
+    im_max = (np.abs(p.imag).max(axis=-1, initial=0.0)
+              + np.abs(q.imag).max(axis=-1, initial=0.0))
+    ks = [_separable_window(tau, y) for y in np.ravel(im_max).tolist()]
+    k = max(ks)
     m = np.arange(-k, k) + 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(1j * np.pi * (m * m * tau + 2.0 * m * (p[:, None] + 0.5)))
-        y = np.exp((2j * np.pi * s) * m * q[:, None])
-        out = x @ y.T
+        x = np.exp(1j * np.pi * (m * m * tau + 2.0 * m * (p[..., None] + 0.5)))
+        y = np.exp((2j * np.pi * s) * m * q[..., None])
+        if min(ks) < k:  # zero each configuration's terms past its own window
+            y = np.where(np.abs(m) < np.reshape(ks, np.shape(im_max) + (1, 1)), y, 0.0)
+        out = x @ np.swapaxes(y, -1, -2)
     if not np.isfinite(out).all():
         _not_finite(0.5, 0.5)
     return out

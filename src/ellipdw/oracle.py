@@ -58,49 +58,54 @@ class SpectralGrids:
     """Every sigma table over (u, xi) that the genericity check and the closed
     forms read, each evaluated on first use and then kept read-only.
 
+    ``u`` has shape (..., N): one configuration, or a stack of them along the
+    leading axes; ``xi`` is shared, shape (N,), or stacked the same way.
     ``minus``, ``plus``, ``minus_eta``, ``plus_eta`` are sigma(u_a -+ xi_k)
-    and sigma(u_a -+ xi_k + eta), indexed [a, k]: the determinant's matrix
-    entries, each its own ``sigma`` series call, so the matrix keeps its
-    bits; so is ``s2u``, sigma(2 u_a).  ``u_diff``, ``u_sum_eta``,
+    and sigma(u_a -+ xi_k + eta), indexed [..., a, k]: the determinant's
+    matrix entries, each its own ``sigma`` series call, so the matrix of one
+    configuration keeps its bits (an entry of a stack equals its lone value
+    to rounding); so is ``s2u``, sigma(2 u_a).  ``u_diff``, ``u_sum_eta``,
     ``xi_diff``, ``xi_sum`` are sigma(u_b - u_a), sigma(u_b + u_a + eta),
-    sigma(xi_a - xi_b) and sigma(xi_a + xi_b) over the pairs a < b, each a
-    triangle of one full ``sigma_separable`` product.  ``xi_ratio`` is
-    G[j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k) with diagonal 1;
-    its denominator is the product ``xi_diff`` is cut from.
+    sigma(xi_a - xi_b) and sigma(xi_a + xi_b) over the pairs a < b, indexed
+    [..., pair], each a triangle of one full ``sigma_separable`` product.
+    ``xi_ratio`` is G[..., j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k)
+    with diagonal 1; its denominator is the product ``xi_diff`` is cut from.
+    The xi-xi families of a shared xi are built once and broadcast against
+    the stack.
 
     Every family but ``s2u`` is refused (SingularityError, naming it) when
-    evaluated if a |sigma| in it is below the genericity floor, so reading a
-    family is its check; ``check_only`` checks the pair families that only
-    the genericity check reads.
+    evaluated if a |sigma| in it, anywhere in the stack, is below the
+    genericity floor, so reading a family is its check; ``check_only`` checks
+    the pair families that only the genericity check reads.
     """
 
     def __init__(self, u, xi, setup: ModularSetup):
         self.u = np.asarray(u, dtype=complex)
         self.xi = np.asarray(xi, dtype=complex)
         self.setup = setup
-        self.u_pairs = np.triu_indices(len(self.u), k=1)
-        self.xi_pairs = (self.u_pairs if len(self.xi) == len(self.u)
-                         else np.triu_indices(len(self.xi), k=1))
+        self.u_pairs = np.triu_indices(self.u.shape[-1], k=1)
+        self.xi_pairs = (self.u_pairs if self.xi.shape[-1] == self.u.shape[-1]
+                         else np.triu_indices(self.xi.shape[-1], k=1))
 
     def _sigma(self, z, family=None):
         return _read_only(sigma(z, self.setup), family)
 
     @cached_property
     def minus(self):
-        return self._sigma(self.u[:, None] - self.xi[None, :], "u_a - xi_k")
+        return self._sigma(self.u[..., :, None] - self.xi[..., None, :], "u_a - xi_k")
 
     @cached_property
     def plus(self):
-        return self._sigma(self.u[:, None] + self.xi[None, :], "u_a + xi_k")
+        return self._sigma(self.u[..., :, None] + self.xi[..., None, :], "u_a + xi_k")
 
     @cached_property
     def minus_eta(self):
-        return self._sigma(self.u[:, None] - self.xi[None, :] + self.setup.eta,
+        return self._sigma(self.u[..., :, None] - self.xi[..., None, :] + self.setup.eta,
                            "u_a - xi_k + eta")
 
     @cached_property
     def plus_eta(self):
-        return self._sigma(self.u[:, None] + self.xi[None, :] + self.setup.eta,
+        return self._sigma(self.u[..., :, None] + self.xi[..., None, :] + self.setup.eta,
                            "u_a + xi_k + eta")
 
     @cached_property
@@ -108,8 +113,8 @@ class SpectralGrids:
         return self._sigma(2 * self.u)
 
     def _pairs(self, v, pairs, family, s, c=0.0):
-        """Entries [i, j] of sigma(v_i + s*v_j + c) over the index pairs."""
-        return _read_only(sigma_separable(v, v, self.setup, s, c)[pairs], family)
+        """Entries [..., i, j] of sigma(v_i + s*v_j + c) over the index pairs."""
+        return _read_only(sigma_separable(v, v, self.setup, s, c)[(...,) + pairs], family)
 
     @cached_property
     def u_diff(self):
@@ -128,7 +133,7 @@ class SpectralGrids:
 
     @cached_property
     def xi_diff(self):
-        return _read_only(self._xi_minus_xi[self.xi_pairs], "xi_a - xi_b")
+        return _read_only(self._xi_minus_xi[(...,) + self.xi_pairs], "xi_a - xi_b")
 
     @cached_property
     def xi_sum(self):
@@ -140,7 +145,7 @@ class SpectralGrids:
         num = sigma_separable(self.xi, self.xi, self.setup, -1, self.setup.eta)
         ratio = np.ones_like(num)
         np.divide(num, self._xi_minus_xi, out=ratio,
-                  where=~np.eye(len(self.xi), dtype=bool))
+                  where=~np.eye(self.xi.shape[-1], dtype=bool))
         return _read_only(ratio)
 
     @cached_property
@@ -148,13 +153,13 @@ class SpectralGrids:
         """Checks sigma(u_a + u_b), sigma(u_a - u_b + eta) and
         sigma(u_b - u_a + eta), a < b (both triangles of one product), and
         keeps only the outcome, so a second check evaluates nothing."""
-        if len(self.u) < 2:
+        if self.u.shape[-1] < 2:
             return True
-        u, setup, pairs = self.u, self.setup, self.u_pairs
-        _floor_checked(sigma_separable(u, u, setup)[pairs], "sigma(u_a + u_b)")
+        u, setup, (ia, ib) = self.u, self.setup, self.u_pairs
+        _floor_checked(sigma_separable(u, u, setup)[..., ia, ib], "sigma(u_a + u_b)")
         minus_eta = sigma_separable(u, u, setup, -1, setup.eta)
-        _floor_checked(minus_eta[pairs], "sigma(u_a - u_b + eta)")
-        _floor_checked(minus_eta[pairs[::-1]], "sigma(u_b - u_a + eta)")
+        _floor_checked(minus_eta[..., ia, ib], "sigma(u_a - u_b + eta)")
+        _floor_checked(minus_eta[..., ib, ia], "sigma(u_b - u_a + eta)")
         return True
 
 
@@ -273,7 +278,9 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
     Every internal edge of the reflecting lattice carries a spin; each bulk
     vertex contributes the matching eight-vertex R element, each reflection
     end a K element, and the open boundary edges the boundary-state
-    components.  Zero-weight local configurations prune the recursion.
+    components.  Zero-weight local configurations prune the recursion.  The
+    boundary lattice sweep runs first, as in the other oracles, so a zero of
+    sigma(lambda12 + k eta) is refused under that name.
     """
     n = spectral.n
     if n > MAX_ENUMERATION_N:
@@ -281,6 +288,7 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
     if n == 0:
         return 1.0 + 0.0j
     spectral.require_generic(setup)
+    bc.require_generic(setup, n, spectral.u)
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
     factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)

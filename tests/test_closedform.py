@@ -10,10 +10,12 @@ from ellipdw import (SpectralConfig, f_quasi_period_residual, full_z,
                      partition_bruteforce, partition_face_route,
                      partition_prefactor, pole_matching_pair, pole_scan,
                      recursion_residual, residue_estimate, sigma)
-from ellipdw.closedform import (_boundary_vectors, _log_normalized_z_determinant,
-                                _permsum, _permsum_ab)
+from ellipdw import closedform, oracle
+from ellipdw.closedform import (POLE_SCAN_EPS, RING_POINTS, _boundary_vectors,
+                                _log_normalized_z_determinant, _pair_with_last_u,
+                                _permsum, _permsum_ab, _ring)
 from ellipdw.config import draw_spectral, parse_config
-from ellipdw.errors import ConditioningWarning, SizeError
+from ellipdw.errors import ConditioningWarning, SingularityError, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR
 
 from highprec import ref_permsum
@@ -215,6 +217,89 @@ def test_pole_scan_negative_control(draw, bc, setup):
     scan = pole_scan(3, spec, bc, setup, perturb_permsum_side=1.01)
     flagged = [lab for lab, _, regular in scan if "xi" in lab and not regular]
     assert flagged  # the deliberate mismatch exposes the poles
+
+
+def _scan_centres(order, spec, setup):
+    """pole_scan's candidate locations at ``order``, in its order."""
+    centres = []
+    for i in range(order):
+        centres += [spec.xi[i] - setup.eta, -spec.xi[i]]
+    for l in range(order - 1):
+        centres += [spec.u[l], -spec.u[l] - setup.eta]
+    return centres
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_stacked_pair_equals_per_point_pairs(order, draw, bc, setup):
+    """Both sides over every ring point of a scan, as one stack, equal the
+    per-point pole_matching_pair values to 1e-13 relative."""
+    spec = draw(6, 297 + order, setup, bc)
+    points = np.add.outer(_ring(POLE_SCAN_EPS), _scan_centres(order, spec, setup))
+    stacked = _pair_with_last_u(order, spec, points, bc, setup)
+    for side in stacked:
+        assert side.shape == (RING_POINTS, 4 * order - 2)
+    for idx, z in np.ndenumerate(points):
+        sub = SpectralConfig(u=spec.u[:order - 1] + (z,), xi=spec.xi[:order])
+        for lone, side in zip(pole_matching_pair(order, sub, bc, setup), stacked):
+            assert abs(side[idx] - lone) <= 1e-13 * abs(lone), (idx, order)
+
+
+def test_one_configuration_keeps_its_bits(draw, bc, setup):
+    """One configuration runs the stack code with no leading axis; its log
+    determinant at N = 16 and 64 and its permutation sum at N = 9 are
+    pinned in repr, so a last-bit change to either fails."""
+    assert repr(_log_normalized_z_determinant(draw(16, 1016, setup, bc), bc, setup)) \
+        == "(271.1266929225493-183.2812771788401j)"
+    assert repr(_log_normalized_z_determinant(draw(64, 1064, setup, bc), bc, setup)) \
+        == "(4377.712194234702+2859.557774624639j)"
+    assert repr(normalized_z_permsum(draw(9, 1009, setup, bc), bc, setup)) \
+        == "(-2.4975819262492797e+29+2.4986286588502653e+30j)"
+
+
+def _count_grids(monkeypatch):
+    """Every SpectralGrids built from here on, in closedform and oracle."""
+    built = []
+
+    class Counting(oracle.SpectralGrids):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(closedform, "SpectralGrids", Counting)
+    monkeypatch.setattr(oracle, "SpectralGrids", Counting)
+    return built
+
+
+def test_pole_scan_is_one_stacked_evaluation(draw, bc, setup, monkeypatch):
+    """A scan at order 3 evaluates its 10 x RING_POINTS ring points from one
+    SpectralGrids, u stacked [ring point, location, a] and xi shared."""
+    spec = draw(4, 293, setup, bc)
+    built = _count_grids(monkeypatch)
+    scan = pole_scan(3, spec, bc, setup)
+    assert len(scan) == 10 and len(built) == 1
+    assert built[0].u.shape == (RING_POINTS, 10, 3) and built[0].xi.shape == (3,)
+
+
+def test_pole_scan_at_order_one(draw, bc, setup, monkeypatch):
+    """Order 1: the two xi locations only, no u rows, and the stack's pair
+    families are empty."""
+    spec = draw(2, 293, setup, bc)
+    built = _count_grids(monkeypatch)
+    scan = pole_scan(1, spec, bc, setup)
+    assert [label for label, _, _ in scan] == ["xi_1-eta", "-xi_1"]
+    assert all(regular for _, _, regular in scan)
+    (g,) = built
+    assert g.u.shape == (RING_POINTS, 2, 1)
+    for family in (g.u_diff, g.u_sum_eta, g.xi_diff, g.xi_sum):
+        assert family.shape[-1] == 0
+
+
+def test_stack_holding_a_zero_is_refused_by_name(draw, bc, setup):
+    """One point of the stack at u_last = xi_2 puts sigma(0) in the grid:
+    the whole stack is refused, naming the family."""
+    spec = draw(4, 293, setup, bc)
+    with pytest.raises(SingularityError, match="u_a - xi_k"):
+        _pair_with_last_u(3, spec, [spec.u[2], spec.xi[1]], bc, setup)
 
 
 def test_difference_quasi_period(draw, bc, setup):

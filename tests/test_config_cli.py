@@ -90,17 +90,19 @@ def test_run_compare_degenerate_boundary_errors():
 
 
 @pytest.mark.parametrize("lambda2,refusing", [
-    (0.10, {"bruteforce", "face", "permsum", "determinant"}),
-    (0.72, {"bruteforce", "face"}),
+    (0.10, {"enumeration", "bruteforce", "face", "permsum", "determinant"}),
+    (0.72, {"enumeration", "bruteforce", "face"}),
 ], ids=["lambda12=eta", "lambda12=-eta"])
 def test_lattice_zero_is_refused_under_one_name(lambda2, refusing):
     """lambda1 = 0.41, zeta = 0.17, eta = 0.31, N = 2.  lambda12 = eta puts
     the zero sigma(0) at k = -1 of sigma(lambda12 + k eta), which the closed
     forms' lambda product reads too, so every route refuses; lambda12 = -eta
     puts it at k = 1, which only the oracles' sweep |k| <= 2N+2 reaches, so
-    the closed forms return values.  Every refusal names the one family."""
+    the closed forms return values.  Every refusal names the one family: the
+    enumeration's too, since it runs the sweep before its intertwiner
+    inversion, which would refuse both zeros as a near-singular matrix."""
     cfg = parse_config(f"{{N: 2, lambda1: 0.41, zeta: 0.17, lambda2: {lambda2},"
-                       " routes: [bruteforce, face, permsum, determinant]}")
+                       " routes: [enumeration, bruteforce, face, permsum, determinant]}")
     report = run_compare(cfg)
     assert report.passed is False
     for route, result in report.routes.items():
