@@ -7,7 +7,8 @@ Three independent evaluators of the same quantity:
   update on a 2^(N+1) state vector (cost O(N^2 2^N)),
 * ``partition_enumeration`` -- a micro-oracle that literally sums Boltzmann
   weights over all edge-spin configurations of the N x 2N reflecting
-  lattice (exponential; N <= 2),
+  lattice, built as one array sweep over the configurations (exponential;
+  N <= 2),
 * ``partition_face_route`` -- the face-type route: a product of double-row
   pseudo-particle creation operators between the all-up bra and all-down
   ket, built from the dynamical one-row monodromy matrix.
@@ -271,6 +272,66 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
     return complex(np.dot(product_state(omega1_bra), psi.ravel()))
 
 
+def _times(w, z):
+    """w * z for complex arrays, rounded as Python's complex product whatever
+    the host: numpy's complex loop fuses multiply-adds where the CPU can."""
+    out = np.empty(np.broadcast_shapes(w.shape, z.shape), dtype=complex)
+    out.real = w.real * z.real - w.imag * z.imag
+    out.imag = w.real * z.imag + w.imag * z.real
+    return out
+
+
+def _expand(state, w, mat, bits):
+    """Replace each row by its children over the outgoing spins of ``mat``
+    ([out, in], the spins on ``bits`` of ``state`` read as a binary number,
+    first bit most significant), in (row, out) order, each weighted by its
+    entry; exact zero entries are dropped."""
+    idx = 0
+    for b in bits:
+        idx = 2 * idx + ((state >> b) & 1)
+    amps = np.take(mat.T, idx, axis=0)
+    kept = np.flatnonzero(amps != 0)
+    row, out = np.divmod(kept, len(mat))
+    state, out = np.take(state, row), out.astype(state.dtype)
+    for b in reversed(bits):
+        state = state & ~(1 << b) | (out & 1) << b
+        out >>= 1
+    return state, _times(np.take(w, row), np.take(amps, kept))
+
+
+def _configuration_weights(spectral: SpectralConfig, bc: BoundaryConfig,
+                           setup: ModularSetup) -> np.ndarray:
+    """Each configuration's Boltzmann-weight product, in depth-first order,
+    every configuration with no zero R, K or ket entry swept as one array.
+
+    A row is a small int, whose bit j - 1 is the spin of site j's vertical
+    edge on the frontier and bit N the spin of the bar edge, and a weight.
+    The rows start as the ket configurations; each bar line a = N..1
+    expands them over its incoming bar spin, the +xi branch (site N..1), K
+    and the -xi branch (site 1..N), then its bra; the bra closes the sites.
+    """
+    n = spectral.n
+    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
+        bc, spectral.xi, spectral.u, setup)
+    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
+    state, w = np.zeros(1, dtype=np.int16), np.ones(1, dtype=complex)
+    # a ket v as [out, in]: every column v, the spin set whatever it held
+    for j in range(n):
+        state, w = _expand(state, w, np.outer(omega2_ket[j], (1, 1)), [j])
+    for a in range(n - 1, -1, -1):
+        r_plus, k, r_minus = (np.asarray(f) for f in factors[a])
+        state, w = _expand(state, w, np.outer(omega1bar_ket[a], (1, 1)), [n])
+        for j in range(n - 1, -1, -1):
+            state, w = _expand(state, w, r_plus[j], [j, n])
+        state, w = _expand(state, w, k, [n])
+        for j in range(n):
+            state, w = _expand(state, w, r_minus[j], [n, j])
+        w = _times(w, omega2bar_bra[a][(state >> n) & 1])
+    for j in range(n):
+        w = _times(w, omega1_bra[j][(state >> j) & 1])
+    return w
+
+
 def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
                           setup: ModularSetup) -> complex:
     """Sum of Boltzmann-weight products over all edge-spin configurations.
@@ -278,9 +339,11 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
     Every internal edge of the reflecting lattice carries a spin; each bulk
     vertex contributes the matching eight-vertex R element, each reflection
     end a K element, and the open boundary edges the boundary-state
-    components.  Zero-weight local configurations prune the recursion.  The
-    boundary lattice sweep runs first, as in the other oracles, so a zero of
-    sigma(lambda12 + k eta) is refused under that name.
+    components.  ``_configuration_weights`` builds each configuration's own
+    product in one array sweep, sharing no partial product, so the oracle is
+    independent of ``tensor``; the products are added once, in depth-first
+    order.  The boundary lattice sweep runs first, as in the other oracles,
+    so a zero of sigma(lambda12 + k eta) is refused under that name.
     """
     n = spectral.n
     if n > MAX_ENUMERATION_N:
@@ -289,76 +352,8 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
         return 1.0 + 0.0j
     spectral.require_generic(setup)
     bc.require_generic(setup, n, spectral.u)
-    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
-        bc, spectral.xi, spectral.u, setup)
-    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
-    # The recursion multiplies single entries some 10^4 times at N = 2: read
-    # as Python complex they cost less than numpy scalars, and their
-    # products round as numpy's scalar products do, so the value keeps its
-    # bits.
-    factors = [(np.asarray(rp).tolist(), k.tolist(), np.asarray(rm).tolist())
-               for rp, k, rm in factors]
-    omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = (
-        vs.tolist() for vs in (omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket))
-    total = 0.0 + 0.0j
-
-    def close(frontier, w):
-        nonlocal total
-        for j in range(n):
-            w = w * omega1_bra[j][frontier[j]]
-        total += w
-
-    def bar_line(a, frontier, w):
-        # a counts down: bar line a acts on the current frontier spins.
-        r_plus, k, r_minus = factors[a]
-
-        def minus_branch(j, b, frontier, w):
-            if j == n:
-                w = w * omega2bar_bra[a][b]
-                if a == 0:
-                    close(frontier, w)
-                else:
-                    bar_line(a - 1, frontier, w)
-                return
-            q = frontier[j]
-            for bp in (0, 1):
-                for qp in (0, 1):
-                    amp = r_minus[j][2 * bp + qp][2 * b + q]
-                    if amp != 0.0:
-                        minus_branch(j + 1, bp, frontier[:j] + (qp,) + frontier[j + 1:],
-                                     w * amp)
-
-        def k_step(b, frontier, w):
-            for bp in (0, 1):
-                amp = k[bp][b]
-                if amp != 0.0:
-                    minus_branch(0, bp, frontier, w * amp)
-
-        def plus_branch(j, b, frontier, w):
-            if j < 0:
-                k_step(b, frontier, w)
-                return
-            q = frontier[j]
-            for qp in (0, 1):
-                for bp in (0, 1):
-                    amp = r_plus[j][2 * qp + bp][2 * q + b]
-                    if amp != 0.0:
-                        plus_branch(j - 1, bp, frontier[:j] + (qp,) + frontier[j + 1:],
-                                    w * amp)
-
-        for b0 in (0, 1):
-            plus_branch(n - 1, b0, frontier, w * omega1bar_ket[a][b0])
-
-    # seed: sum over the ket components of the quantum boundary state
-    def seed(j, frontier, w):
-        if j == n:
-            bar_line(n - 1, frontier, w)
-            return
-        for q in (0, 1):
-            seed(j + 1, frontier + (q,), w * omega2_ket[j][q])
-
-    seed(0, (), 1.0 + 0.0j)
-    return complex(total)
+    # one after another: np.sum would add in pairs
+    return complex(np.cumsum(_configuration_weights(spectral, bc, setup))[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class PartitionReport:
             "routes": {name: r.as_dict() for name, r in self.routes.items()},
             "residuals": self.residuals,
             "pass": self.passed,
-        }, indent=2, default=str)
+        }, indent=2, default=str, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = ["route,value_re,value_im,seconds,status"]

@@ -266,27 +266,28 @@ def qybe_residual(u1, u2, u3, setup: ModularSetup):
     return max_abs(lhs - rhs) / max_abs(rhs)
 
 
-def _dynamical_embed(u, m, setup, active, spectator):
+def _dynamical_embed(mats, active, spectator):
     """R on two of three sites with the weight shifted by the spectator spin:
-    the embedded R(u; spectator_weight(m, eta, 1, n2)) on the columns whose
-    spectator holds n2 spins 2."""
+    ``mats[n2]``, the R at ``spectator_weight(m, eta, 1, n2)``, embedded on
+    the columns whose spectator holds n2 spins 2."""
     spin2 = (np.arange(8) >> (2 - spectator)) & 1
-    return sum(embed_matrix(sos_R_matrix(u, spectator_weight(m, setup.eta, 1, n2), setup),
-                            active, 3) * (spin2 == n2)
-               for n2 in (0, 1))
+    return sum(embed_matrix(mats[n2], active, 3) * (spin2 == n2) for n2 in (0, 1))
 
 
 def dybe_residual(u1, u2, u3, m: WeightVector, setup: ModularSetup):
-    """Normalized residual of the dynamical Yang-Baxter (star-triangle) relation."""
+    """Normalized residual of the dynamical Yang-Baxter (star-triangle)
+    relation, every R from one ``sos_R_matrix`` build over the differences
+    u1 - u2, u1 - u3, u2 - u3 x the weights with no spectator and with one
+    in spin 1 or 2, along the draws' axes."""
     m.require_generic(setup)
-    r12_h3 = _dynamical_embed(u1 - u2, m, setup, (0, 1), 2)
-    r13 = embed_matrix(sos_R_matrix(u1 - u3, m, setup), (0, 2), 3)
-    r23_h1 = _dynamical_embed(u2 - u3, m, setup, (1, 2), 0)
-    r23 = embed_matrix(sos_R_matrix(u2 - u3, m, setup), (1, 2), 3)
-    r13_h2 = _dynamical_embed(u1 - u3, m, setup, (0, 2), 1)
-    r12 = embed_matrix(sos_R_matrix(u1 - u2, m, setup), (0, 1), 3)
-    lhs = r12_h3 @ r13 @ r23_h1
-    rhs = r23 @ r13_h2 @ r12
+    *diffs, m12 = np.broadcast_arrays(u1 - u2, u1 - u3, u2 - u3, m.m12)
+    k, n2 = (np.reshape(v, (3,) + (1,) * m12.ndim) for v in ([0, 1, 1], [0, 0, 1]))
+    # r[d, 0] is R(diff d; m), r[d, 1 + n2] the R a spectator with n2 spins 2 sees
+    r = sos_R_matrix(np.stack(diffs)[:, None], spectator_weight(m, setup.eta, k, n2), setup)
+    lhs = (_dynamical_embed(r[0, 1:], (0, 1), 2) @ embed_matrix(r[1, 0], (0, 2), 3)
+           @ _dynamical_embed(r[2, 1:], (1, 2), 0))
+    rhs = (embed_matrix(r[2, 0], (1, 2), 3) @ _dynamical_embed(r[1, 1:], (0, 2), 1)
+           @ embed_matrix(r[0, 0], (0, 1), 3))
     return max_abs(lhs - rhs) / max_abs(rhs)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import time
 from functools import partial
 
@@ -43,7 +44,10 @@ def run_compare(cfg: RunConfig) -> PartitionReport:
         t0 = time.perf_counter()
         try:
             value = _route_value(route, spectral, cfg.bc, cfg.setup)
-            result = RouteResult(value=value, digest=value_digest(value))
+            # a closed form saturates past the double range to a phased inf
+            result = (RouteResult(value=value, digest=value_digest(value))
+                      if cmath.isfinite(value) else
+                      RouteResult(status=f"error: value {value} overflows the double range"))
         except EllipdwError as exc:
             result = RouteResult(status=f"error: {type(exc).__name__}: {exc}")
         result.seconds = time.perf_counter() - t0

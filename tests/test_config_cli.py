@@ -1,6 +1,7 @@
 """Configuration parsing, report schema, CLI subcommands, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -141,19 +142,24 @@ def test_run_identities_passes():
 
 
 def test_run_compare_determinant_only_large_n():
-    """One-route compare at N = 64: single value, timing, exit-0 semantics.
+    """One-route compare at large N: single value, timing, exit-0 semantics
+    while |Z| stays in the double range (N = 40, |Z| about 10^203); at N = 64
+    |Z| is about 10^563, so the one row is an error naming the overflow.
 
     lambda1 is detuned from the default: 0.41 puts lambda12 on the eta-shift
     lattice of sigma zeros at shift 44 (0.64 - 44*0.31 = -13), which makes the
     full partition function genuinely singular for N >= 45.
     """
-    cfg = parse_config("{N: 64, routes: [determinant], lambda1: 0.4137}")
+    cfg = parse_config("{N: 40, routes: [determinant], lambda1: 0.4137}")
     report = run_compare(cfg)
     assert report.passed is True
     entry = report.routes["determinant"]
     assert entry.status == "ok"
     assert entry.seconds >= 0
     assert report.residuals == {}
+    report = run_compare(parse_config("{N: 64, routes: [determinant], lambda1: 0.4137}"))
+    assert report.passed is False
+    assert report.routes["determinant"].status.endswith("overflows the double range")
 
 
 def test_cli_identities_json(tmp_path, capsys):
@@ -277,6 +283,26 @@ def test_cli_unconverged_series_is_a_failed_report(tmp_path, capsys, monkeypatch
     assert main(["compare", "--config", str(cfg_file)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["routes"]["draw"]["status"].startswith("error: ")
+
+
+def test_cli_compare_overflowing_value_is_an_error_row(tmp_path, capsys):
+    """A closed-form value past the double range (the determinant saturates
+    to a phased inf at N = 16, Im tau = 0.05) is an error row naming the
+    overflow: the report fails (exit 1) and stays strict JSON."""
+    cfg_file = tmp_path / "overflow.yaml"
+    cfg_file.write_text("{N: 16, tau: [0, 0.05], routes: [determinant]}")
+    assert main(["compare", "--config", str(cfg_file)]) == 1
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    entry = payload["routes"]["determinant"]
+    assert entry["value"] is None
+    assert "overflows the double range" in entry["status"]
+    assert entry["status"].startswith("error: ")
+    assert payload["pass"] is False
+    report = run_compare(parse_config("{N: 2}"))
+    report.routes["determinant"].value = complex(math.inf, 0.0)
+    with pytest.raises(ValueError):
+        report.to_json()
 
 
 def test_cli_single_route_determinant(capsys):

@@ -111,6 +111,39 @@ def test_enumeration_size_guard(draw, bc, setup):
         partition_enumeration(spec, bc, setup)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_enumeration_sweep_counts_and_matches_bruteforce(n, draw, bc, setup):
+    """The sweep keeps 2^(2N^2 + 3N) configurations, every one with no zero
+    R, K or ket entry (32 at N = 1, 16,384 at N = 2), and their sum matches
+    bruteforce on seeds 1-10."""
+    tol = 1e-12 if n == 1 else 1e-10
+    for seed in range(1, 11):
+        spec = draw(n, seed, setup, bc)
+        assert len(oracle._configuration_weights(spec, bc, setup)) == 2 ** (2 * n * n + 3 * n)
+        z_bf = partition_bruteforce(spec, bc, setup)
+        assert abs(partition_enumeration(spec, bc, setup) - z_bf) <= tol * abs(z_bf), seed
+
+
+# partition_enumeration on the identity suite's N = 2 draws, draw(2, s + 12)
+# for s = 1000..1006 on the default setup and boundary, recorded from a
+# depth-first recursion over the configurations
+RECURSION_VALUES = (
+    "(-0.39403155965749004-7.974291083036008j)",
+    "(8.618488412577918-51.165018567162015j)",
+    "(1.8356962582609315-9.312007715815325j)",
+    "(-4.844762629118209+0.3701746936184934j)",
+    "(-6.003232931220615+2.0909123244344814j)",
+    "(15.011073919685437-25.077555386289124j)",
+    "(-1.3066712045137154-4.690078018107973j)",
+)
+
+
+def test_enumeration_keeps_the_recursion_values(draw, bc, setup):
+    for s, value in zip(range(1000, 1007), RECURSION_VALUES):
+        z = partition_enumeration(draw(2, s + 12, setup, bc), bc, setup)
+        assert abs(z - complex(value)) <= 1e-13 * abs(complex(value)), s
+
+
 def test_bruteforce_u_permutation_symmetry(draw, bc, setup):
     spec = draw(2, 105, setup, bc)
     swapped = SpectralConfig(u=spec.u[::-1], xi=spec.xi)

@@ -5,8 +5,10 @@ import pytest
 
 from ellipdw import (ModularSetup, WeightVector, crossing_residual,
                      dybe_residual, qybe_residual, unitarity_residual)
+from ellipdw import parse_config, rmatrices, runner
 from ellipdw.errors import SingularityError
-from ellipdw.rmatrices import apply_sos_R, sos_R_matrix, vertex_R_matrix
+from ellipdw.rmatrices import apply_sos_R, sos_R_matrix, spectator_weight, vertex_R_matrix
+from ellipdw.tensor import embed_matrix, max_abs
 
 from conftest import dense_sos_R, random_points, random_weight
 
@@ -130,6 +132,46 @@ def test_dybe_degenerate_and_sweep(setup):
     # relation survives a dynamical shift of the weight
     m = random_weight(rng, setup)
     assert dybe_residual(0.21, -0.07, 0.33, m.shifted(1, setup.eta), setup) <= 1e-10
+
+
+def _dybe_nine_builds(u1, u2, u3, m, setup):
+    """The dynamical YBE residual from one ``sos_R_matrix`` build per matrix:
+    R(u_ij; m) and, embedded by spectator spin, R(u_ij;
+    spectator_weight(m, eta, 1, n2)) for n2 = 0, 1."""
+    def shifted(u, active, spectator):
+        spin2 = (np.arange(8) >> (2 - spectator)) & 1
+        return sum(embed_matrix(sos_R_matrix(u, spectator_weight(m, setup.eta, 1, n2), setup),
+                                active, 3) * (spin2 == n2) for n2 in (0, 1))
+    plain = lambda u, active: embed_matrix(sos_R_matrix(u, m, setup), active, 3)
+    lhs = shifted(u1 - u2, (0, 1), 2) @ plain(u1 - u3, (0, 2)) @ shifted(u2 - u3, (1, 2), 0)
+    rhs = plain(u2 - u3, (1, 2)) @ shifted(u1 - u3, (0, 2), 1) @ plain(u1 - u2, (0, 1))
+    return max_abs(lhs - rhs) / max_abs(rhs)
+
+
+def test_dybe_is_one_R_build(monkeypatch):
+    """A dybe_residual call, scalar or over a stack of draws, makes one
+    ``sos_R_matrix`` build, and its residuals equal the nine-build form to
+    1e-15 on the identity suite's draws at seeds 1-10."""
+    builds = []
+
+    def counting_build(u, m, setup):
+        builds.append(np.shape(u))
+        return sos_R_matrix(u, m, setup)
+
+    # the reference's builds call the imported sos_R_matrix, so go uncounted
+    monkeypatch.setattr(rmatrices, "sos_R_matrix", counting_build)
+    for seed in range(1, 11):
+        cfg = parse_config(f"{{seed: {seed}}}")
+        rng = np.random.default_rng(seed + 3)
+        samples = [runner._points_and_weight(rng, cfg.setup, 3) for _ in range(50)]
+        stacked = [runner._stacked(arg) for arg in zip(*samples)]
+        builds.clear()
+        residual = dybe_residual(*stacked, cfg.setup)
+        scalars = [dybe_residual(*sample, cfg.setup) for sample in samples[:3]]
+        assert builds == [(3, 1, 50)] + [(3, 1)] * 3
+        assert np.max(np.abs(residual - _dybe_nine_builds(*stacked, cfg.setup))) <= 1e-15
+        for sample, value in zip(samples, scalars):
+            assert abs(value - _dybe_nine_builds(*sample, cfg.setup)) <= 1e-15
 
 
 @pytest.mark.parametrize("n,ax1,ax2,spectators", [
