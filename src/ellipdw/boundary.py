@@ -17,14 +17,16 @@ The vertex-face dictionary implemented here:
 
 The intertwiner, dual and face-K builders take scalars or array arguments
 (a stack, batch axes first); ``vertex_K_matrix`` always builds a stack, a
-scalar ``u`` being a one-point stack.  The residuals take scalars or
-equal-shape arrays of draws and return a float or an array of residuals.
+scalar ``u`` being a one-point stack; K and the duals combine their entries
+with ``tensor.times`` and ``quotient``, as Python rounds.  The residuals take
+scalars or equal-shape arrays of draws and return a float or an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .elliptic import ModularSetup, sigma, sigma_char, theta_level2
 from .errors import DomainError, SingularityError
 from .rmatrices import (GENERICITY_FLOOR, WeightVector, _checked_sigma, _floor_checked,
                         _least_modulus, _swap_sites, sos_R_matrix, vertex_R_matrix)
-from .tensor import DenseOperator, embed_matrix, max_abs, product_state
+from .tensor import DenseOperator, embed_matrix, max_abs, product_state, quotient, times
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,10 +101,10 @@ def vertex_K_matrix(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
 
     An element with |u| < 1e-12 gives the identity, the limit u -> 0 (k0 -> 1
     and kx, ky, kz -> 0, as sigma(2u)/2sigma(u) -> 1), and is left out of the
-    evaluation and its floor checks.  The coefficients are combined per
-    element in Python complex arithmetic, so each matrix of a stack has the
-    bits of its own one-point build wherever the array theta sums stop at the
-    element's own step."""
+    evaluation and its floor checks.  The coefficients are combined by
+    ``tensor.times`` and ``quotient`` (Python's complex rounding), so each
+    matrix of a stack has the bits of its own one-point build wherever the
+    array theta sums stop at the element's own step."""
     u = np.asarray(u, dtype=complex)
     out = np.broadcast_to(np.eye(2, dtype=complex), u.shape + (2, 2)).copy()
     live = ~(np.abs(u) < 1e-12)
@@ -117,40 +119,33 @@ _K_TERMS = (((0, 0), 1.0, np.eye(2)), ((1, 0), 1.0, _PAULI_X),
 
 
 def _k_from_paulis(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
-    """k0*1 + kx*sx + ky*sy + kz*sz over a 1-d array u, each element's
-    coefficients combined in Python complex arithmetic:
+    """k0*1 + kx*sx + ky*sy + kz*sz over a 1-d array u, the coefficients
+    combined by ``tensor.times`` and ``quotient`` (Python's complex rounding):
 
     k_alpha = extra * sigma(2u) s_alpha(l1+l2-1/2) s_alpha(l1+zeta)
     s_alpha(l2+zeta) / (s_alpha(u) * 2 sigma(-u+l1+l2-1/2) sigma(l1+zeta+u)
     sigma(l2+zeta+u)), s_alpha the sigma of characteristic alpha."""
     lam_sum = bc.lambda1 + bc.lambda2 - 0.5
-    families = [sigma(2 * u, setup),
-                _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)"),
-                *bc.sigma_lambda_zeta(setup, u)]
-    consts = []
+    s2u = sigma(2 * u, setup)
+    d_lam = _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)")
+    d_1, d_2 = bc.sigma_lambda_zeta(setup, u)
+    owns, consts = [], []
     for alpha, extra, _ in _K_TERMS:
         # the numerators s_alpha(l_i + zeta) are K's constants, sigma itself
         # at alpha = (0, 0), and vanish harmlessly: they are not floor-checked
         s = lambda z: sigma_char(alpha[0], alpha[1], z, setup)
         if alpha == (0, 0):
-            families.append(_checked_sigma(u, setup, "sigma(u)"))
+            owns.append(_checked_sigma(u, setup, "sigma(u)"))
         else:
-            families.append(s(u))
-            if _least_modulus(families[-1]) < GENERICITY_FLOOR:
+            owns.append(s(u))
+            if _least_modulus(owns[-1]) < GENERICITY_FLOOR:
                 raise DomainError(f"sigma_{alpha}(u) below genericity floor")
         consts.append((extra, s(lam_sum), s(bc.lambda1 + bc.zeta), s(bc.lambda2 + bc.zeta)))
-    coeffs = np.array([_k_coefficients(*vals, consts) for vals in
-                       zip(*(f.tolist() for f in families))], dtype=complex)
-    coeffs = coeffs.T[:, :, None, None]
-    terms = [k * pauli for k, (_, _, pauli) in zip(coeffs, _K_TERMS)]
+    extra, c_lam, c_1, c_2 = np.array(consts).T[:, :, None]
+    k = quotient(reduce(times, (extra, s2u, c_lam, c_1, c_2)),
+                 times(np.array(owns), reduce(times, (d_lam, d_1, d_2), 2.0)))
+    terms = k[..., None, None] * np.array([pauli for _, _, pauli in _K_TERMS])[:, None]
     return terms[0] + terms[1] + terms[2] + terms[3]
-
-
-def _k_coefficients(s2u, d_lam, d_1, d_2, own0, own1, own2, own3, consts):
-    """k0, kx, ky, kz of one element, in Python complex arithmetic."""
-    denom_shared = 2.0 * d_lam * d_1 * d_2
-    return tuple(extra * s2u * c_lam * c_1 * c_2 / (own * denom_shared)
-                 for own, (extra, c_lam, c_1, c_2) in zip((own0, own1, own2, own3), consts))
 
 
 def re_residual(u1, u2, bc: BoundaryConfig, setup: ModularSetup):
@@ -183,16 +178,15 @@ def _column_matrix(m: WeightVector, u, setup: ModularSetup) -> np.ndarray:
 
 def _inverse_rows(mat: np.ndarray):
     """Inverse of a 2x2 matrix or of a stack of them, refused when any
-    determinant is below the genericity floor.  Each determinant is formed in
-    Python complex arithmetic, which rounds as numpy's scalar arithmetic does
-    and numpy's array loops may not, so a stack has its per-matrix bits."""
-    entries = mat.reshape(-1, 4).tolist()
-    dets = [a * d - b * c for a, b, c, d in entries]
-    least = min(map(abs, dets), default=math.inf)
+    determinant is below the genericity floor.  Each determinant is formed by
+    ``tensor.times``, so a stack has its per-matrix bits."""
+    a, b, c, d = np.moveaxis(mat, (-2, -1), (0, 1)).reshape((4,) + mat.shape[:-2])
+    dets = times(a, d) - times(b, c)
+    least = float(np.abs(dets).min(initial=math.inf))
     if least < GENERICITY_FLOOR:
         raise SingularityError(f"intertwiner matrix near singular, |det| = {least:.2e}")
-    adj = np.array([[d, -b, -c, a] for a, b, c, d in entries]).reshape(mat.shape)
-    return adj / np.array(dets).reshape(mat.shape[:-2] + (1, 1))
+    adj = np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (-2, -1))
+    return adj / dets[..., None, None]
 
 
 def dual_intertwiners(m: WeightVector, u, setup: ModularSetup):

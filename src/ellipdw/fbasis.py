@@ -1,10 +1,12 @@
 """Factorizing twist of the dynamical model at desk scale (N <= 5).
 
 ``r_s_operator`` applies the elementary dynamical R-factors of a reduced
-word, each through ``rmatrices.apply_sos_R``, to the identity as a batch of
-basis kets; ``f_matrix`` assembles the lower-triangular factorizing twist
-as the projected permutation sum; the twisted one-row and double-row (creation)
-operators are checked against their polarization-free tensor-product forms.
+word to the identity as a batch of basis kets, each letter one
+``rmatrices.apply_R_stack`` on its layer of one ``_twist_R_table`` per call;
+``f_matrix`` assembles the lower-triangular factorizing twist as the
+projected permutation sum from one such table; the twisted one-row and
+double-row (creation) operators are checked against their polarization-free
+tensor-product forms, read from ``SpectralGrids``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .elliptic import ModularSetup, sigma
 from .errors import SingularityError, SizeError
 from .oracle import (SpectralConfig, SpectralGrids, face_creation_operator,
                      face_one_row_monodromy)
-from .rmatrices import GENERICITY_FLOOR, WeightVector, apply_sos_R
-from .tensor import DenseOperator, embed_matrix
+from .rmatrices import (GENERICITY_FLOOR, WeightVector, apply_R_stack, layer, sos_R_matrix,
+                        spectator_layers, spectator_weight)
+from .tensor import DenseOperator
 
 MAX_F_N = 5
 
@@ -72,9 +75,36 @@ def _apply_to_seq(base, rel):
     return tuple(base[r - 1] for r in rel)
 
 
+def _twist_R_table(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup):
+    """Every R factor a word letter can apply, from one ``sos_R_matrix``
+    build: entry [a - 1, b - 1] is R(xi_a - xi_b; l) shifted along the layer
+    axis ``rmatrices.spectator_layers(N - 1)``, shape (N, N, N(N-1)/2, 4, 4)."""
+    xi = np.asarray(spectral.xi, dtype=complex)
+    k, n2 = spectator_layers(len(xi) - 1)
+    u = (xi[:, None] - xi)[..., None]
+    return sos_R_matrix(u, spectator_weight(l, setup.eta, k, n2), setup)
+
+
+def _word_operator(s: PermutationWord, table, base: tuple) -> np.ndarray:
+    """The matrix of ``s``'s word on the site sequence ``base``: letter beta,
+    R on sites (seq[beta], seq[beta+1]) shifted by the spins of
+    seq[1..beta-1], is one ``apply_R_stack`` of its layer of ``table``."""
+    n, seq = len(base), base
+    op = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
+    for beta in s.word:
+        a, b = seq[beta - 1], seq[beta]
+        op = apply_R_stack(op, table[a - 1, b - 1, layer(beta - 1)], a - 1, b - 1,
+                           spectators=tuple(c - 1 for c in seq[:beta - 1]))
+        seq = seq[:beta - 1] + (b, a) + seq[beta + 1:]
+    if seq != _apply_to_seq(base, s.seq):
+        raise ValueError(f"word {s.word} does not produce sequence {_apply_to_seq(base, s.seq)}")
+    return op.reshape(2 ** n, 2 ** n)
+
+
 def r_s_operator(s: PermutationWord, l: WeightVector, spectral: SpectralConfig,
                  setup: ModularSetup, base=None) -> DenseOperator:
-    """Operator attached to a permutation by the composition law.
+    """Operator attached to a permutation by the composition law, its R
+    factors from one ``_twist_R_table``.
 
     ``base`` is the starting site sequence (identity by default); the word's
     positions act on the running sequence, so the operator for ``s`` built on
@@ -84,20 +114,9 @@ def r_s_operator(s: PermutationWord, l: WeightVector, spectral: SpectralConfig,
     n = spectral.n
     if n > MAX_F_N:
         raise SizeError(f"permutation operators limited to N <= {MAX_F_N}, got {n}")
-    dim = 2 ** n
-    # the identity as a batch of basis kets; letter beta is R on sites
-    # (seq[beta], seq[beta+1]) shifted by the spins of seq[1..beta-1]
-    op = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    seq = tuple(base) if base is not None else tuple(range(1, n + 1))
-    target = _apply_to_seq(seq, s.seq)
-    for beta in s.word:
-        a, b = seq[beta - 1], seq[beta]
-        op = apply_sos_R(op, spectral.xi[a - 1] - spectral.xi[b - 1], l, setup,
-                         a - 1, b - 1, spectators=tuple(c - 1 for c in seq[:beta - 1]))
-        seq = seq[:beta - 1] + (seq[beta], seq[beta - 1]) + seq[beta + 1:]
-    if seq != target:
-        raise ValueError(f"word {s.word} does not produce sequence {target}")
-    return DenseOperator(tuple(range(1, n + 1)), op.reshape(dim, dim))
+    base = tuple(base) if base is not None else tuple(range(1, n + 1))
+    op = _word_operator(s, _twist_R_table(l, spectral, setup), base)
+    return DenseOperator(tuple(range(1, n + 1)), op)
 
 
 def _valid_chains(seq):
@@ -118,7 +137,8 @@ def _valid_chains(seq):
 
 def f_matrix(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup,
              base=None) -> DenseOperator:
-    """The factorizing twist as the projected sum over permutations.
+    """The factorizing twist as the projected sum over permutations, every
+    word's R factors from one ``_twist_R_table``.
 
     ``base`` selects the site sequence the twist is built on (the relabeled
     twists entering the factorizing property); default is 1..N.
@@ -128,19 +148,17 @@ def f_matrix(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup,
         raise SizeError(f"twist construction limited to N <= {MAX_F_N}, got {n}")
     dim = 2 ** n
     base = tuple(base) if base is not None else tuple(range(1, n + 1))
+    table = _twist_R_table(l, spectral, setup)
     total = np.zeros((dim, dim), dtype=complex)
     for rel in permutations(range(1, n + 1)):
         seq = _apply_to_seq(base, rel)
         switches = _valid_chains(seq)
         if not switches:
             continue
-        rs = r_s_operator(reduced_word(rel), l, spectral, setup, base=base).mat
+        rs = _word_operator(reduced_word(rel), table, base)
         for d in switches:
             # positions 1..d carry spin 1, positions d+1..N spin 2
-            row = 0
-            for pos, site in enumerate(seq):
-                spin = 0 if pos < d else 1
-                row |= spin << (n - site)
+            row = sum(1 << (n - site) for site in seq[d:])
             total[row, :] += rs[row, :]
     return DenseOperator(tuple(range(1, n + 1)), total)
 
@@ -178,45 +196,45 @@ def extremal_invariance_residual(l: WeightVector, spectral: SpectralConfig,
                                  setup: ModularSetup) -> float:
     """max(||F|2..2> - |2..2>||, ||<1..1|F - <1..1|||)."""
     f = f_matrix(l, spectral, setup).mat
-    n = int(np.log2(f.shape[0]))
-    down = np.zeros(2 ** n, dtype=complex)
-    down[-1] = 1.0
-    up = np.zeros(2 ** n, dtype=complex)
-    up[0] = 1.0
-    return float(max(np.max(np.abs(f @ down - down)),
-                     np.max(np.abs(up @ f - up))))
+    eye = np.eye(len(f))
+    return float(max(np.max(np.abs(f[:, -1] - eye[-1])), np.max(np.abs(f[0] - eye[0]))))
 
 
 # ---------------------------------------------------------------------------
 # Polarization-free forms of the twisted operators.
 # ---------------------------------------------------------------------------
 
-def _diag_dressing(values_by_site, n):
-    """Diagonal operator prod_j diag(f_j, 1)_(j) from per-site factors."""
-    diag = np.ones(2 ** n, dtype=complex)
-    for j, fj in values_by_site.items():
-        bit = (np.arange(2 ** n) >> (n - j)) & 1
-        diag = diag * np.where(bit == 0, fj, 1.0)
-    return diag
+def _spin2(n: int) -> np.ndarray:
+    """(2^N, N): 1 where site j (column j - 1) of a basis state is in spin 2."""
+    return (np.arange(2 ** n)[:, None] >> (n - 1 - np.arange(n))) & 1
+
+
+def _diag_dressing(factors, n: int) -> np.ndarray:
+    """Diagonal of prod_j diag(f_j, 1)_(j), f_j = factors[..., j - 1]."""
+    return np.prod(np.where(_spin2(n) == 0, np.asarray(factors)[..., None, :], 1.0), axis=-1)
+
+
+def _raising_sum(coeff, factors, n: int) -> np.ndarray:
+    """sum_i coeff[i] E_12^(i) (x) prod_{j != i} diag(factors[i, j], 1)_(j) as
+    a dense 2^N matrix (sites and indices 0-based)."""
+    # E_12^(i) takes the states with site i in spin 2 (dressing factor 1) to spin 1
+    site, state = np.nonzero(_spin2(n).T)
+    flipped = state ^ (1 << (n - 1 - site))
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    out[flipped, state] = coeff[site] * _diag_dressing(factors, n)[site, state]
+    return out
 
 
 def twisted_t21_explicit(l: WeightVector, u: complex, spectral: SpectralConfig,
                          setup: ModularSetup) -> np.ndarray:
-    """Polarization-free form of the twisted one-row operator T~^2_1."""
-    n = spectral.n
-    xi = spectral.xi
-    eta = setup.eta
-    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i in range(1, n + 1):
-        coeff = (sigma(eta, setup) * sigma(u - xi[i - 1] + l.m12, setup)
-                 / (sigma(u - xi[i - 1] + eta, setup) * sigma(l.m12, setup)))
-        dress = _diag_dressing({
-            j: (sigma(u - xi[j - 1], setup) * sigma(xi[i - 1] - xi[j - 1] + eta, setup)
-                / (sigma(u - xi[j - 1] + eta, setup) * sigma(xi[i - 1] - xi[j - 1], setup)))
-            for j in range(1, n + 1) if j != i}, n)
-        e12 = embed_matrix(np.array([[0, 1], [0, 0]], dtype=complex), (i - 1,), n)
-        out += coeff * (e12 * dress[None, :])
-    return out
+    """Polarization-free form of the twisted one-row operator T~^2_1:
+    sum_i c_i E_12^i (x) prod_{j != i} diag(s(u - xi_j) G[i, j] / s(u - xi_j + eta), 1)_j,
+    c_i = s(eta) s(u - xi_i + l12) / (s(u - xi_i + eta) s(l12))."""
+    at_u = SpectralGrids((u,), spectral.xi, setup)
+    coeff = (sigma(setup.eta, setup) * sigma(u - at_u.xi + l.m12, setup)
+             / (at_u.minus_eta[0] * sigma(l.m12, setup)))
+    dress = at_u.minus[0] / at_u.minus_eta[0] * spectral.grids(setup).xi_ratio
+    return _raising_sum(coeff, dress, spectral.n)
 
 
 def twisted_t22_explicit(l: WeightVector, u: complex, spectral: SpectralConfig,
@@ -228,16 +246,10 @@ def twisted_t22_explicit(l: WeightVector, u: complex, spectral: SpectralConfig,
     """
     n = spectral.n
     eta = setup.eta
-    states = np.arange(2 ** n)
-    n_up = np.zeros(2 ** n)
-    for j in range(n):
-        n_up += 1 - ((states >> (n - 1 - j)) & 1)
+    at_u = SpectralGrids((u,), spectral.xi, setup)
+    n_up = n - _spin2(n).sum(axis=1)
     pref = sigma(l.m21 - eta, setup) / sigma(l.m21 - eta + eta * n_up, setup)
-    dress = _diag_dressing({
-        j: sigma(u - spectral.xi[j - 1], setup)
-        / sigma(u - spectral.xi[j - 1] + eta, setup)
-        for j in range(1, n + 1)}, n)
-    return np.diag(pref * dress)
+    return np.diag(pref * _diag_dressing(at_u.minus[0] / at_u.minus_eta[0], n))
 
 
 def twisted_one_row_residual(l: WeightVector, u: complex,
@@ -248,9 +260,8 @@ def twisted_one_row_residual(l: WeightVector, u: complex,
     worst = 0.0
     for (i, j), explicit in (((2, 1), twisted_t21_explicit(l, u, spectral, setup)),
                              ((2, 2), twisted_t22_explicit(l, u, spectral, setup))):
-        f_out = f_l.mat
         f_in = f_inverse_matrix(f_matrix(l.shifted(j, setup.eta), spectral, setup))
-        twisted = f_out @ t[(i, j)].mat @ f_in
+        twisted = f_l.mat @ t[(i, j)].mat @ f_in
         scale = max(1.0, float(np.max(np.abs(explicit))))
         worst = max(worst, float(np.max(np.abs(twisted - explicit))) / scale)
     return worst
@@ -275,13 +286,8 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
     table_g = spectral.grids(setup).xi_ratio
     lattice = bc.sigma_lattice(setup, -np.arange(n + 1))  # sigma(l12 - k eta)
     scalar = sigma(m.m12, setup) / lattice[0] * cmath.exp(_log_uxi_ratio(at_u))
-    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i in range(n):
-        dress = _diag_dressing({j + 1: table_b[0, j] * table_g[i, j]
-                                for j in range(n) if j != i}, n)
-        e12 = embed_matrix(np.array([[0, 1], [0, 0]], dtype=complex), (i,), n)
-        out += table_a[0, i] * (e12 * dress[None, :])
-    ups = np.array([n - bin(x).count("1") for x in range(2 ** n)])
+    out = _raising_sum(table_a[0], table_b[0] * table_g, n)
+    ups = n - _spin2(n).sum(axis=1)
     return scalar * (out * (lattice[0] / lattice[ups])[None, :])
 
 

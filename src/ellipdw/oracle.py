@@ -7,8 +7,8 @@ Three independent evaluators of the same quantity:
   update on a 2^(N+1) state vector (cost O(N^2 2^N)),
 * ``partition_enumeration`` -- a micro-oracle that literally sums Boltzmann
   weights over all edge-spin configurations of the N x 2N reflecting
-  lattice, built as one array sweep over the configurations (exponential;
-  N <= 2),
+  lattice, built as one array sweep over the configurations (``tensor.times``
+  products; exponential; N <= 2),
 * ``partition_face_route`` -- the face-type route: a product of double-row
   pseudo-particle creation operators between the all-up bra and all-down
   ket, built from the dynamical one-row monodromy matrix.
@@ -19,11 +19,12 @@ one array ``vertex_K_matrix`` build over u_a), and their boundary states from
 ``boundary.boundary_state_factors`` (one array build per family), all built
 before the first contraction.  The face route reads every dynamical R factor
 of a call from one table, ``_face_R_table`` (one array ``sos_R_matrix``
-build), and its creation scalars from one ``_creation_scalars`` call over
-its N points, all evaluated before the first contraction; each layer is one
-``rmatrices.apply_R_stack`` on a slice of the table.  Dense operators apply
-the factors to the identity reshaped as a batch of basis kets, as
-``double_row_monodromy`` does with the vertex factors.
+build laid out by ``rmatrices.spectator_layers``), and its creation scalars
+from one ``_creation_scalars`` call over its N points, all evaluated before
+the first contraction; each layer is one ``rmatrices.apply_R_stack`` on a
+slice of the table.  Dense operators apply the factors to the identity
+reshaped as a batch of basis kets, as ``double_row_monodromy`` does with the
+vertex factors.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
                        vertex_K_matrix)
 from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
-from .rmatrices import (WeightVector, _floor_checked, apply_R_stack, sos_R_matrix,
-                        spectator_weight, vertex_R_matrix)
-from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state
+from .rmatrices import (WeightVector, _floor_checked, apply_R_stack, layer, sos_R_matrix,
+                        spectator_layers, spectator_weight, vertex_R_matrix)
+from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state, times
 
 MAX_BRUTEFORCE_N = 12
 MAX_ENUMERATION_N = 2
@@ -272,15 +273,6 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
     return complex(np.dot(product_state(omega1_bra), psi.ravel()))
 
 
-def _times(w, z):
-    """w * z for complex arrays, rounded as Python's complex product whatever
-    the host: numpy's complex loop fuses multiply-adds where the CPU can."""
-    out = np.empty(np.broadcast_shapes(w.shape, z.shape), dtype=complex)
-    out.real = w.real * z.real - w.imag * z.imag
-    out.imag = w.real * z.imag + w.imag * z.real
-    return out
-
-
 def _expand(state, w, mat, bits):
     """Replace each row by its children over the outgoing spins of ``mat``
     ([out, in], the spins on ``bits`` of ``state`` read as a binary number,
@@ -296,7 +288,7 @@ def _expand(state, w, mat, bits):
     for b in reversed(bits):
         state = state & ~(1 << b) | (out & 1) << b
         out >>= 1
-    return state, _times(np.take(w, row), np.take(amps, kept))
+    return state, times(np.take(w, row), np.take(amps, kept))
 
 
 def _configuration_weights(spectral: SpectralConfig, bc: BoundaryConfig,
@@ -326,9 +318,9 @@ def _configuration_weights(spectral: SpectralConfig, bc: BoundaryConfig,
         state, w = _expand(state, w, k, [n])
         for j in range(n):
             state, w = _expand(state, w, r_minus[j], [n, j])
-        w = _times(w, omega2bar_bra[a][(state >> n) & 1])
+        w = times(w, omega2bar_bra[a][(state >> n) & 1])
     for j in range(n):
-        w = _times(w, omega1_bra[j][(state >> j) & 1])
+        w = times(w, omega1_bra[j][(state >> j) & 1])
     return w
 
 
@@ -364,13 +356,12 @@ def _face_R_table(weights, us, spectral: SpectralConfig, setup: ModularSetup):
     """Every R factor of the one-row monodromies T(weights[t] | us[t][s]), as
     one ``sos_R_matrix`` stack of shape (T, S, N(N+1)/2, 4, 4).
 
-    Along axis 2 layer k = 1..N holds its k matrices R(u - xi_k; l seen with
-    n2 of the spectators 1..k-1 in spin 2), n2 = 0..k-1, at offset k(k-1)/2:
-    the stack ``apply_R_stack`` reads for those spectators.
+    Axis 2 is ``rmatrices.spectator_layers(N)``: site k's factor is
+    ``layer(k - 1)``, R(u - xi_k; l seen with n2 of the spectators 1..k-1 in
+    spin 2), n2 = 0..k-1, the stack ``apply_R_stack`` reads for them.
     """
     xi = np.asarray(spectral.xi, dtype=complex)
-    # layer k of the flat axis: k - 1 spectators, n2 = 0..k-1 of them in spin 2
-    spectators, n2 = np.tril_indices(len(xi))
+    spectators, n2 = spectator_layers(len(xi))  # k spectators precede site k + 1
     m = WeightVector(np.array([l.m1 for l in weights])[:, None, None],
                      np.array([l.m2 for l in weights])[:, None, None])
     u = np.asarray(us, dtype=complex)[:, :, None] - xi[spectators]
@@ -382,9 +373,7 @@ def _apply_face_monodromy(phi, factors, n: int):
     (aux, site1..siteN, batch...): layer k is R_{0,k}(u - xi_k) with the
     weight shifted by the spins of sites 1..k-1."""
     for k in range(1, n + 1):
-        off = k * (k - 1) // 2
-        phi = apply_R_stack(phi, factors[off:off + k], 0, k,
-                            spectators=tuple(range(1, k)))
+        phi = apply_R_stack(phi, factors[layer(k - 1)], 0, k, spectators=tuple(range(1, k)))
     return phi
 
 

@@ -3,15 +3,19 @@
 The 4x4 matrices act on V (x) V with basis order (11, 12, 21, 22).  The
 dynamical shift convention: acting on a site in spin state i shifts the
 weight by -eta * e_hat_i, with e_hat_1 = (1/2, -1/2) and e_hat_2 = -e_hat_1.
-``vertex_R_matrix`` builds a stack of eight-vertex R matrices over ``u`` in
-one array evaluation, a scalar ``u`` being a one-point stack (see there).
-``spectator_weight`` maps spectator spins to that shifted weight;
-``sos_R_matrix`` builds one SOS R or, over array arguments, a whole stack of
-them in one evaluation.  ``apply_R_stack`` is the one dynamical-R kernel: the
-SOS R is the identity on |11> and |22>, so it updates the two mixed
-components elementwise, with the 2x2 block picked by spectator popcount; the
-face route feeds it slices of one table per call, the twist a per-call
-stack from ``apply_sos_R``.  Relations (QYBE, dynamical YBE, crossing,
+``vertex_R_matrix`` and ``sos_R_matrix`` each build a stack of R matrices
+over array arguments in one evaluation, one array theta or sigma call per
+family, a scalar argument being a one-point stack on the same code path;
+their entries are combined by ``tensor.times`` and ``tensor.quotient``,
+which round as Python's complex arithmetic does, so a matrix of a stack has
+its one-point build's bits wherever the array sums stop at its own step.
+``spectator_weight`` maps spectator spins to the shifted weight, and
+``spectator_layers``/``layer`` lay the shifted weights of 0, 1, 2, ...
+spectators out along one table axis.  ``apply_R_stack`` is the one
+dynamical-R kernel: the SOS R is the identity on |11> and |22>, so it
+updates the two mixed components elementwise, with the 2x2 block picked by
+spectator popcount; the face route and the twist each build one table per
+call and feed it its layers.  Relations (QYBE, dynamical YBE, crossing,
 unitarity) are exposed as normalized max-norm residuals; each takes scalars
 or equal-shape arrays of draws and returns a float or an array of residuals,
 so a sampled check is one evaluation over all its draws.
@@ -27,7 +31,7 @@ import numpy as np
 
 from .elliptic import ModularSetup, sigma, theta_level2
 from .errors import SingularityError
-from .tensor import DenseOperator, embed_matrix, max_abs
+from .tensor import DenseOperator, embed_matrix, max_abs, quotient, times
 
 # No sigma in a denominator may fall below this: the closed forms hold for
 # generic (u, xi, lambda, zeta) only.
@@ -111,43 +115,32 @@ def vertex_R_matrix(u, setup: ModularSetup) -> np.ndarray:
 
     The constants sigma(eta), theta2_1(0), theta2_0(eta) and theta2_1(eta)
     are evaluated (four one-point sums) and floor-checked first, once per
-    build.  The weights are then combined per element by ``_vertex_weights``
-    in Python complex arithmetic (numpy's complex products and quotients may
-    round differently), so each matrix of a stack has the bits of its own
-    one-point build wherever the array theta sums stop at the element's own
-    step.
+    build.  The weights are combined by ``tensor.times`` and ``quotient``,
+    which round as Python's complex arithmetic does, so each matrix of a
+    stack has the bits of its own one-point build wherever the array theta
+    sums stop at the element's own step.
     """
     eta = np.asarray(setup.eta, dtype=complex)
     t1 = lambda z: theta_level2(1, z, setup)
     t0 = lambda z: theta_level2(2, z, setup)
-    consts = (_checked_sigma(eta, setup, SIGMA_ETA),
-              _floor_checked(t1(np.zeros((), dtype=complex)), "theta2_1(0)"),
-              _floor_checked(t0(eta), "theta2_0(eta)"),
-              _floor_checked(t1(eta), "theta2_1(eta)"))
+    s_eta = _checked_sigma(eta, setup, SIGMA_ETA)
+    t10 = _floor_checked(t1(np.zeros((), dtype=complex)), "theta2_1(0)")
+    t0e = _floor_checked(t0(eta), "theta2_0(eta)")
+    t1e = _floor_checked(t1(eta), "theta2_1(eta)")
     shape = np.shape(u)
     u = np.ravel(np.asarray(u, dtype=complex))  # a scalar is a one-point stack
     ue = u + eta
     s_ueta = _checked_sigma(ue, setup, "sigma(u+eta)")
-    families = (t1(u), t0(u), t1(ue), t0(ue), s_ueta)
-    w = np.array([_vertex_weights(*vals, *consts)
-                  for vals in zip(*(f.tolist() for f in families))],
-                 dtype=complex).reshape(shape + (4,))
-    out = np.zeros(shape + (4, 4), dtype=complex)
-    out[..., 0, 0] = out[..., 3, 3] = w[..., 0]
-    out[..., 1, 1] = out[..., 2, 2] = w[..., 1]
-    out[..., 1, 2] = out[..., 2, 1] = w[..., 2]
-    out[..., 0, 3] = out[..., 3, 0] = w[..., 3]
-    return out
-
-
-def _vertex_weights(t1u, t0u, t1ue, t0ue, s_ueta, s_eta, t10, t0e, t1e):
-    """a, b, c, d of R(u) from theta2_1, theta2_0 at u and u + eta and
-    sigma(u + eta), and the constants."""
-    a = t1u * t0ue * s_eta / (t10 * t0e * s_ueta)
-    b = t0u * t1ue * s_eta / (t10 * t0e * s_ueta)
-    c = t1u * t1ue * s_eta / (t10 * t1e * s_ueta)
-    d = t0u * t0ue * s_eta / (t10 * t1e * s_ueta)
-    return a, b, c, d
+    t1u, t0u, t1ue, t0ue = t1(u), t0(u), t1(ue), t0(ue)
+    # a, b, c, d = x y sigma(eta) / (theta2_1(0) t sigma(u + eta)) as one stack
+    num = times(times(np.stack([t1u, t0u, t1u, t0u]), np.stack([t0ue, t1ue, t1ue, t0ue])), s_eta)
+    a, b, c, d = quotient(num, times(times(t10, np.array([[t0e], [t0e], [t1e], [t1e]])), s_ueta))
+    out = np.zeros(u.shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = a
+    out[..., 1, 1] = out[..., 2, 2] = b
+    out[..., 1, 2] = out[..., 2, 1] = c
+    out[..., 0, 3] = out[..., 3, 0] = d
+    return out.reshape(shape + (4, 4))
 
 
 def sos_R(u: complex, m: WeightVector, setup: ModularSetup) -> DenseOperator:
@@ -156,45 +149,32 @@ def sos_R(u: complex, m: WeightVector, setup: ModularSetup) -> DenseOperator:
 
 
 def sos_R_matrix(u, m: WeightVector, setup: ModularSetup) -> np.ndarray:
-    """R(u; m) as a 4x4 matrix or, when ``u`` or the weight components are
-    arrays, a stack of shape broadcast(u, m12) + (4, 4) from one ``sigma``
-    call per family.  An array build evaluates every sigma as an array,
-    sigma(eta) as a one-point array; scalar arguments keep the scalar path
-    and its bits."""
+    """R(u; m) as a stack of shape broadcast(u, m12) + (4, 4), a 4x4 matrix
+    for scalar arguments, from one array ``sigma`` call per family (sigma(eta)
+    a one-point array).  A scalar is a one-point stack, and the entries are
+    combined by ``tensor.times`` and ``quotient``, which round as Python's
+    complex arithmetic does, so each matrix of a stack has the bits of its
+    own one-point build wherever the array sigma sums stop at the element's
+    own step."""
     eta = setup.eta
     shape = np.broadcast_shapes(np.shape(u), np.shape(m.m12))
+    u, m12, m21 = (np.atleast_1d(v) for v in (u, m.m12, m.m21))
     s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
-    s_m12 = _checked_sigma(m.m12, setup, "sigma(m12)")
+    s_m12 = _checked_sigma(m12, setup, "sigma(m12)")
     s_u = sigma(u, setup)
-    s_eta = _checked_sigma(np.full(1, eta) if shape else eta, setup, SIGMA_ETA)
-    s_m21 = -s_m12
-    # R^{ij}_{ij} = s(u) s(m_ij - eta) / (s(u+eta) s(m_ij)),
-    # R^{ji}_{ij} = s(eta) s(u + m_ij) / (s(u+eta) s(m_ij)).
-    b12 = s_u * sigma(m.m12 - eta, setup) / (s_ueta * s_m12)
-    b21 = s_u * sigma(m.m21 - eta, setup) / (s_ueta * s_m21)
-    c12 = s_eta * sigma(u + m.m12, setup) / (s_ueta * s_m12)
-    c21 = s_eta * sigma(u + m.m21, setup) / (s_ueta * s_m21)
-    out = np.zeros(shape + (4, 4), dtype=complex)
+    s_eta = _checked_sigma(np.full(1, eta), setup, SIGMA_ETA)
+    # R^{ij}_{ij} = s(u) s(m_ij - eta) / (s(u+eta) s(m_ij)) and R^{ji}_{ij} =
+    # s(eta) s(u + m_ij) / (s(u+eta) s(m_ij)), s(m21) = -s(m12), as one stack
+    sig = lambda *zs: np.stack([sigma(z, setup) for z in zs], axis=-1)
+    num = np.concatenate([times(s_u[..., None], sig(m12 - eta, m21 - eta)),
+                          times(s_eta, sig(u + m12, u + m21))], axis=-1)
+    den = times(s_ueta, s_m12)
+    b12, b21, c12, c21 = np.moveaxis(quotient(num, np.stack([den, -den] * 2, axis=-1)), -1, 0)
+    out = np.zeros(den.shape + (4, 4), dtype=complex)
     out[..., 0, 0] = out[..., 3, 3] = 1.0
     out[..., 1, 1], out[..., 1, 2] = b12, c21
     out[..., 2, 1], out[..., 2, 2] = c12, b21
-    return out
-
-
-def apply_sos_R(tensor: np.ndarray, u: complex, m: WeightVector, setup: ModularSetup,
-                ax1: int, ax2: int, spectators=()) -> np.ndarray:
-    """Apply R(u; m - (n1 - n2) eta e_hat_1) to axes (ax1, ax2) of a tensor.
-
-    ``tensor`` is a (2,)*k state tensor with any trailing batch axes; n1 and
-    n2 count the ``spectators`` axes in spin 1 and spin 2, so every slice sees
-    the weight shifted by the spins of the sites it has passed.  The k + 1
-    shifted matrices are built one scalar call each, then applied by
-    ``apply_R_stack``.
-    """
-    k = len(spectators)
-    mats = np.stack([sos_R_matrix(u, spectator_weight(m, setup.eta, k, n2), setup)
-                     for n2 in range(k + 1)])
-    return apply_R_stack(tensor, mats, ax1, ax2, spectators)
+    return out.reshape(shape + (4, 4))
 
 
 def spectator_weight(m: WeightVector, eta: complex, k, n2) -> WeightVector:
@@ -203,6 +183,17 @@ def spectator_weight(m: WeightVector, eta: complex, k, n2) -> WeightVector:
     be integer arrays).  This is the one place that maps spectator spins to a
     shifted weight."""
     return m.shifted(1, eta, k - 2 * n2)
+
+
+def spectator_layers(count: int):
+    """(k, n2) along the layer axis of every shifted-R table: layer k holds
+    ``spectator_weight(m, eta, k, n2)``, n2 = 0..k, k = 0..count-1."""
+    return np.tril_indices(count)
+
+
+def layer(k: int) -> slice:
+    """The entries of layer k (k spectators) on that axis, offset k(k+1)/2."""
+    return slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
 
 
 # the mixed block of an SOS R: entries (12,12), (12,21), (21,12), (21,21)
@@ -281,13 +272,14 @@ def dybe_residual(u1, u2, u3, m: WeightVector, setup: ModularSetup):
     in spin 1 or 2, along the draws' axes."""
     m.require_generic(setup)
     *diffs, m12 = np.broadcast_arrays(u1 - u2, u1 - u3, u2 - u3, m.m12)
-    k, n2 = (np.reshape(v, (3,) + (1,) * m12.ndim) for v in ([0, 1, 1], [0, 0, 1]))
-    # r[d, 0] is R(diff d; m), r[d, 1 + n2] the R a spectator with n2 spins 2 sees
+    k, n2 = (np.reshape(v, (3,) + (1,) * m12.ndim) for v in spectator_layers(2))
     r = sos_R_matrix(np.stack(diffs)[:, None], spectator_weight(m, setup.eta, k, n2), setup)
-    lhs = (_dynamical_embed(r[0, 1:], (0, 1), 2) @ embed_matrix(r[1, 0], (0, 2), 3)
-           @ _dynamical_embed(r[2, 1:], (1, 2), 0))
-    rhs = (embed_matrix(r[2, 0], (1, 2), 3) @ _dynamical_embed(r[1, 1:], (0, 2), 1)
-           @ embed_matrix(r[0, 0], (0, 1), 3))
+    # layer 0, entry 0, is R(diff; m); layer 1 the two R one spectator can see
+    plain, shifted = r[:, 0], r[:, layer(1)]
+    lhs = (_dynamical_embed(shifted[0], (0, 1), 2) @ embed_matrix(plain[1], (0, 2), 3)
+           @ _dynamical_embed(shifted[2], (1, 2), 0))
+    rhs = (embed_matrix(plain[2], (1, 2), 3) @ _dynamical_embed(shifted[1], (0, 2), 1)
+           @ embed_matrix(plain[0], (0, 1), 3))
     return max_abs(lhs - rhs) / max_abs(rhs)
 
 

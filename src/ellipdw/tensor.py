@@ -3,7 +3,8 @@
 Basis conventions used package-wide: spin labels are 1 and 2, mapped to
 tensor indices 0 and 1; site order in a ``DenseOperator`` is most-significant
 first, matching ``np.kron``.  All contractions are bilinear (no complex
-conjugation): bra vectors are row vectors of components.
+conjugation): bra vectors are row vectors of components.  ``times`` and
+``quotient`` multiply and divide complex arrays as Python rounds ``*`` and ``/``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,35 @@ def embed_matrix(mat: np.ndarray, pos, n: int) -> np.ndarray:
     order = list(pos) + rest
     idx = _basis_reindex(tuple(order), n)
     return big[..., idx, :][..., :, idx]
+
+
+def times(w, z) -> np.ndarray:
+    """w * z over broadcast complex arrays, rounded as Python's complex
+    product whatever the host: numpy's complex loop fuses multiply-adds
+    where the CPU can, so each part is formed here from real ufuncs."""
+    w, z = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
+    re = w.real * z.real - w.imag * z.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, w.real * z.imag + w.imag * z.real
+    return out
+
+
+def quotient(w, z) -> np.ndarray:
+    """w / z over broadcast complex arrays, rounded as Python's complex
+    quotient: Smith's algorithm as CPython's ``_Py_c_quot`` runs it, from real
+    ufuncs (a zero z gives inf or nan, where Python raises)."""
+    w, z = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
+    # scaling by Im z is scaling by Re z with the parts of w and z swapped, Im w/z negated
+    swap = np.abs(z.real) < np.abs(z.imag)
+    p, q = np.where(swap, z.imag, z.real), np.where(swap, z.real, z.imag)
+    x, y = np.where(swap, w.imag, w.real), np.where(swap, w.real, w.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = q / p
+        denom = p + q * ratio
+        re, im = (x + y * ratio) / denom, (y - x * ratio) / denom
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, np.where(swap, -im, im)
+    return out
 
 
 def max_abs(x, axes: int = 2):

@@ -56,7 +56,7 @@ def random_weight(rng, setup, floor=1e-3):
 
 
 def dense_sos_R(n, u, m, setup, ax1, ax2, spectators=()):
-    """Dense reference for ``rmatrices.apply_sos_R`` on n sites: the embedded
+    """Dense reference for ``rmatrices.apply_R_stack`` on n sites: the embedded
     R(u; m - (n1 - n2) eta e_hat_1) times the projector onto the spectator
     states with n2 spins 2, summed over n2."""
     dim = 2 ** n

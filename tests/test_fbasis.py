@@ -6,10 +6,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ellipdw import (PermutationWord, extremal_invariance_residual, f_matrix,
+from ellipdw import (PermutationWord, extremal_invariance_residual, f_matrix, fbasis,
                      r_s_operator, reduced_word, twisted_creation_residual)
 from ellipdw.errors import SizeError
-from ellipdw.fbasis import (basis_order, f_inverse_matrix, inversion_count,
+from ellipdw.fbasis import (MAX_F_N, basis_order, f_inverse_matrix, inversion_count,
                             triangularity_defect, twisted_one_row_residual)
 from ellipdw.rmatrices import sos_R_matrix
 
@@ -49,7 +49,7 @@ def test_word_independence(draw, bc, setup, l_weight):
     assert np.max(np.abs(r1.mat - r2.mat)) <= 1e-11 * np.max(np.abs(r1.mat))
 
 
-@pytest.mark.parametrize("n,seed", [(2, 123), (3, 124), (4, 125)])
+@pytest.mark.parametrize("n,seed", [(2, 123), (3, 124), (4, 125), (MAX_F_N, 140)])
 def test_twist_triangular_and_nondegenerate(n, seed, draw, bc, setup, l_weight):
     spec = draw(n, seed, setup, bc)
     f = f_matrix(l_weight, spec, setup)
@@ -70,6 +70,55 @@ def test_factorizing_property(n, seed, draw, bc, setup, l_weight):
         assert np.max(np.abs(f_s @ rs - f_id.mat)) / scale <= 1e-10
 
 
+def test_factorizing_property_at_the_guard(draw, bc, setup, l_weight):
+    """F_s R^s = F at N = MAX_F_N on a few permutations: the reversal, one
+    transposition, a cycle and two others."""
+    spec = draw(MAX_F_N, 142, setup, bc)
+    f_id = f_matrix(l_weight, spec, setup)
+    scale = np.max(np.abs(f_id.mat))
+    for seq in [(5, 4, 3, 2, 1), (2, 1, 3, 4, 5), (2, 3, 4, 5, 1), (3, 5, 1, 4, 2),
+                (4, 1, 5, 2, 3)]:
+        rs = r_s_operator(reduced_word(seq), l_weight, spec, setup).mat
+        f_s = f_matrix(l_weight, spec, setup, base=seq).mat
+        assert np.max(np.abs(f_s @ rs - f_id.mat)) / scale <= 1e-10
+
+
+@pytest.mark.parametrize("setup_name", ["setup", "setup_complex_eta"])
+@pytest.mark.parametrize("n", [2, 3, 4, MAX_F_N])
+def test_twist_R_table_matches_per_matrix_builds(n, setup_name, draw, bc, l_weight, request):
+    """Every factor of the twist's one array build, for each ordered site
+    pair (a, b) and each k spectators with n2 of them in spin 2, equals its
+    own scalar ``sos_R_matrix`` build bit for bit here."""
+    setup = request.getfixturevalue(setup_name)
+    spec = draw(n, 150 + n, setup, bc)
+    table = fbasis._twist_R_table(l_weight, spec, setup)
+    assert table.shape == (n, n, n * (n - 1) // 2, 4, 4)
+    for a, b in permutations(range(n), 2):
+        for k in range(n - 1):
+            for n2 in range(k + 1):
+                ref = sos_R_matrix(spec.xi[a] - spec.xi[b],
+                                   l_weight.shifted(1, setup.eta, k - 2 * n2), setup)
+                assert np.array_equal(table[a, b, k * (k + 1) // 2 + n2], ref)
+
+
+def test_twist_builds_one_R_table_per_call(draw, bc, setup, l_weight, monkeypatch):
+    """``r_s_operator`` and ``f_matrix`` each build every R factor they apply
+    in one ``sos_R_matrix`` call."""
+    spec = draw(4, 160, setup, bc)
+    builds, build = [], fbasis.sos_R_matrix
+
+    def counting_build(u, m, setup):
+        out = build(u, m, setup)
+        builds.append(out.shape)
+        return out
+
+    monkeypatch.setattr(fbasis, "sos_R_matrix", counting_build)
+    r_s_operator(reduced_word((4, 3, 2, 1)), l_weight, spec, setup)
+    assert builds == [(4, 4, 6, 4, 4)]
+    f_matrix(l_weight, spec, setup, base=(2, 4, 1, 3))
+    assert builds == [(4, 4, 6, 4, 4)] * 2
+
+
 def test_inverse_by_triangular_solve(draw, bc, setup, l_weight):
     spec = draw(3, 128, setup, bc)
     f = f_matrix(l_weight, spec, setup)
@@ -77,7 +126,8 @@ def test_inverse_by_triangular_solve(draw, bc, setup, l_weight):
     assert np.max(np.abs(f.mat @ inv - np.eye(8))) <= 1e-12
 
 
-@pytest.mark.parametrize("n,seed,tol", [(1, 129, 1e-14), (2, 130, 1e-11), (3, 131, 1e-10)])
+@pytest.mark.parametrize("n,seed,tol", [(1, 129, 1e-14), (2, 130, 1e-11), (3, 131, 1e-10),
+                                        (MAX_F_N, 141, 1e-10)])
 def test_extremal_invariance(n, seed, tol, draw, bc, setup, l_weight):
     spec = draw(n, seed, setup, bc)
     assert extremal_invariance_residual(l_weight, spec, setup) <= tol

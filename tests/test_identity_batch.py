@@ -14,7 +14,7 @@ import pytest
 from ellipdw import (BoundaryConfig, WeightVector, boundary, elliptic, parse_config,
                      rmatrices, run_identities, runner)
 from ellipdw.errors import EllipdwError, SingularityError
-from ellipdw.tensor import embed_matrix
+from ellipdw.tensor import embed_matrix, quotient, times
 
 BC = BoundaryConfig(lambda1=0.41, lambda2=-0.23, zeta=0.17)
 LAM_SUM = BC.lambda1 + BC.lambda2 - 0.5   # sigma(-u + LAM_SUM) vanishes at u = LAM_SUM
@@ -137,9 +137,43 @@ def test_sampled_max_passes_the_per_sample_draws(setup, monkeypatch):
     assert np.array_equal(m.m2, [e[2].m2 for e in expected])
 
 
+def test_times_and_quotient_round_as_python():
+    """Bit for bit against Python's complex * and / on random operands over
+    sixteen decades, on real and imaginary operands, and on the ties
+    |Re z| = |Im z| where Smith's algorithm picks its branch; numpy's own
+    complex loops need not round so."""
+    rng = np.random.default_rng(11)
+    count = 20000
+    w, z = ((rng.normal(size=count) + 1j * rng.normal(size=count))
+            * 10.0 ** rng.uniform(-8, 8, count) for _ in range(2))
+    z[:2000] = rng.normal(size=2000) * (1 + rng.choice([1j, -1j], 2000))
+    z[2000:2100], z[2100:2200] = z[2000:2100].real, 1j * z[2100:2200].imag
+    pairs = list(zip(w.tolist(), z.tolist()))
+    for ours, python in ((times(w, z), [a * b for a, b in pairs]),
+                         (quotient(w, z), [a / b for a, b in pairs]),
+                         (times(2.0, z), [2.0 * b for b in z.tolist()])):
+        assert np.array_equal(ours.view(float), np.array(python).view(float))
+    assert times(1j, 2.0).shape == () and quotient(z[:3, None], w[:2]).shape == (3, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_unitarity_stack_max_equals_per_sample_max_at_small_im_tau(seed):
+    """The identity suite's sos_unitarity draws at tau = 0.2i: the stacked
+    residuals equal the per-sample ones, so the check reads the per-sample
+    maximum (9.585e-12 at seed 7, below its 1e-11 tolerance)."""
+    setup = parse_config(f"{{seed: {seed}, tau: [0, 0.2]}}").setup
+    rng = np.random.default_rng(seed + 4)  # the check's generator
+    samples = [runner._points_and_weight(rng, setup, 1) for _ in range(50)]
+    stacked = rmatrices.unitarity_residual(*map(runner._stacked, zip(*samples)), setup)
+    per_sample = [rmatrices.unitarity_residual(*sample, setup) for sample in samples]
+    assert np.array_equal(stacked, per_sample)
+    if seed == 7:
+        assert 9.58e-12 < stacked.max() < 1e-11
+
+
 def test_vertex_K_stack_equals_scalar_builds(setup):
     """Bit for bit at tau = i on these draws: the coefficients are combined
-    in Python complex arithmetic, as a scalar build combines them."""
+    by ``tensor.times`` and ``quotient``, as a scalar build combines them."""
     u = runner._draw_points(np.random.default_rng(3), 12).reshape(3, 4)
     u[1, 2], u[2, 0] = 0.0, 3e-13
     stack = boundary.vertex_K_matrix(u, BC, setup)
@@ -151,7 +185,7 @@ def test_vertex_K_stack_equals_scalar_builds(setup):
 
 def test_intertwiner_stacks_equal_scalar_builds(setup):
     """Dual stacks bit for bit at tau = i on these draws: each determinant is
-    formed in Python complex arithmetic, as a single matrix's is."""
+    formed by ``tensor.times``, as a single matrix's is."""
     rng = np.random.default_rng(4)
     u = runner._draw_points(rng, 6)
     weights = [runner._draw_weight(rng, setup) for _ in range(6)]

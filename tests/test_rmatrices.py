@@ -7,7 +7,8 @@ from ellipdw import (ModularSetup, WeightVector, crossing_residual,
                      dybe_residual, qybe_residual, unitarity_residual)
 from ellipdw import parse_config, rmatrices, runner
 from ellipdw.errors import SingularityError
-from ellipdw.rmatrices import apply_sos_R, sos_R_matrix, spectator_weight, vertex_R_matrix
+from ellipdw.rmatrices import (apply_R_stack, sos_R_matrix, spectator_weight,
+                               vertex_R_matrix)
 from ellipdw.tensor import embed_matrix, max_abs
 
 from conftest import dense_sos_R, random_points, random_weight
@@ -179,14 +180,17 @@ def test_dybe_is_one_R_build(monkeypatch):
     (4, 2, 1, ()), (4, 3, 1, (0, 2)), (4, 0, 3, (2, 1)), (4, 1, 2, (3, 0)),
     (5, 3, 1, (4, 0, 2)), (2, 0, 1, ())])
 def test_apply_sos_R_matches_dense_reference(n, ax1, ax2, spectators, setup, weight):
-    """The kernel on a tensor with trailing batch axes equals the embedded R
-    with spectator projectors, for non-adjacent and reversed axes, spectators
-    on both sides of the active pair, and a layer with no other site."""
+    """The kernel, given the k + 1 shifted R of one stacked build, on a tensor
+    with trailing batch axes equals the embedded R with spectator projectors,
+    for non-adjacent and reversed axes, spectators on both sides of the
+    active pair, and a layer with no other site."""
     rng = np.random.default_rng(26)
     batch = (3, 2) if n == 5 else (3,)  # the 5-site case has two batch axes
     psi = rng.normal(size=(2,) * n + batch) + 1j * rng.normal(size=(2,) * n + batch)
     u = 0.23 + 0.07j
-    out = apply_sos_R(psi, u, weight, setup, ax1, ax2, spectators)
+    k = len(spectators)
+    mats = sos_R_matrix(u, spectator_weight(weight, setup.eta, k, np.arange(k + 1)), setup)
+    out = apply_R_stack(psi, mats, ax1, ax2, spectators)
     ref = dense_sos_R(n, u, weight, setup, ax1, ax2, spectators) @ psi.reshape(2 ** n, -1)
     assert out.shape == psi.shape
     assert np.max(np.abs(out.reshape(2 ** n, -1) - ref)) <= 1e-14 * np.max(np.abs(ref))
