@@ -23,7 +23,8 @@ from .errors import (ConditioningWarning, ConvergenceError, DomainError,
                      EllipdwError, ParseError, SingularityError, SizeError,
                      ValidationError)
 from .fbasis import (PermutationWord, extremal_invariance_residual, f_matrix,
-                     r_s_operator, reduced_word, twisted_creation_residual)
+                     factorizing_residual, r_s_operator, reduced_word,
+                     twisted_creation_residual)
 from .oracle import (SpectralConfig, double_row_monodromy,
                      face_creation_operator, face_one_row_monodromy,
                      partition_bruteforce, partition_enumeration,

@@ -4,7 +4,8 @@
 word to the identity as a batch of basis kets, each letter one
 ``rmatrices.apply_R_stack`` on its layer of one ``_twist_R_table`` per call;
 ``f_matrix`` assembles the lower-triangular factorizing twist as the
-projected permutation sum from one such table; the twisted one-row and
+projected permutation sum from one such table, and ``factorizing_residual``
+reads F, every relabeled F_s and every R^s from one; the twisted one-row and
 double-row (creation) operators are checked against their polarization-free
 tensor-product forms, read from ``SpectralGrids``.
 """
@@ -21,7 +22,7 @@ import scipy.linalg
 from .boundary import BoundaryConfig
 from .closedform import _boundary_vectors, _log_uxi_ratio, _permsum_ab
 from .elliptic import ModularSetup, sigma
-from .errors import SingularityError, SizeError
+from .errors import DomainError, SingularityError, SizeError
 from .oracle import (SpectralConfig, SpectralGrids, face_creation_operator,
                      face_one_row_monodromy)
 from .rmatrices import (GENERICITY_FLOOR, WeightVector, apply_R_stack, layer, sos_R_matrix,
@@ -71,15 +72,14 @@ def reduced_word(seq) -> PermutationWord:
     return PermutationWord(target, word)
 
 
-def _apply_to_seq(base, rel):
-    return tuple(base[r - 1] for r in rel)
-
-
 def _twist_R_table(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup):
     """Every R factor a word letter can apply, from one ``sos_R_matrix``
     build: entry [a - 1, b - 1] is R(xi_a - xi_b; l) shifted along the layer
-    axis ``rmatrices.spectator_layers(N - 1)``, shape (N, N, N(N-1)/2, 4, 4)."""
+    axis ``rmatrices.spectator_layers(N - 1)``, shape (N, N, N(N-1)/2, 4, 4).
+    Every twist operator reads one; N is refused above ``MAX_F_N``."""
     xi = np.asarray(spectral.xi, dtype=complex)
+    if len(xi) > MAX_F_N:
+        raise SizeError(f"twist operators limited to N <= {MAX_F_N}, got {len(xi)}")
     k, n2 = spectator_layers(len(xi) - 1)
     u = (xi[:, None] - xi)[..., None]
     return sos_R_matrix(u, spectator_weight(l, setup.eta, k, n2), setup)
@@ -88,35 +88,32 @@ def _twist_R_table(l: WeightVector, spectral: SpectralConfig, setup: ModularSetu
 def _word_operator(s: PermutationWord, table, base: tuple) -> np.ndarray:
     """The matrix of ``s``'s word on the site sequence ``base``: letter beta,
     R on sites (seq[beta], seq[beta+1]) shifted by the spins of
-    seq[1..beta-1], is one ``apply_R_stack`` of its layer of ``table``."""
-    n, seq = len(base), base
-    op = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
+    seq[1..beta-1], is one ``apply_R_stack`` of its layer of ``table``.
+
+    A letter outside 1..N-1, or a word that does not produce ``s.seq``, is
+    refused before any R is applied."""
+    n, rel, letters = len(base), tuple(range(1, len(base) + 1)), []
     for beta in s.word:
-        a, b = seq[beta - 1], seq[beta]
-        op = apply_R_stack(op, table[a - 1, b - 1, layer(beta - 1)], a - 1, b - 1,
-                           spectators=tuple(c - 1 for c in seq[:beta - 1]))
-        seq = seq[:beta - 1] + (b, a) + seq[beta + 1:]
-    if seq != _apply_to_seq(base, s.seq):
-        raise ValueError(f"word {s.word} does not produce sequence {_apply_to_seq(base, s.seq)}")
+        if not 1 <= beta < n:
+            raise DomainError(f"word {s.word}: letter {beta} is outside 1..{n - 1}")
+        a, b = base[rel[beta - 1] - 1], base[rel[beta] - 1]
+        letters.append((table[a - 1, b - 1, layer(beta - 1)], a - 1, b - 1,
+                        tuple(base[c - 1] - 1 for c in rel[:beta - 1])))
+        rel = rel[:beta - 1] + (rel[beta], rel[beta - 1]) + rel[beta + 1:]
+    if rel != tuple(s.seq):
+        raise DomainError(f"word {s.word} produces {rel}, not {tuple(s.seq)}")
+    op = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
+    for r, a, b, spectators in letters:
+        op = apply_R_stack(op, r, a, b, spectators=spectators)
     return op.reshape(2 ** n, 2 ** n)
 
 
 def r_s_operator(s: PermutationWord, l: WeightVector, spectral: SpectralConfig,
-                 setup: ModularSetup, base=None) -> DenseOperator:
+                 setup: ModularSetup) -> DenseOperator:
     """Operator attached to a permutation by the composition law, its R
-    factors from one ``_twist_R_table``.
-
-    ``base`` is the starting site sequence (identity by default); the word's
-    positions act on the running sequence, so the operator for ``s`` built on
-    a permuted base realizes the relabeling convention of the factorizing
-    property.
-    """
-    n = spectral.n
-    if n > MAX_F_N:
-        raise SizeError(f"permutation operators limited to N <= {MAX_F_N}, got {n}")
-    base = tuple(base) if base is not None else tuple(range(1, n + 1))
-    op = _word_operator(s, _twist_R_table(l, spectral, setup), base)
-    return DenseOperator(tuple(range(1, n + 1)), op)
+    factors from one ``_twist_R_table``."""
+    sites = tuple(range(1, spectral.n + 1))
+    return DenseOperator(sites, _word_operator(s, _twist_R_table(l, spectral, setup), sites))
 
 
 def _valid_chains(seq):
@@ -135,23 +132,14 @@ def _valid_chains(seq):
     return list(range(n + 1))
 
 
-def f_matrix(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup,
-             base=None) -> DenseOperator:
-    """The factorizing twist as the projected sum over permutations, every
-    word's R factors from one ``_twist_R_table``.
-
-    ``base`` selects the site sequence the twist is built on (the relabeled
-    twists entering the factorizing property); default is 1..N.
-    """
-    n = spectral.n
-    if n > MAX_F_N:
-        raise SizeError(f"twist construction limited to N <= {MAX_F_N}, got {n}")
-    dim = 2 ** n
-    base = tuple(base) if base is not None else tuple(range(1, n + 1))
-    table = _twist_R_table(l, spectral, setup)
-    total = np.zeros((dim, dim), dtype=complex)
+def _twist(table, base: tuple) -> np.ndarray:
+    """The twist on the site sequence ``base`` (1..N for F, s for the
+    relabeled F_s of the factorizing property) as the projected sum over
+    permutations, every word's R factors from ``table``."""
+    n = len(base)
+    total = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for rel in permutations(range(1, n + 1)):
-        seq = _apply_to_seq(base, rel)
+        seq = tuple(base[r - 1] for r in rel)
         switches = _valid_chains(seq)
         if not switches:
             continue
@@ -160,7 +148,25 @@ def f_matrix(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup,
             # positions 1..d carry spin 1, positions d+1..N spin 2
             row = sum(1 << (n - site) for site in seq[d:])
             total[row, :] += rs[row, :]
-    return DenseOperator(tuple(range(1, n + 1)), total)
+    return total
+
+
+def f_matrix(l: WeightVector, spectral: SpectralConfig, setup: ModularSetup) -> DenseOperator:
+    """The factorizing twist F on sites 1..N from one ``_twist_R_table``."""
+    sites = tuple(range(1, spectral.n + 1))
+    return DenseOperator(sites, _twist(_twist_R_table(l, spectral, setup), sites))
+
+
+def factorizing_residual(l: WeightVector, spectral: SpectralConfig,
+                         setup: ModularSetup) -> float:
+    """max over s in S_N of |F_s R^s - F| / max|F|, with F, every relabeled
+    twist F_s and every R^s read from one ``_twist_R_table``."""
+    table = _twist_R_table(l, spectral, setup)
+    sites = tuple(range(1, spectral.n + 1))
+    f = _twist(table, sites)
+    gaps = [np.max(np.abs(_twist(table, s) @ _word_operator(reduced_word(s), table, sites) - f))
+            for s in permutations(sites)]
+    return float(np.max(gaps) / np.max(np.abs(f)))
 
 
 def basis_order(n: int) -> np.ndarray:
@@ -192,12 +198,10 @@ def f_inverse_matrix(f: DenseOperator) -> np.ndarray:
     return out
 
 
-def extremal_invariance_residual(l: WeightVector, spectral: SpectralConfig,
-                                 setup: ModularSetup) -> float:
-    """max(||F|2..2> - |2..2>||, ||<1..1|F - <1..1|||)."""
-    f = f_matrix(l, spectral, setup).mat
-    eye = np.eye(len(f))
-    return float(max(np.max(np.abs(f[:, -1] - eye[-1])), np.max(np.abs(f[0] - eye[0]))))
+def extremal_invariance_residual(f: DenseOperator) -> float:
+    """max(||F|2..2> - |2..2>||, ||<1..1|F - <1..1|||) of a built twist."""
+    mat, eye = f.mat, np.eye(2 ** f.n_sites)
+    return float(max(np.max(np.abs(mat[:, -1] - eye[-1])), np.max(np.abs(mat[0] - eye[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +295,11 @@ def twisted_creation_explicit(m: WeightVector, bc: BoundaryConfig, u: complex,
     return scalar * (out * (lattice[0] / lattice[ups])[None, :])
 
 
-def twisted_creation_residual(n_index: int, bc: BoundaryConfig,
-                              spectral: SpectralConfig, setup: ModularSetup) -> float:
-    """Conjugated creation operator vs its polarization-free form.
+def twisted_creation_residual(bc: BoundaryConfig, spectral: SpectralConfig,
+                              setup: ModularSetup) -> float:
+    """Largest relative gap, over the N creation operators, between a
+    conjugated creation operator and its polarization-free form; one F(lambda)
+    and one F(lambda)^-1 conjugate all N.
 
     Both conjugating twists carry the argument lambda: the inner twist
     arguments of the two monodromy factors cancel (e_hat_2 = -e_hat_1), so
@@ -304,11 +310,13 @@ def twisted_creation_residual(n_index: int, bc: BoundaryConfig,
     if n > 4:
         raise SizeError(f"twisted creation check limited to N <= 4, got {n}")
     lam = bc.weight
-    m = lam.shifted(1, setup.eta, -(2 * n_index - n))
-    u = spectral.u[n_index - 1]
-    raw = face_creation_operator(m, bc, n_index - 1, spectral, setup).mat
     f_lam = f_matrix(lam, spectral, setup)
-    twisted = f_lam.mat @ raw @ f_inverse_matrix(f_lam)
-    explicit = twisted_creation_explicit(m, bc, u, spectral, setup)
-    return float(np.max(np.abs(twisted - explicit))
-                 / max(1e-300, np.max(np.abs(explicit))))
+    f_inv = f_inverse_matrix(f_lam)
+
+    def gap(index):
+        m = lam.shifted(1, setup.eta, n - 2 * (index + 1))
+        twisted = f_lam.mat @ face_creation_operator(m, bc, index, spectral, setup).mat @ f_inv
+        explicit = twisted_creation_explicit(m, bc, spectral.u[index], spectral, setup)
+        return np.max(np.abs(twisted - explicit)) / max(1e-300, np.max(np.abs(explicit)))
+
+    return float(np.max([gap(index) for index in range(n)]))

@@ -19,7 +19,7 @@ from ellipdw import (BoundaryConfig, ModularSetup, SpectralConfig,
                      sigma, unitarity_residual)
 from ellipdw.config import draw_spectral
 from ellipdw.fbasis import (extremal_invariance_residual, f_matrix,
-                            r_s_operator, reduced_word, triangularity_defect,
+                            factorizing_residual, triangularity_defect,
                             twisted_creation_residual)
 from ellipdw.runner import loglog_slope
 
@@ -142,7 +142,6 @@ def test_criterion_5_proof_steps():
 
 def test_criterion_6_fbasis_suite():
     t0 = time.perf_counter()
-    from itertools import permutations
     worst = 0.0
     rng = np.random.default_rng(77)
     l = random_weight(rng, SETUP)
@@ -150,15 +149,10 @@ def test_criterion_6_fbasis_suite():
         spec = draw_spectral(n, 370 + n, SETUP, BC)
         f_id = f_matrix(l, spec, SETUP)
         assert triangularity_defect(f_id) == 0.0
-        scale = np.max(np.abs(f_id.mat))
-        for seq in permutations(range(1, n + 1)):
-            rs = r_s_operator(reduced_word(seq), l, spec, SETUP).mat
-            f_s = f_matrix(l, spec, SETUP, base=seq).mat
-            worst = max(worst, float(np.max(np.abs(f_s @ rs - f_id.mat)) / scale))
-        worst = max(worst, extremal_invariance_residual(l, spec, SETUP))
+        worst = max(worst, factorizing_residual(l, spec, SETUP),
+                    extremal_invariance_residual(f_id))
         assert worst <= 1e-10
-        creation = max(twisted_creation_residual(i, BC, spec, SETUP)
-                       for i in range(1, n + 1))
+        creation = twisted_creation_residual(BC, spec, SETUP)
         assert creation <= 1e-9
         worst = max(worst, creation / 1e-9 * 1e-10)
     _report(6, "factorizing twist suite", worst, 1e-10,

@@ -135,10 +135,14 @@ def test_run_identities_passes():
     cfg = parse_config("{mode: identities, seed: 7}")
     result = run_identities(cfg)
     assert result["pass"] is True
-    names = {c["name"] for c in result["checks"]}
-    assert {"riemann_identity", "qybe", "reflection_equation", "crossing",
-            "face_vertex", "k_factorization", "twisted_creation",
-            "recursion"} <= names
+    assert [c["name"] for c in result["checks"]] == [
+        "riemann_identity", "sigma_oddness", "sigma_period_1", "sigma_period_tau", "qybe",
+        "dynamical_ybe", "sos_unitarity", "crossing", "reflection_equation", "face_vertex",
+        "k_factorization", "intertwiner_det_constancy", "dual_biorthogonality",
+        "twist_triangularity", "twist_factorizing", "extremal_invariance", "twisted_creation",
+        "oracle_enum_vs_bruteforce", "oracle_face_vs_bruteforce", "permsum_vs_determinant",
+        "closed_form_vs_oracle", "recursion", "pole_pair_equality", "pole_scan_regularity",
+        "difference_quasi_period"]
 
 
 def test_run_compare_determinant_only_large_n():

@@ -6,12 +6,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ellipdw import (PermutationWord, extremal_invariance_residual, f_matrix, fbasis,
-                     r_s_operator, reduced_word, twisted_creation_residual)
-from ellipdw.errors import SizeError
+from ellipdw import (PermutationWord, extremal_invariance_residual, f_matrix,
+                     factorizing_residual, fbasis, r_s_operator, reduced_word,
+                     twisted_creation_residual)
+from ellipdw.config import parse_config
+from ellipdw.errors import DomainError, SizeError
 from ellipdw.fbasis import (MAX_F_N, basis_order, f_inverse_matrix, inversion_count,
                             triangularity_defect, twisted_one_row_residual)
 from ellipdw.rmatrices import sos_R_matrix
+from ellipdw.runner import identity_checks
 
 from conftest import random_weight
 
@@ -61,26 +64,27 @@ def test_twist_triangular_and_nondegenerate(n, seed, draw, bc, setup, l_weight):
 
 @pytest.mark.parametrize("n,seed", [(3, 126), (4, 127)])
 def test_factorizing_property(n, seed, draw, bc, setup, l_weight):
+    """F_s R^s = F for every s, one permutation at a time: R^s from
+    ``r_s_operator`` and the twist F_s relabeled by s from its builder; the
+    loop's maximum is ``factorizing_residual`` bit for bit."""
     spec = draw(n, seed, setup, bc)
     f_id = f_matrix(l_weight, spec, setup)
     scale = np.max(np.abs(f_id.mat))
+    table = fbasis._twist_R_table(l_weight, spec, setup)
+    worst = 0.0
     for seq in permutations(range(1, n + 1)):
         rs = r_s_operator(reduced_word(seq), l_weight, spec, setup).mat
-        f_s = f_matrix(l_weight, spec, setup, base=seq).mat
-        assert np.max(np.abs(f_s @ rs - f_id.mat)) / scale <= 1e-10
+        f_s = fbasis._twist(table, seq)
+        residual = np.max(np.abs(f_s @ rs - f_id.mat)) / scale
+        assert residual <= 1e-10
+        worst = max(worst, float(residual))
+    assert factorizing_residual(l_weight, spec, setup) == worst
 
 
 def test_factorizing_property_at_the_guard(draw, bc, setup, l_weight):
-    """F_s R^s = F at N = MAX_F_N on a few permutations: the reversal, one
-    transposition, a cycle and two others."""
+    """F_s R^s = F at N = MAX_F_N for all 120 permutations."""
     spec = draw(MAX_F_N, 142, setup, bc)
-    f_id = f_matrix(l_weight, spec, setup)
-    scale = np.max(np.abs(f_id.mat))
-    for seq in [(5, 4, 3, 2, 1), (2, 1, 3, 4, 5), (2, 3, 4, 5, 1), (3, 5, 1, 4, 2),
-                (4, 1, 5, 2, 3)]:
-        rs = r_s_operator(reduced_word(seq), l_weight, spec, setup).mat
-        f_s = f_matrix(l_weight, spec, setup, base=seq).mat
-        assert np.max(np.abs(f_s @ rs - f_id.mat)) / scale <= 1e-10
+    assert factorizing_residual(l_weight, spec, setup) <= 1e-10
 
 
 @pytest.mark.parametrize("setup_name", ["setup", "setup_complex_eta"])
@@ -101,10 +105,8 @@ def test_twist_R_table_matches_per_matrix_builds(n, setup_name, draw, bc, l_weig
                 assert np.array_equal(table[a, b, k * (k + 1) // 2 + n2], ref)
 
 
-def test_twist_builds_one_R_table_per_call(draw, bc, setup, l_weight, monkeypatch):
-    """``r_s_operator`` and ``f_matrix`` each build every R factor they apply
-    in one ``sos_R_matrix`` call."""
-    spec = draw(4, 160, setup, bc)
+def _count_R_builds(monkeypatch):
+    """The shapes of the ``sos_R_matrix`` builds ``fbasis`` makes from now on."""
     builds, build = [], fbasis.sos_R_matrix
 
     def counting_build(u, m, setup):
@@ -113,10 +115,56 @@ def test_twist_builds_one_R_table_per_call(draw, bc, setup, l_weight, monkeypatc
         return out
 
     monkeypatch.setattr(fbasis, "sos_R_matrix", counting_build)
+    return builds
+
+
+def test_twist_builds_one_R_table_per_call(draw, bc, setup, l_weight, monkeypatch):
+    """``r_s_operator``, ``f_matrix``, ``factorizing_residual`` and
+    ``twisted_creation_residual`` each build every R factor they apply in one
+    ``sos_R_matrix`` call."""
+    spec = draw(4, 160, setup, bc)
+    builds = _count_R_builds(monkeypatch)
     r_s_operator(reduced_word((4, 3, 2, 1)), l_weight, spec, setup)
     assert builds == [(4, 4, 6, 4, 4)]
-    f_matrix(l_weight, spec, setup, base=(2, 4, 1, 3))
+    f_matrix(l_weight, spec, setup)
     assert builds == [(4, 4, 6, 4, 4)] * 2
+    factorizing_residual(l_weight, spec, setup)
+    assert builds == [(4, 4, 6, 4, 4)] * 3
+    twisted_creation_residual(bc, spec, setup)
+    assert builds == [(4, 4, 6, 4, 4)] * 4
+
+
+def test_identity_suite_builds_three_twist_tables(monkeypatch):
+    """One ``runner.identity_checks`` call makes three twist-table builds:
+    F for triangularity and extremal invariance, one for the factorizing
+    property, and F(lambda) for the twisted creation operators."""
+    builds = _count_R_builds(monkeypatch)
+    identity_checks(parse_config("{mode: identities, seed: 7}"))
+    assert len(builds) == 3
+
+
+@pytest.mark.parametrize("word", [(3,), (0,), (1, 3)])
+def test_word_letter_outside_range_is_refused(word, draw, bc, setup, l_weight, monkeypatch):
+    """A letter outside 1..N-1 is a DomainError before any R is applied."""
+    spec = draw(3, 161, setup, bc)
+    applied = []
+    monkeypatch.setattr(fbasis, "apply_R_stack", lambda *args, **kw: applied.append(args))
+    with pytest.raises(DomainError, match="outside 1..2"):
+        r_s_operator(PermutationWord((2, 1, 3), word), l_weight, spec, setup)
+    assert applied == []
+
+
+@pytest.mark.parametrize("seq,word", [((2, 1, 3), (2,)), ((2, 1), (1,)), ((3, 2, 1), (1, 2))])
+def test_word_not_producing_its_seq_is_refused(seq, word, draw, bc, setup, l_weight,
+                                               monkeypatch):
+    """A word that does not produce its ``seq`` (here (1, 3, 2), (2, 1, 3)
+    and (2, 3, 1) on three sites) is a DomainError before any R is applied."""
+    spec = draw(3, 161, setup, bc)
+    applied = []
+    monkeypatch.setattr(fbasis, "apply_R_stack", lambda *args, **kw: applied.append(args))
+    with pytest.raises(DomainError, match="produces"):
+        r_s_operator(PermutationWord(seq, word), l_weight, spec, setup)
+    assert applied == []
 
 
 def test_inverse_by_triangular_solve(draw, bc, setup, l_weight):
@@ -130,7 +178,7 @@ def test_inverse_by_triangular_solve(draw, bc, setup, l_weight):
                                         (MAX_F_N, 141, 1e-10)])
 def test_extremal_invariance(n, seed, tol, draw, bc, setup, l_weight):
     spec = draw(n, seed, setup, bc)
-    assert extremal_invariance_residual(l_weight, spec, setup) <= tol
+    assert extremal_invariance_residual(f_matrix(l_weight, spec, setup)) <= tol
 
 
 @pytest.mark.parametrize("n,seed", [(2, 132), (3, 133)])
@@ -141,15 +189,13 @@ def test_twisted_one_row_polarization_free(n, seed, draw, bc, setup, l_weight):
 
 def test_twisted_creation_n1_single_entry(draw, bc, setup):
     spec = draw(1, 134, setup, bc)
-    assert twisted_creation_residual(1, bc, spec, setup) <= 1e-11
+    assert twisted_creation_residual(bc, spec, setup) <= 1e-11
 
 
 @pytest.mark.parametrize("n,seed", [(2, 135), (3, 136), (4, 137)])
 def test_twisted_creation_matches_explicit(n, seed, draw, bc, setup):
     spec = draw(n, seed, setup, bc)
-    worst = max(twisted_creation_residual(i, bc, spec, setup)
-                for i in range(1, n + 1))
-    assert worst <= 1e-9
+    assert twisted_creation_residual(bc, spec, setup) <= 1e-9
 
 
 def test_creation_operator_is_sitewise_nilpotent(draw, bc, setup):
