@@ -182,8 +182,8 @@ def _separable_window(tau: complex, im_max: float) -> int:
         if log_bound - math.log1p(-math.exp(log_ratio)) < log_tol:
             return k
     raise ConvergenceError(
-        f"separable sigma window exceeds N_MAX = {N_MAX} "
-        f"(Im tau = {t:.3g}, |Im z| <= {im_max:.3g})")
+        f"theta[0.5;0.5] series not converged: its separable window exceeds "
+        f"N_MAX = {N_MAX} (Im tau = {t:.3g}, |Im z| <= {im_max:.3g})")
 
 
 def sigma_separable(p, q, setup: ModularSetup, s: int = 1, c: complex = 0.0):
@@ -199,8 +199,8 @@ def sigma_separable(p, q, setup: ModularSetup, s: int = 1, c: complex = 0.0):
     axes broadcast and the products one stacked matmul; each leading index
     keeps the window of its own p and q (Y is zero past it), so an entry of
     a stack sums the terms of its lone evaluation.  Raises DomainError below
-    MIN_IM_TAU and ConvergenceError when a window exceeds N_MAX or a value is
-    not finite.
+    MIN_IM_TAU and ConvergenceError when a window exceeds N_MAX (worded as
+    ``sigma``'s own unconverged series) or a value is not finite.
     """
     tau = complex(setup.tau)
     p = np.asarray(p, dtype=complex) + complex(c)

@@ -64,12 +64,13 @@ class SpectralGrids:
     leading axes; ``xi`` is shared, shape (N,), or stacked the same way.
     ``minus``, ``plus``, ``minus_eta``, ``plus_eta`` are sigma(u_a -+ xi_k)
     and sigma(u_a -+ xi_k + eta), indexed [..., a, k]: the determinant's
-    matrix entries, each its own ``sigma`` series call, so the matrix of one
-    configuration keeps its bits (an entry of a stack equals its lone value
-    to rounding); so is ``s2u``, sigma(2 u_a).  ``u_diff``, ``u_sum_eta``,
-    ``xi_diff``, ``xi_sum`` are sigma(u_b - u_a), sigma(u_b + u_a + eta),
-    sigma(xi_a - xi_b) and sigma(xi_a + xi_b) over the pairs a < b, indexed
-    [..., pair], each a triangle of one full ``sigma_separable`` product.
+    matrix entries, each one ``sigma_separable`` product (O(N W) exps and a
+    GEMM for a window of W terms), and a stacked grid equals its lone build
+    bit for bit.  ``s2u``, sigma(2 u_a), has N points and stays one ``sigma``
+    series call.  ``u_diff``, ``u_sum_eta``, ``xi_diff``, ``xi_sum`` are
+    sigma(u_b - u_a), sigma(u_b + u_a + eta), sigma(xi_a - xi_b) and
+    sigma(xi_a + xi_b) over the pairs a < b, indexed [..., pair], each a
+    triangle of one full ``sigma_separable`` product.
     ``xi_ratio`` is G[..., j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k)
     with diagonal 1; its denominator is the product ``xi_diff`` is cut from.
     The xi-xi families of a shared xi are built once and broadcast against
@@ -89,44 +90,40 @@ class SpectralGrids:
         self.xi_pairs = (self.u_pairs if self.xi.shape[-1] == self.u.shape[-1]
                          else np.triu_indices(self.xi.shape[-1], k=1))
 
-    def _sigma(self, z, family=None):
-        return _read_only(sigma(z, self.setup), family)
+    def _product(self, p, q, family, s, c=0.0, pairs=()):
+        """sigma(p_i + s*q_j + c), indexed [..., i, j], or its entries over
+        the index ``pairs``."""
+        return _read_only(sigma_separable(p, q, self.setup, s, c)[(...,) + pairs], family)
 
     @cached_property
     def minus(self):
-        return self._sigma(self.u[..., :, None] - self.xi[..., None, :], "u_a - xi_k")
+        return self._product(self.u, self.xi, "u_a - xi_k", -1)
 
     @cached_property
     def plus(self):
-        return self._sigma(self.u[..., :, None] + self.xi[..., None, :], "u_a + xi_k")
+        return self._product(self.u, self.xi, "u_a + xi_k", 1)
 
     @cached_property
     def minus_eta(self):
-        return self._sigma(self.u[..., :, None] - self.xi[..., None, :] + self.setup.eta,
-                           "u_a - xi_k + eta")
+        return self._product(self.u, self.xi, "u_a - xi_k + eta", -1, self.setup.eta)
 
     @cached_property
     def plus_eta(self):
-        return self._sigma(self.u[..., :, None] + self.xi[..., None, :] + self.setup.eta,
-                           "u_a + xi_k + eta")
+        return self._product(self.u, self.xi, "u_a + xi_k + eta", 1, self.setup.eta)
 
     @cached_property
     def s2u(self):
-        return self._sigma(2 * self.u)
-
-    def _pairs(self, v, pairs, family, s, c=0.0):
-        """Entries [..., i, j] of sigma(v_i + s*v_j + c) over the index pairs."""
-        return _read_only(sigma_separable(v, v, self.setup, s, c)[(...,) + pairs], family)
+        return _read_only(sigma(2 * self.u, self.setup))
 
     @cached_property
     def u_diff(self):
         ia, ib = self.u_pairs
-        return self._pairs(self.u, (ib, ia), "u_b - u_a", -1)
+        return self._product(self.u, self.u, "u_b - u_a", -1, pairs=(ib, ia))
 
     @cached_property
     def u_sum_eta(self):
         ia, ib = self.u_pairs
-        return self._pairs(self.u, (ib, ia), "u_b + u_a + eta", 1, self.setup.eta)
+        return self._product(self.u, self.u, "u_b + u_a + eta", 1, self.setup.eta, (ib, ia))
 
     @cached_property
     def _xi_minus_xi(self):
@@ -139,7 +136,7 @@ class SpectralGrids:
 
     @cached_property
     def xi_sum(self):
-        return self._pairs(self.xi, self.xi_pairs, "xi_a + xi_b", 1)
+        return self._product(self.xi, self.xi, "xi_a + xi_b", 1, pairs=self.xi_pairs)
 
     @cached_property
     def xi_ratio(self):

@@ -59,3 +59,45 @@ def ref_permsum(table_a, table_b, table_g, dps=40):
             total += term
             abs_total += abs(term)
         return complex(total), float(abs_total)
+
+
+def ref_log_z_determinant(spec, bc, setup, dps=50):
+    """log of the normalized partition function from the determinant formula,
+    at ``dps`` significant digits: sigma(u) = -theta_1(pi u, q) through
+    ``mpmath.jtheta`` (q = exp(i pi tau), so |Re tau| < 1 keeps mpmath's
+    q^(1/4) on the series' branch), then ``mpmath.det``.
+
+    The entries are sigma(2u_a) sigma(eta) lam_xi_k / (lam_u_a
+    sigma(u_a - xi_k) sigma(u_a + xi_k) sigma(u_a - xi_k + eta)
+    sigma(u_a + xi_k + eta)), with lam_u = sigma(l1 + z + u) sigma(l2 + z + u)
+    and lam_xi = sigma(l1 + z - xi) sigma(l2 + z + xi); the determinant is
+    times prod sigma(u_a - xi_k) sigma(u_a + xi_k + eta) and divided by
+    prod_{a<b} sigma(u_b - u_a) sigma(u_a + u_b + eta) sigma(xi_a - xi_b)
+    sigma(xi_a + xi_b).  The imaginary part is fixed only mod 2 pi."""
+    with mp.workdps(dps):
+        q = mp.exp(mp.mpc(0, 1) * mp.pi * mp.mpc(setup.tau))
+
+        def s(z):
+            return -mp.jtheta(1, mp.pi * z, q)
+
+        eta = mp.mpc(setup.eta)
+        l1 = mp.mpc(bc.lambda1) + mp.mpc(bc.zeta)
+        l2 = mp.mpc(bc.lambda2) + mp.mpc(bc.zeta)
+        u = [mp.mpc(v) for v in spec.u]
+        xi = [mp.mpc(v) for v in spec.xi]
+        n = len(u)
+        s_eta = s(eta)
+        matrix = mp.matrix(n, n)
+        log_z = mp.mpc(0)
+        for a in range(n):
+            row = s(2 * u[a]) * s_eta / (s(l1 + u[a]) * s(l2 + u[a]))
+            for k in range(n):
+                minus, plus_eta = s(u[a] - xi[k]), s(u[a] + xi[k] + eta)
+                matrix[a, k] = row * s(l1 - xi[k]) * s(l2 + xi[k]) / (
+                    minus * s(u[a] + xi[k]) * s(u[a] - xi[k] + eta) * plus_eta)
+                log_z += mp.log(minus) + mp.log(plus_eta)
+        for a in range(n):
+            for b in range(a + 1, n):
+                log_z -= (mp.log(s(u[b] - u[a])) + mp.log(s(u[a] + u[b] + eta))
+                          + mp.log(s(xi[a] - xi[b])) + mp.log(s(xi[a] + xi[b])))
+        return complex(log_z + mp.log(mp.det(matrix)))

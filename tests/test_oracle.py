@@ -388,19 +388,15 @@ def _grid_expressions(spec, setup):
             "xi_ratio": (xd + eta, xd)}
 
 
-LU_GRIDS = ("minus", "plus", "minus_eta", "plus_eta")
-SERIES_GRIDS = LU_GRIDS + ("s2u",)
-
-
 def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
-    """The determinant's four grids and sigma(2u) equal a fresh sigma call
-    bit for bit; the pair families, one separable product each, and the
+    """sigma(2u) equals a fresh sigma call bit for bit; the determinant's
+    four grids and the pair families, one separable product each, and the
     off-diagonal of G match the 60-digit reference, and G's diagonal is 1."""
     spec = draw(5, 401, setup, bc)
     grids = spec.grids(setup)
     for name, z in _grid_expressions(spec, setup).items():
         vals = getattr(grids, name)
-        if name in SERIES_GRIDS:
+        if name == "s2u":
             assert vals.tobytes() == sigma(z, setup).tobytes(), name
         elif name == "xi_ratio":
             off = ~np.eye(spec.n, dtype=bool)
@@ -409,7 +405,7 @@ def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
             assert np.all(np.abs(vals[off] - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
             assert np.all(np.diag(vals) == 1.0)
         else:
-            ref = np.array([ref_sigma(v, setup.tau) for v in z])
+            ref = np.array([ref_sigma(v, setup.tau) for v in z.ravel()]).reshape(z.shape)
             assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), name
         assert not vals.flags.writeable
         with pytest.raises(ValueError):
@@ -417,20 +413,37 @@ def test_spectral_grids_match_fresh_sigma_and_are_read_only(draw, bc, setup):
     assert spec.grids(setup) is grids
 
 
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_stacked_lu_grid_equals_its_lone_build(n, draw, bc, setup):
+    """A stack of 4 configurations whose shifts give them different series
+    windows: each LU grid of the stack equals its lone build bit for bit."""
+    spec = draw(n, 1000 + n, setup, bc)
+    shift = np.array([0.0, 0.25j, 0.5j, 0.75j])[:, None]
+    u, xi = np.asarray(spec.u) + shift, np.asarray(spec.xi) - 0.5 * shift
+    windows = {elliptic._separable_window(setup.tau, np.abs(u[i].imag).max()
+                                          + np.abs(xi[i].imag).max()) for i in range(4)}
+    assert len(windows) > 1
+    stacked = oracle.SpectralGrids(u, xi, setup)
+    lone = [oracle.SpectralGrids(u[i], xi[i], setup) for i in range(4)]
+    for name in ("minus", "plus", "minus_eta", "plus_eta"):
+        for i in range(4):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(lone[i], name)), (name, i)
+
+
 def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypatch):
     """After the draw's genericity check, every closed form together
     evaluates sigma(2u) once and G's numerator as the one GEMM, and no
     second check evaluates a shared grid again, by either evaluator; a
-    fresh configuration with the same points evaluates each family once."""
+    fresh configuration with the same points evaluates each family once,
+    the four (u, xi) grids first, one GEMM each."""
     spec = draw(5, 402, setup, bc)
-    expressions = _grid_expressions(spec, setup)
-    shared = {expressions[name].tobytes(): name for name in SERIES_GRIDS}
+    s2u = _grid_expressions(spec, setup)["s2u"].tobytes()
     points = {np.asarray(v, dtype=complex).tobytes() for v in (spec.u, spec.xi)}
     seen, separable = [], []
 
     def counting_sigma(u, s):
-        if np.ndim(u) and np.asarray(u).tobytes() in shared:
-            seen.append(shared[np.asarray(u).tobytes()])
+        if np.ndim(u) and np.asarray(u).tobytes() == s2u:
+            seen.append("s2u")
         return sigma(u, s)
 
     def counting_separable(p, q, s, *args):
@@ -449,12 +462,13 @@ def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypat
     assert seen == ["s2u"] and separable == [(-1, setup.eta)]
     fresh = SpectralConfig(spec.u, spec.xi)
     closedform.normalized_z_determinant(fresh, bc, setup)
-    assert sorted(seen[1:]) == sorted(SERIES_GRIDS) and len(separable) == 5
+    assert separable[1:5] == [(-1, 0.0), (1, 0.0), (-1, setup.eta), (1, setup.eta)]
+    assert seen == ["s2u"] * 2 and len(separable) == 9
     fresh.require_generic(setup)
     fresh.require_generic(setup)
     closedform.normalized_z_permsum(fresh, bc, setup)
     closedform.normalized_z_permsum(fresh, bc, setup)
-    assert len(seen) == 6 and len(separable) == 8
+    assert len(seen) == 2 and len(separable) == 12
 
 
 @pytest.mark.parametrize("family,u,xi", [
