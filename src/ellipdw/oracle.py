@@ -21,10 +21,9 @@ before the first contraction.  The face route reads every dynamical R factor
 of a call from one table, ``_face_R_table`` (one array ``sos_R_matrix``
 build laid out by ``rmatrices.spectator_layers``), and its creation scalars
 from one ``_creation_scalars`` call over its N points, all evaluated before
-the first contraction; each layer is one ``rmatrices.apply_R_stack`` on a
-slice of the table.  Dense operators apply the factors to the identity
-reshaped as a batch of basis kets, as ``double_row_monodromy`` does with the
-vertex factors.
+the first contraction; ``_apply_face_layers`` applies a batch of one-row
+monodromies in place on flat views.  Dense operators apply the factors to
+the identity as a batch of basis kets, as ``double_row_monodromy`` does.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
                        vertex_K_matrix)
 from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
-from .rmatrices import (WeightVector, _floor_checked, apply_R_stack, layer, sos_R_matrix,
+from .rmatrices import (_BLOCK, WeightVector, _floor_checked, _popcount, layer, sos_R_matrix,
                         spectator_layers, spectator_weight, vertex_R_matrix)
 from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state, times
 
@@ -355,7 +354,7 @@ def _face_R_table(weights, us, spectral: SpectralConfig, setup: ModularSetup):
 
     Axis 2 is ``rmatrices.spectator_layers(N)``: site k's factor is
     ``layer(k - 1)``, R(u - xi_k; l seen with n2 of the spectators 1..k-1 in
-    spin 2), n2 = 0..k-1, the stack ``apply_R_stack`` reads for them.
+    spin 2), n2 = 0..k-1, the stack ``_face_blocks`` lays out for them.
     """
     xi = np.asarray(spectral.xi, dtype=complex)
     spectators, n2 = spectator_layers(len(xi))  # k spectators precede site k + 1
@@ -365,12 +364,25 @@ def _face_R_table(weights, us, spectral: SpectralConfig, setup: ModularSetup):
     return sos_R_matrix(u, spectator_weight(m, setup.eta, spectators, n2), setup)
 
 
-def _apply_face_monodromy(phi, factors, n: int):
-    """Apply one monodromy's ``_face_R_table`` row to ``phi``, whose axes are
-    (aux, site1..siteN, batch...): layer k is R_{0,k}(u - xi_k) with the
-    weight shifted by the spins of sites 1..k-1."""
+def _face_blocks(table, n: int):
+    """The mixed 2x2 blocks of a ``_face_R_table``, (..., 2^N - 1, 4): layer
+    k's at [2^(k-1) - 1, 2^k - 1), one per spin state of sites 1..k-1 (flat,
+    site 1 most significant), ``layer(k - 1)``'s entry at its popcount."""
+    idx = np.concatenate([layer(k).start + _popcount(k).ravel() for k in range(n)])
+    return table[..., _BLOCK[0], _BLOCK[1]][..., idx, :]
+
+
+def _apply_face_layers(phi, blocks, n: int):
+    """Apply B one-row monodromies, b reading ``blocks[b]``, in place to the
+    C-contiguous ``phi`` of axes (B, aux, site1..siteN, batch...), and return
+    it.  Layer k views ``phi`` as (B, aux, 2^(k-1) spectator states, site k,
+    rest) and updates the two mixed components on rows of length rest by
+    ``rmatrices.apply_R_stack``'s elementwise products and sums, bit for bit."""
     for k in range(1, n + 1):
-        phi = apply_R_stack(phi, factors[layer(k - 1)], 0, k, spectators=tuple(range(1, k)))
+        p = 2 ** (k - 1)
+        v, b = phi.reshape(len(phi), 2, p, 2, -1), blocks[:, p - 1:2 * p - 1, None, :]
+        x12, x21 = v[:, 0, :, 1], v[:, 1, :, 0]
+        x12[...], x21[...] = b[..., 0] * x12 + b[..., 1] * x21, b[..., 2] * x12 + b[..., 3] * x21
     return phi
 
 
@@ -381,8 +393,8 @@ def face_monodromy_apply(l: WeightVector, u: complex, phi,
     ``phi`` has axes (aux, site1..siteN, batch...); entry i-1 of the result's
     aux axis is sum_j T(l|u)^i_j phi[j-1].
     """
-    factors = _face_R_table([l], [[u]], spectral, setup)[0, 0]
-    return _apply_face_monodromy(phi, factors, spectral.n)
+    blocks = _face_blocks(_face_R_table([l], [[u]], spectral, setup)[0], spectral.n)
+    return _apply_face_layers(np.array(phi, dtype=complex, order="C")[None], blocks, spectral.n)[0]
 
 
 def face_one_row_monodromy(l: WeightVector, u: complex,
@@ -421,19 +433,19 @@ def _creation_R_table(bc: BoundaryConfig, us, spectral: SpectralConfig,
                          (-us - eta, -us - eta, us), spectral, setup)
 
 
-def _apply_creation(psi, scalars, factors, n: int):
+def _apply_creation(psi, scalars, table, n: int):
     """Apply one creation operator, given its ``_creation_scalars`` and its
     column of ``_creation_R_table``, to ``psi`` (axes site1..siteN, batch...).
-    The two outer factors are both T(lambda|u), so they run as one batch of
-    two."""
+    The two inner monodromies run as a batch of two, the two outer factors,
+    both T(lambda|u), as a trailing batch axis of two."""
     pref, k1, k2 = scalars
-    inner_t, inner_s, outer = factors
-    psi = np.asarray(psi, dtype=complex)
-    zero = np.zeros_like(psi)
-    t = _apply_face_monodromy(np.stack([zero, psi]), inner_t, n)[1]
-    s = _apply_face_monodromy(np.stack([psi, zero]), inner_s, n)[1]
-    phi = np.stack([np.stack([t, zero], axis=-1), np.stack([zero, s], axis=-1)])
-    ts = _apply_face_monodromy(phi, outer, n)[1]
+    blocks, psi = _face_blocks(table, n), np.asarray(psi, dtype=complex)
+    inner = np.zeros((2, 2) + psi.shape, dtype=complex)
+    inner[0, 1] = inner[1, 0] = psi
+    _apply_face_layers(inner, blocks[:2], n)
+    outer = np.zeros((1, 2) + psi.shape + (2,), dtype=complex)
+    outer[0, 0, ..., 0], outer[0, 1, ..., 1] = inner[0, 1], inner[1, 1]
+    ts = _apply_face_layers(outer, blocks[2:], n)[0, 1]
     return pref * (k1 * ts[..., 0] - k2 * ts[..., 1])
 
 
@@ -442,8 +454,8 @@ def face_creation_apply(m: WeightVector, bc: BoundaryConfig, a: int, psi,
     """Apply the double-row creation operator at weight ``m`` and u_a =
     spectral.u[a] to ``psi``, whose axes are (site1..siteN, batch...)."""
     scalars = _creation_scalars(m, bc, a, spectral, setup)
-    factors = _creation_R_table(bc, [spectral.u[a]], spectral, setup)[:, 0]
-    return _apply_creation(psi, scalars, factors, spectral.n)
+    table = _creation_R_table(bc, [spectral.u[a]], spectral, setup)[:, 0]
+    return _apply_creation(psi, scalars, table, spectral.n)
 
 
 def face_creation_operator(m: WeightVector, bc: BoundaryConfig, a: int,
@@ -471,9 +483,9 @@ def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
     a = np.arange(n - 1, -1, -1)
     ms = bc.weight.shifted(1, setup.eta, -(2 * a + 2 - n))
     pref, k1, k2 = _creation_scalars(ms, bc, a, spectral, setup)
-    factors = _creation_R_table(bc, np.asarray(spectral.u)[a], spectral, setup)
+    table = _creation_R_table(bc, np.asarray(spectral.u)[a], spectral, setup)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(1,) * n] = 1.0
     for i in range(n):
-        psi = _apply_creation(psi, (pref[i], k1[i], k2[i]), factors[:, i], n)
+        psi = _apply_creation(psi, (pref[i], k1[i], k2[i]), table[:, i], n)
     return complex(psi[(0,) * n])

@@ -11,14 +11,14 @@ which round as Python's complex arithmetic does, so a matrix of a stack has
 its one-point build's bits wherever the array sums stop at its own step.
 ``spectator_weight`` maps spectator spins to the shifted weight, and
 ``spectator_layers``/``layer`` lay the shifted weights of 0, 1, 2, ...
-spectators out along one table axis.  ``apply_R_stack`` is the one
+spectators out along one table axis.  ``apply_R_stack`` is the general-axes
 dynamical-R kernel: the SOS R is the identity on |11> and |22>, so it
 updates the two mixed components elementwise, with the 2x2 block picked by
-spectator popcount; the face route and the twist each build one table per
-call and feed it its layers.  Relations (QYBE, dynamical YBE, crossing,
-unitarity) are exposed as normalized max-norm residuals; each takes scalars
-or equal-shape arrays of draws and returns a float or an array of residuals,
-so a sampled check is one evaluation over all its draws.
+spectator popcount; the twist feeds it one table's layers, and the face
+route makes the same products on flat views.  Relations (QYBE, dynamical
+YBE, crossing, unitarity) are exposed as normalized max-norm residuals;
+each takes scalars or equal-shape arrays of draws and returns a float or an
+array of residuals, so a sampled check is one evaluation over all its draws.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 the face-type creation-operator route, and the spectral configuration's
 shared sigma grids."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -299,6 +300,62 @@ def test_creation_operator_equals_per_ket_application(n, draw, bc, setup):
     ref = pref * (k1 * outer[1, :, 0] @ inner_t[1, :, 1]
                   - k2 * outer[1, :, 1] @ inner_s[1, :, 0])
     _assert_rel_close(op, ref)
+
+
+def _layer_by_layer(phi, table, n):
+    """One monodromy's ``_face_R_table`` row applied to ``phi`` (axes aux,
+    site1..siteN, batch...) as one ``apply_R_stack`` per layer."""
+    for k in range(1, n + 1):
+        phi = rmatrices.apply_R_stack(phi, table[rmatrices.layer(k - 1)], 0, k,
+                                      spectators=tuple(range(1, k)))
+    return phi
+
+
+@pytest.mark.parametrize("n", range(1, oracle.MAX_FACE_N + 1))
+def test_face_layer_kernel_equals_apply_R_stack(n, draw, bc, setup):
+    """The flat-view layer kernel equals ``apply_R_stack`` applied layer by
+    layer byte for byte, for one monodromy (B = 1) and for the creation
+    operator's inner pair (B = 2), with and without trailing batch axes; the
+    batched pair equals its two separate passes."""
+    spec = draw(n, 160 + n, setup, bc)
+    table = oracle._creation_R_table(bc, spec.u[:1], spec, setup)[:2, 0]  # inner T, inner S
+    blocks = oracle._face_blocks(table, n)
+    rng = np.random.default_rng(n)
+    for batch in ((), (3,), (2, 3)):
+        shape = (2, 2) + (2,) * n + batch
+        phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        phi[0, 0] = phi[1, 1] = 0.0  # the inner pair's inputs: (0, psi) and (psi, 0)
+        ref = np.stack([_layer_by_layer(phi[b], table[b], n) for b in (0, 1)])
+        pair = phi.copy()
+        oracle._apply_face_layers(pair, blocks, n)
+        assert pair.tobytes() == ref.tobytes(), batch
+        for b in (0, 1):
+            lone = phi[b:b + 1].copy()
+            oracle._apply_face_layers(lone, blocks[b:b + 1], n)
+            assert lone.tobytes() == ref[b:b + 1].tobytes(), (batch, b)
+
+
+# sha256 (first 32 hex digits) over N = 1..5 of the face operators' bytes as
+# the per-layer ``apply_R_stack`` contraction made them, on draw(N, 150 + N)
+FACE_DIGESTS = {"setup": ("2d41a6ae68b8d42f7a1528f662550bd3", "24a65526631f57d97c9765a541ab66f4"),
+                "setup_complex_eta": ("4b4a3fb2cb01c741c34b00fcc454723c",
+                                      "47cef7c2012427f7bf0f79600f5bcd87")}
+
+
+@pytest.mark.parametrize("setup_name", sorted(FACE_DIGESTS))
+def test_face_operators_keep_their_bits(setup_name, draw, bc, weight, request):
+    """``face_one_row_monodromy`` (its four entries) and
+    ``face_creation_operator`` at N = 1..5 have the bytes pinned above."""
+    setup = request.getfixturevalue(setup_name)
+    one_row, creation = hashlib.sha256(), hashlib.sha256()
+    for n in range(1, 6):
+        spec = draw(n, 150 + n, setup, bc)
+        t = face_one_row_monodromy(weight, 0.21 - 0.05j, spec, setup)
+        for key in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            one_row.update(t[key].mat.tobytes())
+        m = bc.weight.shifted(1, setup.eta, n - 2)
+        creation.update(face_creation_operator(m, bc, n - 1, spec, setup).mat.tobytes())
+    assert (one_row.hexdigest()[:32], creation.hexdigest()[:32]) == FACE_DIGESTS[setup_name]
 
 
 @pytest.mark.parametrize("setup_name", ["setup", "setup_complex_eta"])
@@ -713,18 +770,61 @@ def _per_matrix_factors(spec, bc, setup):
              [vertex_R_matrix(u - x, setup) for x in spec.xi]) for u in spec.u]
 
 
-def _bruteforce_reference(spec, bc, setup):
-    """The bruteforce contraction of ``_per_matrix_factors``: bar lines N..1,
-    each closed between its boundary states."""
+def _tensordot_gate(phi, mat4, ax1, ax2):
+    """A two-site gate as ``np.tensordot`` makes it, axis bookkeeping and all."""
+    out = np.tensordot(mat4.reshape(2, 2, 2, 2), phi, axes=([2, 3], [ax1, ax2]))
+    return np.moveaxis(out, (0, 1), (ax1, ax2))
+
+
+def _tensordot_double_row(phi, factors, aux_axis):
+    """``oracle._apply_double_row`` through ``_tensordot_gate`` and a
+    ``np.tensordot`` K, so it shares no code with ``tensor``."""
+    r_plus, k, r_minus = factors
+    n = len(r_plus)
+    for j in range(n, 0, -1):
+        phi = _tensordot_gate(phi, r_plus[j - 1], j - 1, aux_axis)
+    phi = np.moveaxis(np.tensordot(k, phi, axes=([1], [aux_axis])), 0, aux_axis)
+    for j in range(1, n + 1):
+        phi = _tensordot_gate(phi, r_minus[j - 1], aux_axis, j - 1)
+    return phi
+
+
+def _bruteforce_reference(spec, bc, setup, factors=None):
+    """The bruteforce contraction, through ``_tensordot_double_row``, of
+    ``factors`` (by default ``_per_matrix_factors``): bar lines N..1, each
+    closed between its boundary states."""
     n = spec.n
     o1b, o2bb, o1bk, o2k = boundary_state_factors(bc, spec.xi, spec.u, setup)
-    factors = _per_matrix_factors(spec, bc, setup)
+    factors = _per_matrix_factors(spec, bc, setup) if factors is None else factors
     psi = product_state(o2k).reshape((2,) * n)
     for a in range(n, 0, -1):
         phi = np.tensordot(psi, o1bk[a - 1], axes=0)
-        phi = oracle._apply_double_row(phi, factors[a - 1], aux_axis=n)
+        phi = _tensordot_double_row(phi, factors[a - 1], aux_axis=n)
         psi = np.tensordot(phi, o2bb[a - 1], axes=([n], [0]))
     return complex(np.dot(product_state(o1b), psi.ravel()))
+
+
+@pytest.mark.parametrize("setup_name", ["setup", "setup_complex_eta"])
+def test_bruteforce_gate_makes_the_tensordot_product(setup_name, draw, bc, request):
+    """The bare-GEMM gate rounds as ``np.tensordot``'s: bruteforce at N =
+    1..12 equals, in repr, the same contraction through ``_tensordot_gate``,
+    and the dense double-row monodromy at N <= 6 equals it byte for byte.
+    Bruteforce's rounding drift is most of its distance to the other routes
+    at N >= 10, so a gate that summed in another order would move it."""
+    setup = request.getfixturevalue(setup_name)
+    for n in range(1, oracle.MAX_BRUTEFORCE_N + 1):
+        spec = draw(n, 600 + n, setup, bc)
+        factors = oracle._vertex_factors(spec.u, spec.xi, bc, setup)
+        assert repr(partition_bruteforce(spec, bc, setup)) == \
+            repr(_bruteforce_reference(spec, bc, setup, factors)), n
+        if n > 6:
+            continue
+        dim = 2 ** (n + 1)
+        phi = np.moveaxis(np.eye(dim, dtype=complex).reshape((2,) * (n + 1) + (dim,)), 0, n)
+        line = oracle._vertex_factors(spec.u[:1], spec.xi, bc, setup)[0]
+        phi = _tensordot_double_row(phi, line, n)
+        ref = np.moveaxis(phi, n, 0).reshape(dim, dim)
+        assert double_row_monodromy(spec.u[0], spec, bc, setup).mat.tobytes() == ref.tobytes(), n
 
 
 def test_vertex_routes_equal_per_matrix_builds(draw, bc, setup, monkeypatch):
