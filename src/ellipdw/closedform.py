@@ -363,8 +363,7 @@ def residue_estimate(func, center: complex, eps: float = 1e-5) -> complex:
     return _ring_mean(ring, [func(center + z) for z in ring])
 
 
-def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
-              setup: ModularSetup, perturb_permsum_side: float = 1.0):
+def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup):
     """Classify candidate poles of (determinant side - permsum side).
 
     Checks the true candidate locations xi_i - eta and -xi_i, and the
@@ -372,10 +371,9 @@ def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
     side alone must stay bounded.  A point is regular when the ring-estimated
     residue is negligible against the on-ring magnitude scale eps*max|f|,
     eps = POLE_SCAN_EPS (scale-free: a simple pole gives |residue| ~ that
-    scale, a regular function ~1e-12 of it).  ``perturb_permsum_side`` scales the
-    permutation-sum side; a deliberate mismatch is the negative control.
-    All (4 order - 2) x RING_POINTS ring points are evaluated as one stack.
-    Returns a list of (location_label, location, is_regular).
+    scale, a regular function ~1e-12 of it).  All (4 order - 2) x RING_POINTS
+    ring points are evaluated as one stack.  Returns a list of
+    (location_label, location, is_regular).
     """
     labels, centers = [], []
     for i in range(order):
@@ -387,7 +385,7 @@ def pole_scan(order: int, spectral: SpectralConfig, bc: BoundaryConfig,
     ring = _ring(POLE_SCAN_EPS)
     # [k, c]: ring point k around centre c
     b_val, f_val = _pair_with_last_u(order, spectral, np.add.outer(ring, centers), bc, setup)
-    res_d = np.abs(_ring_mean(ring, f_val - perturb_permsum_side * b_val))
+    res_d = np.abs(_ring_mean(ring, f_val - b_val))
     res_f = np.abs(_ring_mean(ring, f_val))
     # xi points: regular iff the sides' (equal, nonzero) residues cancel in
     # the difference far below their own size; u points: iff the ring

@@ -2,7 +2,7 @@
 
 ``r_s_operator`` applies the elementary dynamical R-factors of a reduced
 word to the identity as a batch of basis kets, each letter one
-``rmatrices.apply_R_stack`` on its layer of one ``_twist_R_table`` per call;
+``rmatrices.apply_R_layer`` on its layer of one ``_twist_R_table`` per call;
 ``f_matrix`` assembles the lower-triangular factorizing twist as the
 projected permutation sum from one such table, and ``factorizing_residual``
 reads F, every relabeled F_s and every R^s from one; the twisted one-row and
@@ -25,8 +25,8 @@ from .elliptic import ModularSetup, sigma
 from .errors import DomainError, SingularityError, SizeError
 from .oracle import (SpectralConfig, SpectralGrids, face_creation_operator,
                      face_one_row_monodromy)
-from .rmatrices import (GENERICITY_FLOOR, WeightVector, apply_R_stack, layer, sos_R_matrix,
-                        spectator_layers, spectator_weight)
+from .rmatrices import (GENERICITY_FLOOR, WeightVector, apply_R_layer, sos_R_matrix,
+                        spectator_blocks, spectator_layers, spectator_weight)
 from .tensor import DenseOperator
 
 MAX_F_N = 5
@@ -88,23 +88,29 @@ def _twist_R_table(l: WeightVector, spectral: SpectralConfig, setup: ModularSetu
 def _word_operator(s: PermutationWord, table, base: tuple) -> np.ndarray:
     """The matrix of ``s``'s word on the site sequence ``base``: letter beta,
     R on sites (seq[beta], seq[beta+1]) shifted by the spins of
-    seq[1..beta-1], is one ``apply_R_stack`` of its layer of ``table``.
+    seq[1..beta-1], is one ``apply_R_layer`` of layer beta - 1 on the
+    identity batch transposed to (seq[beta], seq[1..beta-1], seq[beta+1], rest).
 
     A letter outside 1..N-1, or a word that does not produce ``s.seq``, is
     refused before any R is applied."""
     n, rel, letters = len(base), tuple(range(1, len(base) + 1)), []
+    blocks = spectator_blocks(table, n - 1)
     for beta in s.word:
         if not 1 <= beta < n:
             raise DomainError(f"word {s.word}: letter {beta} is outside 1..{n - 1}")
-        a, b = base[rel[beta - 1] - 1], base[rel[beta] - 1]
-        letters.append((table[a - 1, b - 1, layer(beta - 1)], a - 1, b - 1,
-                        tuple(base[c - 1] - 1 for c in rel[:beta - 1])))
+        *spectators, a, b = (base[c - 1] - 1 for c in rel[:beta + 1])
+        axes = (a, *spectators, b)
+        letters.append((blocks[a, b], beta - 1,
+                        axes + tuple(ax for ax in range(n + 1) if ax not in axes)))
         rel = rel[:beta - 1] + (rel[beta], rel[beta - 1]) + rel[beta + 1:]
     if rel != tuple(s.seq):
         raise DomainError(f"word {s.word} produces {rel}, not {tuple(s.seq)}")
     op = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
-    for r, a, b, spectators in letters:
-        op = apply_R_stack(op, r, a, b, spectators=spectators)
+    for ab_blocks, k, perm in letters:
+        # a C-ordered copy: the kernel's reshape must be a view to update it
+        view = np.array(op.transpose(perm), order="C")
+        apply_R_layer(view[None], ab_blocks[None], k)
+        op = view.transpose(sorted(range(n + 1), key=perm.__getitem__))
     return op.reshape(2 ** n, 2 ** n)
 
 

@@ -22,8 +22,9 @@ of a call from one table, ``_face_R_table`` (one array ``sos_R_matrix``
 build laid out by ``rmatrices.spectator_layers``), and its creation scalars
 from one ``_creation_scalars`` call over its N points, all evaluated before
 the first contraction; ``_apply_face_layers`` applies a batch of one-row
-monodromies in place on flat views.  Dense operators apply the factors to
-the identity as a batch of basis kets, as ``double_row_monodromy`` does.
+monodromies in place, each layer one call of ``rmatrices.apply_R_layer``,
+the dynamical-R kernel the twist shares.  Dense operators apply the factors
+to the identity as a batch of basis kets, as ``double_row_monodromy`` does.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
                        vertex_K_matrix)
 from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
-from .rmatrices import (_BLOCK, WeightVector, _floor_checked, _popcount, layer, sos_R_matrix,
-                        spectator_layers, spectator_weight, vertex_R_matrix)
+from .rmatrices import (WeightVector, _floor_checked, apply_R_layer, sos_R_matrix,
+                        spectator_blocks, spectator_layers, spectator_weight, vertex_R_matrix)
 from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state, times
 
 MAX_BRUTEFORCE_N = 12
@@ -354,7 +355,7 @@ def _face_R_table(weights, us, spectral: SpectralConfig, setup: ModularSetup):
 
     Axis 2 is ``rmatrices.spectator_layers(N)``: site k's factor is
     ``layer(k - 1)``, R(u - xi_k; l seen with n2 of the spectators 1..k-1 in
-    spin 2), n2 = 0..k-1, the stack ``_face_blocks`` lays out for them.
+    spin 2), n2 = 0..k-1, the stack ``spectator_blocks`` gathers from.
     """
     xi = np.asarray(spectral.xi, dtype=complex)
     spectators, n2 = spectator_layers(len(xi))  # k spectators precede site k + 1
@@ -364,25 +365,13 @@ def _face_R_table(weights, us, spectral: SpectralConfig, setup: ModularSetup):
     return sos_R_matrix(u, spectator_weight(m, setup.eta, spectators, n2), setup)
 
 
-def _face_blocks(table, n: int):
-    """The mixed 2x2 blocks of a ``_face_R_table``, (..., 2^N - 1, 4): layer
-    k's at [2^(k-1) - 1, 2^k - 1), one per spin state of sites 1..k-1 (flat,
-    site 1 most significant), ``layer(k - 1)``'s entry at its popcount."""
-    idx = np.concatenate([layer(k).start + _popcount(k).ravel() for k in range(n)])
-    return table[..., _BLOCK[0], _BLOCK[1]][..., idx, :]
-
-
 def _apply_face_layers(phi, blocks, n: int):
-    """Apply B one-row monodromies, b reading ``blocks[b]``, in place to the
-    C-contiguous ``phi`` of axes (B, aux, site1..siteN, batch...), and return
-    it.  Layer k views ``phi`` as (B, aux, 2^(k-1) spectator states, site k,
-    rest) and updates the two mixed components on rows of length rest by
-    ``rmatrices.apply_R_stack``'s elementwise products and sums, bit for bit."""
-    for k in range(1, n + 1):
-        p = 2 ** (k - 1)
-        v, b = phi.reshape(len(phi), 2, p, 2, -1), blocks[:, p - 1:2 * p - 1, None, :]
-        x12, x21 = v[:, 0, :, 1], v[:, 1, :, 0]
-        x12[...], x21[...] = b[..., 0] * x12 + b[..., 1] * x21, b[..., 2] * x12 + b[..., 3] * x21
+    """Apply B one-row monodromies in place to the C-contiguous ``phi`` of
+    axes (B, aux, site1..siteN, batch...) and return it, b reading the
+    ``spectator_blocks`` ``blocks[b]`` of its ``_face_R_table`` row; layer k
+    is one ``apply_R_layer`` on (B, aux, 2^k spectators, site k + 1, rest)."""
+    for k in range(n):
+        apply_R_layer(phi, blocks, k)
     return phi
 
 
@@ -393,7 +382,7 @@ def face_monodromy_apply(l: WeightVector, u: complex, phi,
     ``phi`` has axes (aux, site1..siteN, batch...); entry i-1 of the result's
     aux axis is sum_j T(l|u)^i_j phi[j-1].
     """
-    blocks = _face_blocks(_face_R_table([l], [[u]], spectral, setup)[0], spectral.n)
+    blocks = spectator_blocks(_face_R_table([l], [[u]], spectral, setup)[0], spectral.n)
     return _apply_face_layers(np.array(phi, dtype=complex, order="C")[None], blocks, spectral.n)[0]
 
 
@@ -439,7 +428,7 @@ def _apply_creation(psi, scalars, table, n: int):
     The two inner monodromies run as a batch of two, the two outer factors,
     both T(lambda|u), as a trailing batch axis of two."""
     pref, k1, k2 = scalars
-    blocks, psi = _face_blocks(table, n), np.asarray(psi, dtype=complex)
+    blocks, psi = spectator_blocks(table, n), np.asarray(psi, dtype=complex)
     inner = np.zeros((2, 2) + psi.shape, dtype=complex)
     inner[0, 1] = inner[1, 0] = psi
     _apply_face_layers(inner, blocks[:2], n)

@@ -11,13 +11,14 @@ which round as Python's complex arithmetic does, so a matrix of a stack has
 its one-point build's bits wherever the array sums stop at its own step.
 ``spectator_weight`` maps spectator spins to the shifted weight, and
 ``spectator_layers``/``layer`` lay the shifted weights of 0, 1, 2, ...
-spectators out along one table axis.  ``apply_R_stack`` is the general-axes
-dynamical-R kernel: the SOS R is the identity on |11> and |22>, so it
-updates the two mixed components elementwise, with the 2x2 block picked by
-spectator popcount; the twist feeds it one table's layers, and the face
-route makes the same products on flat views.  Relations (QYBE, dynamical
-YBE, crossing, unitarity) are exposed as normalized max-norm residuals;
-each takes scalars or equal-shape arrays of draws and returns a float or an
+spectators out along one table axis.  This module owns the one
+dynamical-R update: ``spectator_blocks`` gathers each spectator state's
+mixed 2x2 block by popcount, and ``apply_R_layer`` updates the two mixed
+components of a contiguous state in place, elementwise (the SOS R is the
+identity on |11> and |22>); the twist calls it once per word letter, the
+face route once per monodromy layer.  Relations (QYBE, dynamical YBE,
+crossing, unitarity) are exposed as normalized max-norm residuals; each
+takes scalars or equal-shape arrays of draws and returns a float or an
 array of residuals, so a sampled check is one evaluation over all its draws.
 """
 
@@ -201,38 +202,36 @@ _BLOCK = ([1, 1, 2, 2], [1, 2, 1, 2])
 
 
 @lru_cache(maxsize=None)
-def _popcount(k: int) -> np.ndarray:
-    """The number of spins 2 on each of the 2^k states of k sites, (2,)*k."""
-    counts = np.array([bin(i).count("1") for i in range(2 ** k)]).reshape((2,) * k)
-    counts.flags.writeable = False
-    return counts
+def _block_index(count: int) -> np.ndarray:
+    """Per spectator state of layers 0..count-1, in turn, the table entry it reads."""
+    index = np.array([layer(k).start + bin(p).count("1")
+                      for k in range(count) for p in range(2 ** k)], dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
-def apply_R_stack(tensor: np.ndarray, mats: np.ndarray, ax1: int, ax2: int,
-                  spectators=()) -> np.ndarray:
-    """Apply ``mats[n2]`` to axes (ax1, ax2) of the slices whose ``spectators``
-    axes hold n2 spins 2.
+def spectator_blocks(table, count: int) -> np.ndarray:
+    """The mixed 2x2 blocks of the layers 0..count-1 of a shifted-R table
+    whose axis -3 is ``spectator_layers``, (..., 2^count - 1, 4): layer k's
+    at [2^k - 1, 2^(k+1) - 1), one per spin state of k spectators (flat, the
+    first most significant), ``layer(k)``'s entry at the state's popcount."""
+    return table[..., _BLOCK[0], _BLOCK[1]][..., _block_index(count), :]
 
-    ``mats`` is a stack of len(spectators) + 1 SOS R matrices, entry n2 at
-    ``spectator_weight``, rows and columns ordered with the ax1 index most
-    significant; ``tensor`` is a (2,)*k state tensor with any trailing batch
-    axes.  Each matrix is the identity on |11> and |22>, so only the two
-    mixed components change, by elementwise products and sums: every element
-    gets the same bits whatever the batch shape.
+
+def apply_R_layer(state: np.ndarray, blocks: np.ndarray, k: int) -> None:
+    """Apply layer k of dynamical R factors in place to ``state``.
+
+    ``state`` is C-contiguous and read as (B, first site, 2^k spectator
+    states, second site, rest), B = len(blocks); the spectators of slice b
+    in state p see the R whose mixed block is ``blocks[b, 2^k - 1 + p]``, a
+    ``spectator_blocks`` row.  The R is the identity on |11> and |22>, so
+    only the two mixed components change, by elementwise products and sums:
+    every element gets the same bits whatever the layout and the batch shape.
     """
-    tensor = np.asarray(tensor)
-    # the block of each slice, broadcast along the non-spectator axes
-    shape = [2 if ax in spectators else 1
-             for ax in range(tensor.ndim) if ax not in (ax1, ax2)]
-    block = mats[:, _BLOCK[0], _BLOCK[1]][_popcount(len(spectators))].reshape(shape + [4])
-    i12, i21 = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
-    i12[ax1], i12[ax2], i21[ax1], i21[ax2] = 0, 1, 1, 0
-    i12, i21 = tuple(i12), tuple(i21)
-    x12, x21 = tensor[i12], tensor[i21]
-    out = np.array(tensor, dtype=complex)
-    out[i12] = block[..., 0] * x12 + block[..., 1] * x21
-    out[i21] = block[..., 2] * x12 + block[..., 3] * x21
-    return out
+    p = 2 ** k
+    v, b = state.reshape(len(blocks), 2, p, 2, -1), blocks[:, p - 1:2 * p - 1, None, :]
+    x12, x21 = v[:, 0, :, 1], v[:, 1, :, 0]
+    x12[...], x21[...] = b[..., 0] * x12 + b[..., 1] * x21, b[..., 2] * x12 + b[..., 3] * x21
 
 
 def _swap_sites(mat4: np.ndarray) -> np.ndarray:
@@ -307,15 +306,14 @@ def _sigma_u_times_crossed_R(u, mi, setup):
     return out
 
 
-def crossing_residual(u, m: WeightVector, setup: ModularSetup, parities=(1.0, -1.0)):
-    """Normalized residual of the crossing relation of the SOS R-matrix.
+# the crossing relation's parities eps_1, eps_2
+_PARITY = {1: 1.0, 2: -1.0}
 
-    ``parities`` is (eps_1, eps_2); the non-default value is a test hook for
-    negative controls.
-    """
+
+def crossing_residual(u, m: WeightVector, setup: ModularSetup):
+    """Normalized residual of the crossing relation of the SOS R-matrix."""
     eta = setup.eta
     bar = {1: 2, 2: 1}
-    eps = {1: parities[0], 2: parities[1]}
     r_m = sos_R_matrix(u, m, setup)
     worst = 0.0
     for i in (1, 2):
@@ -328,7 +326,7 @@ def crossing_residual(u, m: WeightVector, setup: ModularSetup, parities=(1.0, -1
             for k in (1, 2):
                 for l in (1, 2):
                     lhs = r_m[..., 2 * (k - 1) + (l - 1), 2 * (i - 1) + (j - 1)]
-                    rhs = eps[l] * eps[j] * factor * r_cross[
+                    rhs = _PARITY[l] * _PARITY[j] * factor * r_cross[
                         ..., 2 * (bar[j] - 1) + (k - 1), 2 * (bar[l] - 1) + (i - 1)]
                     worst = np.maximum(worst, np.abs(lhs - rhs))
     return max_abs(worst, 0) / max_abs(r_m)

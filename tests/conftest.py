@@ -3,7 +3,7 @@ import pytest
 
 from ellipdw import BoundaryConfig, ModularSetup, WeightVector
 from ellipdw.config import draw_spectral
-from ellipdw.rmatrices import sos_R_matrix
+from ellipdw.rmatrices import _BLOCK, sos_R_matrix
 from ellipdw.tensor import embed_matrix
 
 
@@ -55,8 +55,43 @@ def random_weight(rng, setup, floor=1e-3):
             continue
 
 
+def _popcount(k: int) -> np.ndarray:
+    """The number of spins 2 on each of the 2^k states of k sites, (2,)*k."""
+    return np.array([bin(i).count("1") for i in range(2 ** k)]).reshape((2,) * k)
+
+
+def apply_R_stack(tensor: np.ndarray, mats: np.ndarray, ax1: int, ax2: int,
+                  spectators=()) -> np.ndarray:
+    """Apply ``mats[n2]`` to axes (ax1, ax2) of the slices whose ``spectators``
+    axes hold n2 spins 2.
+
+    ``mats`` is a stack of len(spectators) + 1 SOS R matrices, entry n2 at
+    ``spectator_weight``, rows and columns ordered with the ax1 index most
+    significant; ``tensor`` is a (2,)*k state tensor with any trailing batch
+    axes.  Each matrix is the identity on |11> and |22>, so only the two
+    mixed components change, by elementwise products and sums: every element
+    gets the same bits whatever the batch shape.
+
+    The library's general-axes kernel before ``rmatrices.apply_R_layer``,
+    kept as an independent byte reference for it.
+    """
+    tensor = np.asarray(tensor)
+    # the block of each slice, broadcast along the non-spectator axes
+    shape = [2 if ax in spectators else 1
+             for ax in range(tensor.ndim) if ax not in (ax1, ax2)]
+    block = mats[:, _BLOCK[0], _BLOCK[1]][_popcount(len(spectators))].reshape(shape + [4])
+    i12, i21 = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
+    i12[ax1], i12[ax2], i21[ax1], i21[ax2] = 0, 1, 1, 0
+    i12, i21 = tuple(i12), tuple(i21)
+    x12, x21 = tensor[i12], tensor[i21]
+    out = np.array(tensor, dtype=complex)
+    out[i12] = block[..., 0] * x12 + block[..., 1] * x21
+    out[i21] = block[..., 2] * x12 + block[..., 3] * x21
+    return out
+
+
 def dense_sos_R(n, u, m, setup, ax1, ax2, spectators=()):
-    """Dense reference for ``rmatrices.apply_R_stack`` on n sites: the embedded
+    """Dense reference for ``apply_R_stack`` on n sites: the embedded
     R(u; m - (n1 - n2) eta e_hat_1) times the projector onto the spectator
     states with n2 spins 2, summed over n2."""
     dim = 2 ** n

@@ -237,9 +237,11 @@ def test_pole_scan_classification(draw, bc, setup):
     assert all(regular for _, _, regular in scan)
 
 
-def test_pole_scan_negative_control(draw, bc, setup):
+def test_pole_scan_negative_control(draw, bc, setup, monkeypatch):
     spec = draw(4, 294, setup, bc)
-    scan = pole_scan(3, spec, bc, setup, perturb_permsum_side=1.01)
+    # a deliberate mismatch: the permutation-sum side scaled by 1.01
+    monkeypatch.setattr(closedform, "_permsum", lambda *args: 1.01 * _permsum(*args))
+    scan = pole_scan(3, spec, bc, setup)
     flagged = [lab for lab, _, regular in scan if "xi" in lab and not regular]
     assert flagged  # the deliberate mismatch exposes the poles
 

@@ -1,6 +1,7 @@
 """Factorizing twist: uniqueness, triangularity, factorizing property,
 extremal-state invariance, and the polarization-free twisted operators."""
 
+import hashlib
 from itertools import permutations
 
 import numpy as np
@@ -105,6 +106,27 @@ def test_twist_R_table_matches_per_matrix_builds(n, setup_name, draw, bc, l_weig
                 assert np.array_equal(table[a, b, k * (k + 1) // 2 + n2], ref)
 
 
+# sha256 (first 32 hex digits) over N = 1..5 of ``r_s_operator`` for every
+# permutation and of ``f_matrix``, on draw(N, 150 + N), as the general-axes
+# kernel ``conftest.apply_R_stack`` made them
+TWIST_DIGESTS = {"setup": ("e2215e2645c7985a31b50a7b66c600d2", "74a92247999188831ab492ed7e314770"),
+                 "setup_complex_eta": ("b190ce948d77983bcb00c13ac3f1f03b",
+                                       "fa3a8119864f0760ac5a7d5cb02a5990")}
+
+
+@pytest.mark.parametrize("setup_name", sorted(TWIST_DIGESTS))
+def test_twist_operators_keep_their_bits(setup_name, draw, bc, l_weight, request):
+    """Every R^s and the twist F at N = 1..5 have the bytes pinned above."""
+    setup = request.getfixturevalue(setup_name)
+    r_s, f = hashlib.sha256(), hashlib.sha256()
+    for n in range(1, 6):
+        spec = draw(n, 150 + n, setup, bc)
+        for seq in permutations(range(1, n + 1)):
+            r_s.update(r_s_operator(reduced_word(seq), l_weight, spec, setup).mat.tobytes())
+        f.update(f_matrix(l_weight, spec, setup).mat.tobytes())
+    assert (r_s.hexdigest()[:32], f.hexdigest()[:32]) == TWIST_DIGESTS[setup_name]
+
+
 def _count_R_builds(monkeypatch):
     """The shapes of the ``sos_R_matrix`` builds ``fbasis`` makes from now on."""
     builds, build = [], fbasis.sos_R_matrix
@@ -148,7 +170,7 @@ def test_word_letter_outside_range_is_refused(word, draw, bc, setup, l_weight, m
     """A letter outside 1..N-1 is a DomainError before any R is applied."""
     spec = draw(3, 161, setup, bc)
     applied = []
-    monkeypatch.setattr(fbasis, "apply_R_stack", lambda *args, **kw: applied.append(args))
+    monkeypatch.setattr(fbasis, "apply_R_layer", lambda *args, **kw: applied.append(args))
     with pytest.raises(DomainError, match="outside 1..2"):
         r_s_operator(PermutationWord((2, 1, 3), word), l_weight, spec, setup)
     assert applied == []
@@ -161,7 +183,7 @@ def test_word_not_producing_its_seq_is_refused(seq, word, draw, bc, setup, l_wei
     and (2, 3, 1) on three sites) is a DomainError before any R is applied."""
     spec = draw(3, 161, setup, bc)
     applied = []
-    monkeypatch.setattr(fbasis, "apply_R_stack", lambda *args, **kw: applied.append(args))
+    monkeypatch.setattr(fbasis, "apply_R_layer", lambda *args, **kw: applied.append(args))
     with pytest.raises(DomainError, match="produces"):
         r_s_operator(PermutationWord(seq, word), l_weight, spec, setup)
     assert applied == []

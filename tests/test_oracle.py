@@ -19,7 +19,7 @@ from ellipdw.errors import SingularityError, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR, sos_R_matrix, vertex_R_matrix
 from ellipdw.tensor import embed_matrix, product_state
 
-from conftest import dense_face_monodromy, random_weight
+from conftest import apply_R_stack, dense_face_monodromy, random_weight
 from highprec import ref_sigma
 
 # the face route's array R build against scalar builds, relative to
@@ -304,22 +304,23 @@ def test_creation_operator_equals_per_ket_application(n, draw, bc, setup):
 
 def _layer_by_layer(phi, table, n):
     """One monodromy's ``_face_R_table`` row applied to ``phi`` (axes aux,
-    site1..siteN, batch...) as one ``apply_R_stack`` per layer."""
+    site1..siteN, batch...) as one reference ``apply_R_stack`` per layer."""
     for k in range(1, n + 1):
-        phi = rmatrices.apply_R_stack(phi, table[rmatrices.layer(k - 1)], 0, k,
-                                      spectators=tuple(range(1, k)))
+        phi = apply_R_stack(phi, table[rmatrices.layer(k - 1)], 0, k,
+                            spectators=tuple(range(1, k)))
     return phi
 
 
 @pytest.mark.parametrize("n", range(1, oracle.MAX_FACE_N + 1))
 def test_face_layer_kernel_equals_apply_R_stack(n, draw, bc, setup):
-    """The flat-view layer kernel equals ``apply_R_stack`` applied layer by
-    layer byte for byte, for one monodromy (B = 1) and for the creation
-    operator's inner pair (B = 2), with and without trailing batch axes; the
-    batched pair equals its two separate passes."""
+    """The face layers, one ``rmatrices.apply_R_layer`` each, equal the
+    reference ``apply_R_stack`` applied layer by layer byte for byte, for
+    one monodromy (B = 1) and for the creation operator's inner pair
+    (B = 2), with and without trailing batch axes; the batched pair equals
+    its two separate passes."""
     spec = draw(n, 160 + n, setup, bc)
     table = oracle._creation_R_table(bc, spec.u[:1], spec, setup)[:2, 0]  # inner T, inner S
-    blocks = oracle._face_blocks(table, n)
+    blocks = rmatrices.spectator_blocks(table, n)
     rng = np.random.default_rng(n)
     for batch in ((), (3,), (2, 3)):
         shape = (2, 2) + (2,) * n + batch
@@ -336,7 +337,7 @@ def test_face_layer_kernel_equals_apply_R_stack(n, draw, bc, setup):
 
 
 # sha256 (first 32 hex digits) over N = 1..5 of the face operators' bytes as
-# the per-layer ``apply_R_stack`` contraction made them, on draw(N, 150 + N)
+# the per-layer reference ``apply_R_stack`` contraction made them, on draw(N, 150 + N)
 FACE_DIGESTS = {"setup": ("2d41a6ae68b8d42f7a1528f662550bd3", "24a65526631f57d97c9765a541ab66f4"),
                 "setup_complex_eta": ("4b4a3fb2cb01c741c34b00fcc454723c",
                                       "47cef7c2012427f7bf0f79600f5bcd87")}

@@ -7,11 +7,11 @@ from ellipdw import (ModularSetup, WeightVector, crossing_residual,
                      dybe_residual, qybe_residual, unitarity_residual)
 from ellipdw import parse_config, rmatrices, runner
 from ellipdw.errors import SingularityError
-from ellipdw.rmatrices import (apply_R_stack, sos_R_matrix, spectator_weight,
-                               vertex_R_matrix)
+from ellipdw.rmatrices import (apply_R_layer, layer, sos_R_matrix, spectator_blocks,
+                               spectator_layers, spectator_weight, vertex_R_matrix)
 from ellipdw.tensor import embed_matrix, max_abs
 
-from conftest import dense_sos_R, random_points, random_weight
+from conftest import apply_R_stack, dense_sos_R, random_points, random_weight
 
 P_MATRIX = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                     dtype=complex)
@@ -180,20 +180,26 @@ def test_dybe_is_one_R_build(monkeypatch):
     (4, 2, 1, ()), (4, 3, 1, (0, 2)), (4, 0, 3, (2, 1)), (4, 1, 2, (3, 0)),
     (5, 3, 1, (4, 0, 2)), (2, 0, 1, ())])
 def test_apply_sos_R_matches_dense_reference(n, ax1, ax2, spectators, setup, weight):
-    """The kernel, given the k + 1 shifted R of one stacked build, on a tensor
-    with trailing batch axes equals the embedded R with spectator projectors,
-    for non-adjacent and reversed axes, spectators on both sides of the
-    active pair, and a layer with no other site."""
+    """The kernel, given layer k of one stacked shifted-R build and a tensor
+    with trailing batch axes transposed to (ax1, spectators, ax2, rest),
+    equals the embedded R with spectator projectors, for non-adjacent and
+    reversed axes, spectators on both sides of the active pair, and a layer
+    with no other site; it has the reference ``apply_R_stack``'s bytes."""
     rng = np.random.default_rng(26)
     batch = (3, 2) if n == 5 else (3,)  # the 5-site case has two batch axes
     psi = rng.normal(size=(2,) * n + batch) + 1j * rng.normal(size=(2,) * n + batch)
     u = 0.23 + 0.07j
     k = len(spectators)
-    mats = sos_R_matrix(u, spectator_weight(weight, setup.eta, k, np.arange(k + 1)), setup)
-    out = apply_R_stack(psi, mats, ax1, ax2, spectators)
+    table = sos_R_matrix(u, spectator_weight(weight, setup.eta, *spectator_layers(k + 1)), setup)
+    axes = (ax1,) + spectators + (ax2,)
+    perm = axes + tuple(ax for ax in range(psi.ndim) if ax not in axes)
+    view = np.array(psi.transpose(perm), order="C")
+    apply_R_layer(view[None], spectator_blocks(table, k + 1)[None], k)
+    out = view.transpose(np.argsort(perm))
     ref = dense_sos_R(n, u, weight, setup, ax1, ax2, spectators) @ psi.reshape(2 ** n, -1)
     assert out.shape == psi.shape
     assert np.max(np.abs(out.reshape(2 ** n, -1) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert out.tobytes() == apply_R_stack(psi, table[layer(k)], ax1, ax2, spectators).tobytes()
 
 
 def test_crossing_points_and_sweep(setup, weight):
@@ -207,9 +213,9 @@ def test_crossing_points_and_sweep(setup, weight):
     assert worst <= 1e-11
 
 
-def test_crossing_negative_control(setup, weight):
-    assert crossing_residual(0.2 + 0.05j, weight, setup,
-                             parities=(1.0, 1.0)) > 1e-2
+def test_crossing_negative_control(setup, weight, monkeypatch):
+    monkeypatch.setattr(rmatrices, "_PARITY", {1: 1.0, 2: 1.0})
+    assert crossing_residual(0.2 + 0.05j, weight, setup) > 1e-2
 
 
 def test_weight_genericity_guard(setup):
