@@ -216,23 +216,23 @@ def face_vertex_residual(u1, u2, m: WeightVector, setup: ModularSetup):
     """Residual of the face-vertex correspondence over all in-pairs (i, j)."""
     rbar = vertex_R_matrix(u1 - u2, setup)
     r_sos = sos_R_matrix(u1 - u2, m, setup)
-    eta = setup.eta
     kron = lambda a, b: _outer(a, b).reshape(a.shape[:-1] + (4,))
+    # the 12 distinct intertwiners, phi(m, i; u_w) and phi(m - eta e_i, j; u_w)
+    us = {1: u1, 2: u2}
+    plain = {(i, w): intertwiner(m, i, us[w], setup) for i in (1, 2) for w in (1, 2)}
+    shifted = {(i, j, w): intertwiner(m.shifted(i, setup.eta), j, us[w], setup)
+               for i in (1, 2) for j in (1, 2) for w in (1, 2)}
     worst, scale = 0.0, 0.0
     for i in (1, 2):
-        mi = m.shifted(i, eta)
         for j in (1, 2):
-            lhs = (rbar @ kron(intertwiner(m, i, u1, setup),
-                               intertwiner(mi, j, u2, setup))[..., None])[..., 0]
+            lhs = (rbar @ kron(plain[i, 1], shifted[i, j, 2])[..., None])[..., 0]
             rhs = 0.0
             for k in (1, 2):
                 for l in (1, 2):
-                    ml = m.shifted(l, eta)
                     coeff = r_sos[..., 2 * (k - 1) + (l - 1), 2 * (i - 1) + (j - 1)]
                     if not np.any(coeff):
                         continue
-                    rhs = rhs + coeff[..., None] * kron(
-                        intertwiner(ml, k, u1, setup), intertwiner(m, l, u2, setup))
+                    rhs = rhs + coeff[..., None] * kron(shifted[l, k, 1], plain[l, 2])
             worst = np.maximum(worst, max_abs(lhs - rhs, 1))
             scale = np.maximum(scale, max_abs(rhs, 1))
     return max_abs(worst / scale, 0)

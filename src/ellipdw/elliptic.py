@@ -14,10 +14,11 @@ functions) is assembled from three families evaluated here:
 
 All evaluators accept scalars or numpy arrays for the spectral argument.
 Python scalars (numpy float64/complex128 included) and one-element arrays
-are summed with cmath in the numpy path's order.  An element of a larger
-array sum has its scalar sum's bits wherever the array loop stops at that
-element's own step (the loop runs until every element has converged), and
-equals it to rounding elsewhere.
+are summed with cmath term by term.  A larger array is summed as one term
+window, every term of a window sized in advance at once, which forms the
+scalar loop's partial sums and stops at the first step where every element
+has converged.  An element so has its scalar sum's bits wherever that step
+is the element's own, and equals it to rounding elsewhere.
 """
 
 from __future__ import annotations
@@ -58,16 +59,19 @@ class ThetaChar:
 def _theta_series(a, b, u, tau):
     """Symmetric-window theta sum with a relative-magnitude stopping rule.
 
-    Terms are added in the order n = 0, +-1, +-2, ...; the loop stops once
+    Terms are added in the order n = 0, +-1, +-2, ...; the sum stops once
     the last pair of terms is below SERIES_TOL * max(1, |partial sum|)
     everywhere (u may be an array) and fails past N_MAX pairs; a sum left
     inf or nan by overflowing terms raises ConvergenceError, not numpy's
     RuntimeWarning.  A Python scalar u (int, float, complex, or their numpy
-    subclasses) or a one-element array is summed with cmath, with the numpy
-    path's terms and comparisons in its order, in u's shape (0-d: a complex);
-    an element of a larger array gets its scalar sum's bits wherever the loop
-    stops at that element's own step, and its value to rounding elsewhere.
-    An empty array gives an empty array.
+    subclasses) or a one-element array is summed term by term with cmath, in
+    u's shape (0-d: a complex).  A larger array is summed as one term window
+    (``_term_window``) of K pairs, K sized from a bound on the term moduli
+    and doubled, up to N_MAX, while no step within it passes: the partial
+    sums and the stopping step are the term-by-term loop's, bit for bit, so
+    an element gets its scalar sum's bits wherever that step is the
+    element's own, and its value to rounding elsewhere.  An empty array
+    gives an empty array.
     """
     tau, series_tol, n_max = complex(tau), SERIES_TOL, N_MAX
     if tau.imag < MIN_IM_TAU:
@@ -84,38 +88,59 @@ def _theta_series(a, b, u, tau):
     u_arr = np.asarray(u, dtype=complex)
     if u_arr.size == 0:
         return np.zeros_like(u_arr)
-    ub = u_arr + b
-    ipi = 1j * np.pi
-
-    def term(n):
-        na = n + a
-        return np.exp(ipi * (na * na * tau + 2.0 * na * ub))
-
+    ub = u_arr.ravel() + b
+    # |term| <= exp(-pi t m^2 + 2 pi |m| y), m = n + a, t = Im tau and
+    # y = max |Im(u + b)| (DLMF 20.2); past |m| = reach that bound is below
+    # series_tol times its peak exp(pi y^2 / t), near where the stopping
+    # rule, relative to max(1, |sum|), first passes
+    t = tau.imag
+    reach = (float(np.abs(ub.imag).max()) / t
+             + math.sqrt(-math.log(series_tol) / (math.pi * t)) + abs(a))
+    k = int(reach) + 1 if reach < n_max else n_max  # nan or inf: the cap
     with np.errstate(over="ignore", invalid="ignore"):
-        total = term(0)
-        # bound >= max|total| (triangle inequality, with room for rounding):
-        # while the stopping rule fails on it, it fails on max|total| too,
-        # which is then not computed
-        bound = float(np.abs(total).max())
-        for n in range(1, n_max + 1):
-            tp, tm = term(n), term(-n)
-            total = total + tp + tm
-            lp, lm = float(np.abs(tp).max()), float(np.abs(tm).max())
-            last = max(lp, lm)
-            bound += lp + lm
-            if last < series_tol * max(1.0, bound * (1.0 + 1e-12)) \
-                    and last < series_tol * max(1.0, float(np.abs(total).max())):
-                if not np.isfinite(total).all():
-                    _not_finite(a, b)
-                return total if u_arr.ndim else complex(total)
-    _not_converged(a, b, last)
+        total, last = _term_window(a, ub, tau, k, series_tol)
+        while total is None and k < n_max:  # cancelled below its peak term, or overflowed
+            k = min(2 * k, n_max)
+            total, last = _term_window(a, ub, tau, k, series_tol)
+    if total is None:
+        _not_converged(a, b, last)
+    if not np.isfinite(total).all():
+        _not_finite(a, b)
+    return total.reshape(u_arr.shape) if u_arr.ndim else complex(total[0])
+
+
+def _term_window(a, ub, tau, k, series_tol):
+    """The first k steps of the series loop over the 1-D array ub = u + b.
+
+    Row 0 of the (2k+1) x M term matrix is n = 0 and rows 2n-1, 2n are +n,
+    -n, each exp(i pi (na^2 tau + 2 na ub)) with the loop's operands, so one
+    add.accumulate down the rows forms the loop's partial sums
+    (sum + t(+n)) + t(-n) bit for bit.  The stopping rule then runs over the
+    row maxima: the result is (the partial sum at the first step whose last
+    pair of terms is below series_tol * max(1, max|sum|), None), or
+    (None, the largest term of step k).
+    """
+    n = np.arange(1, k + 1)
+    order = np.zeros(2 * k + 1)
+    order[1::2], order[2::2] = n, -n
+    na = (order + a)[:, None]
+    ipi = 1j * np.pi
+    terms = np.exp(ipi * (na * na * tau + 2.0 * na * ub))
+    moduli = np.abs(terms).max(axis=1).tolist()
+    sums = np.add.accumulate(terms, axis=0, out=terms)
+    sizes = np.abs(sums[::2]).max(axis=1).tolist()  # sizes[n]: after step n
+    for n in range(1, k + 1):
+        last = max(moduli[2 * n - 1], moduli[2 * n])
+        if last < series_tol * max(1.0, sizes[n]):
+            return sums[2 * n].copy(), None
+    return None, last
 
 
 def _theta_scalar(a, b, u, tau, series_tol, n_max):
-    """The numpy loop on one complex u: the same terms, sums and comparisons
-    in the same order, with a real operand promoted to complex as numpy
-    promotes it.  Inlined, and max() spelled out, because here a Python call
-    costs about as much as a cmath.exp."""
+    """The term-by-term loop on one complex u: the term window's terms, sums
+    and comparisons in the same order, with a real operand promoted to
+    complex as numpy promotes it.  Inlined, and max() spelled out, because
+    here a Python call costs about as much as a cmath.exp."""
     exp, ipi, ub = cmath.exp, 1j * math.pi, u + b
     na = 0 + a
     total = exp(ipi * (na * na * tau + 2.0 * na * ub))

@@ -216,8 +216,8 @@ def test_overflowing_terms_raise_convergence_error_not_warning(setup):
 
 
 def _reference_numpy_loop(a, b, u, tau, series_tol, n_max):
-    """The numpy loop of _theta_series before its stopping test was made
-    lazy, kept verbatim as the reference for the current one."""
+    """The term-by-term numpy loop that _theta_series's term window replaces,
+    with the loop's stopping rule, kept verbatim as the reference for it."""
     u_arr = np.asarray(u, dtype=complex)
     ipi = 1j * np.pi
 
@@ -239,28 +239,47 @@ def _reference_numpy_loop(a, b, u, tau, series_tol, n_max):
 
 def _loop_outcome(f, *args):
     try:
-        return f(*args).tobytes()
+        out = np.asarray(f(*args))
+        return out.shape, out.dtype, out.tobytes()
     except ConvergenceError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("tau", BIT_IDENTITY_TAUS)
+@pytest.mark.parametrize("tau", BIT_IDENTITY_TAUS + (1j * elliptic.MIN_IM_TAU,))
 def test_numpy_loop_bit_identical_to_reference(tau, monkeypatch):
-    """Arrays give the reference loop's bits, or its error, at every
-    size, characteristic and series cap, overflowing inputs included."""
+    """Arrays give the reference loop's bits, or its error text, at every
+    shape, characteristic and series cap, overflowing inputs included.  At
+    MIN_IM_TAU with |Im u| up to 1 the sums cancel below their peak term, so
+    some first windows are too small and must grow."""
+    windows, grew, term_window = [], [], elliptic._term_window
+
+    def recorded(a, ub, tau, k, series_tol):
+        windows.append(k)
+        return term_window(a, ub, tau, k, series_tol)
+
+    monkeypatch.setattr(elliptic, "_term_window", recorded)
     rng = np.random.default_rng(77)
-    grids = [rng.uniform(-1.2, 1.2, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
-             for shape in ((1,), (7,), (200, 200))]
+    im = 1.0 if tau.imag == elliptic.MIN_IM_TAU else 1.5
+    grids = [rng.uniform(-1.2, 1.2, shape) + 1j * rng.uniform(-im, im, shape)
+             for shape in ((), (1,), (7,), (3, 4), (200, 200))]
     grids += [np.array([z]) for z in (20j, 27j, 40j)]
     grids += [np.array([0.3, z]) for z in (20j, 27j, 40j)]
+    grids.append(grids[3].copy())
+    grids[-1][1, 2] = 40j  # one overflowing point in a grid
+    empty = ((0,), np.dtype(complex), b"")
     with np.errstate(all="ignore"):
         for a, b in [(0.5 + 0.5 * a1, 0.5 + 0.5 * a2) for a1 in (0, 1) for a2 in (0, 1)]:
-            for u in grids:
-                for n_max in (60, 3):
-                    monkeypatch.setattr(elliptic, "N_MAX", n_max)
-                    assert (_loop_outcome(_theta_series, a, b, u, tau)
-                            == _loop_outcome(_reference_numpy_loop,
-                                             a, b, u, tau, 1e-15, n_max))
+            for n_max in (60, 3, 2, 1):
+                monkeypatch.setattr(elliptic, "N_MAX", n_max)
+                for u in grids:
+                    windows.clear()
+                    outcome = _loop_outcome(_theta_series, a, b, u, tau)
+                    assert outcome == _loop_outcome(_reference_numpy_loop,
+                                                    a, b, u, tau, 1e-15, n_max)
+                    grew.append(len(windows) > 1 and not isinstance(outcome, str))
+                assert _loop_outcome(_theta_series, a, b, np.zeros(0), tau) == empty
+    if tau.imag == elliptic.MIN_IM_TAU:
+        assert any(grew)  # a sum from a second window, still the loop's bits
 
 
 # ---------------------------------------------------------------------------

@@ -110,31 +110,54 @@ def test_weight_stack_require_generic_names_the_family(setup):
                 weight.require_generic(setup)
 
 
-def test_sampled_max_passes_the_per_sample_draws(setup, monkeypatch):
+def _check_sampled_max_draws(refused, setup, monkeypatch):
     """The stacks are the points and weights the per-sample loop drew, also
-    through rejected weight draws (every other weight is refused here)."""
-    count, calls = 20, [0]
-    generic = WeightVector.require_generic
+    through rejected weight draws: the ``refused`` candidates (counted from 1)
+    of the sequential stream are refused by value, so the stacked check
+    sees them as well as the replayed per-sample loop.  With no refusal the
+    weights are checked as one stack and never one by one."""
+    count, generic = 20, WeightVector.require_generic
+    calls, bad = [], set()
 
-    def every_other(self, s, floor=rmatrices.GENERICITY_FLOOR):
-        calls[0] += 1
-        if calls[0] % 2:
+    def by_count(self, s, floor=rmatrices.GENERICITY_FLOOR):
+        calls.append(0)
+        if len(calls) in refused:
+            bad.add(self.m1)
             raise SingularityError("rejected")
         return generic(self, s, floor)
 
-    monkeypatch.setattr(WeightVector, "require_generic", every_other)
+    def by_value(self, s, floor=rmatrices.GENERICITY_FLOOR):
+        calls.append(np.size(self.m1) if np.ndim(self.m1) else 0)
+        if bad.intersection(np.ravel(self.m1).tolist()):
+            raise SingularityError("rejected")
+        return generic(self, s, floor)
+
+    monkeypatch.setattr(WeightVector, "require_generic", by_count)
     rng = np.random.default_rng(7)
     expected = [runner._points_and_weight(rng, setup, 2) for _ in range(count)]
-    assert calls[0] == 2 * count
+    assert calls == [0] * (count + len(refused)) and len(bad) == len(refused)
+    monkeypatch.setattr(WeightVector, "require_generic", by_value)
+    calls.clear()
     seen = []
-    worst = runner._sampled_max(7, count, lambda r: runner._points_and_weight(r, setup, 2),
-                                lambda *args: seen.append(args) or np.arange(count) / 4.0)
+    worst = runner._sampled_max(7, count, 2,
+                                lambda *args: seen.append(args) or np.arange(count) / 4.0,
+                                setup)
     assert worst == (count - 1) / 4.0
+    # one stacked check, then the per-sample replay only if it was refused
+    assert calls == [count] + ([0] * (count + len(refused)) if refused else [])
     (u1, u2, m), = seen
     assert np.array_equal(u1, [e[0] for e in expected])
     assert np.array_equal(u2, [e[1] for e in expected])
     assert np.array_equal(m.m1, [e[2].m1 for e in expected])
     assert np.array_equal(m.m2, [e[2].m2 for e in expected])
+
+
+def test_sampled_max_passes_the_per_sample_draws(setup, monkeypatch):
+    _check_sampled_max_draws((2, 5), setup, monkeypatch)
+
+
+def test_sampled_max_checks_the_weights_as_one_stack(setup, monkeypatch):
+    _check_sampled_max_draws((), setup, monkeypatch)
 
 
 def test_times_and_quotient_round_as_python():
