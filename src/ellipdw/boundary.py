@@ -7,7 +7,7 @@ The vertex-face dictionary implemented here:
 * ``intertwiner`` -- column 2-vectors phi with entries theta^(k)(u + 2 m_j),
 * ``dual_intertwiners`` -- the bar and tilde row duals, defined by
   biorthogonality and computed by exact 2x2 inversion, as the rows of two
-  2x2 arrays,
+  2x2 arrays (``_bar_duals`` and ``_tilde_duals`` build one family each),
 * ``face_K`` -- the diagonal face-type reflection matrix,
 * ``k_factorization_residual`` -- K(u) reassembled from intertwiners and
   face_K as a residual,
@@ -194,11 +194,16 @@ def dual_intertwiners(m: WeightVector, u, setup: ModularSetup):
     2x2 arrays whose row j - 1 is the dual of index j (stacks over array
     arguments, rows on the second-to-last axis).
 
-    Bar rows invert [phi_{m, m-eta e_j}(u)]; tilde rows invert
+    Bar rows invert [phi_{m, m-eta e_j}(u)] (``_bar_duals``); tilde rows invert
     [phi_{m+eta e_j, m}(u)] (``_tilde_duals``).  Biorthogonality holds by
     construction.
     """
-    return _inverse_rows(_column_matrix(m, u, setup)), _tilde_duals(m, u, setup)
+    return _bar_duals(m, u, setup), _tilde_duals(m, u, setup)
+
+
+def _bar_duals(m: WeightVector, u, setup: ModularSetup) -> np.ndarray:
+    """The bar rows of ``dual_intertwiners``, without the tilde rows."""
+    return _inverse_rows(_column_matrix(m, u, setup))
 
 
 def _tilde_duals(m: WeightVector, u, setup: ModularSetup) -> np.ndarray:
@@ -255,7 +260,7 @@ def k_factorization_residual(u, bc: BoundaryConfig, setup: ModularSetup):
     """
     lam = bc.weight
     kf = face_K(bc, u, setup)
-    bar, _ = dual_intertwiners(lam, -u, setup)
+    bar = _bar_duals(lam, -u, setup)
     rebuilt = 0.0
     for i in (1, 2):
         rebuilt = rebuilt + kf[..., i - 1, i - 1, None, None] * _outer(

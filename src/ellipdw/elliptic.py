@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,19 +114,16 @@ def _term_window(a, ub, tau, k, series_tol):
     """The first k steps of the series loop over the 1-D array ub = u + b.
 
     Row 0 of the (2k+1) x M term matrix is n = 0 and rows 2n-1, 2n are +n,
-    -n, each exp(i pi (na^2 tau + 2 na ub)) with the loop's operands, so one
+    -n, each exp(i pi (na^2 tau + 2 na ub)) with the loop's operands (the
+    columns na*na*tau and 2.0*na from ``_window_columns``), so one
     add.accumulate down the rows forms the loop's partial sums
     (sum + t(+n)) + t(-n) bit for bit.  The stopping rule then runs over the
     row maxima: the result is (the partial sum at the first step whose last
     pair of terms is below series_tol * max(1, max|sum|), None), or
     (None, the largest term of step k).
     """
-    n = np.arange(1, k + 1)
-    order = np.zeros(2 * k + 1)
-    order[1::2], order[2::2] = n, -n
-    na = (order + a)[:, None]
-    ipi = 1j * np.pi
-    terms = np.exp(ipi * (na * na * tau + 2.0 * na * ub))
+    square, twice = _window_columns(a, k, tau)
+    terms = np.exp(1j * np.pi * (square + twice * ub))
     moduli = np.abs(terms).max(axis=1).tolist()
     sums = np.add.accumulate(terms, axis=0, out=terms)
     sizes = np.abs(sums[::2]).max(axis=1).tolist()  # sizes[n]: after step n
@@ -134,6 +132,19 @@ def _term_window(a, ub, tau, k, series_tol):
         if last < series_tol * max(1.0, sizes[n]):
             return sums[2 * n].copy(), None
     return None, last
+
+
+@lru_cache(maxsize=64)
+def _window_columns(a, k, tau):
+    """The read-only columns na*na*tau and 2.0*na of a k-step term window,
+    na = n + a over the rows n = 0, +1, -1, ..., +k, -k."""
+    n = np.arange(1, k + 1)
+    order = np.zeros(2 * k + 1)
+    order[1::2], order[2::2] = n, -n
+    na = (order + a)[:, None]
+    square, twice = na * na * tau, 2.0 * na
+    square.flags.writeable = twice.flags.writeable = False
+    return square, twice
 
 
 def _theta_scalar(a, b, u, tau, series_tol, n_max):

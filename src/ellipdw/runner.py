@@ -61,12 +61,16 @@ def run_compare(cfg: RunConfig) -> PartitionReport:
 # ---------------------------------------------------------------------------
 
 WEIGHT_FLOOR = 1e-3  # the identity suite's weights clear the genericity floor by far
+# (low, high) of the real and of the imaginary part of a drawn weight component
+# and of a drawn point
+WEIGHT_BOX = ((-0.5, 0.5), (-0.12, 0.12))
+POINT_BOX = ((-0.4, 0.4), (-0.15, 0.15))
 
 
 def _weight(rng):
-    return rmatrices.WeightVector(
-        rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.12, 0.12),
-        rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.12, 0.12))
+    re, im = WEIGHT_BOX
+    return rmatrices.WeightVector(rng.uniform(*re) + 1j * rng.uniform(*im),
+                                  rng.uniform(*re) + 1j * rng.uniform(*im))
 
 
 def _draw_weight(rng, setup):
@@ -81,7 +85,8 @@ def _draw_weight(rng, setup):
 
 
 def _draw_points(rng, count):
-    return rng.uniform(-0.4, 0.4, count) + 1j * rng.uniform(-0.15, 0.15, count)
+    re, im = POINT_BOX
+    return rng.uniform(*re, count) + 1j * rng.uniform(*im, count)
 
 
 def _points_and_weight(rng, setup, count, checked=True):
@@ -100,31 +105,54 @@ def _stacked(values):
     return np.array(values, dtype=complex)
 
 
+def _sample_stacks(seed, count, points, weighted):
+    """The stacked arguments of ``count`` samples, bit for bit those that the
+    per-sample loop (``_draw_points``, or ``_points_and_weight(...,
+    checked=False)`` when ``weighted``) draws from a generator seeded with
+    ``seed``, from one ``Generator.uniform`` pass over a (count, width) table:
+    row i is sample i's draws in the loop's order (the weight's m1.re, m1.im,
+    m2.re, m2.im, then the points' real parts, then their imaginary parts),
+    each column with its own bounds, joined into complex values as the loop
+    joins them."""
+    boxes = (WEIGHT_BOX * 2 if weighted else ()) + (POINT_BOX[0],) * points \
+        + (POINT_BOX[1],) * points
+    lo, hi = np.array(boxes).T
+    cols = np.random.default_rng(seed).uniform(lo, hi, (count, len(boxes))).T.copy()
+    w = 4 if weighted else 0
+    args = list(cols[w:w + points] + 1j * cols[w + points:])
+    if weighted:
+        args.append(rmatrices.WeightVector(*(cols[0:4:2] + 1j * cols[1:4:2])))
+    return args
+
+
 def _sampled_max(seed, count, points, residual, setup=None):
     """Largest residual over ``count`` samples from one generator seeded with
     ``seed``; a nan residual makes it nan.
 
     A sample is ``points`` points, preceded by a weight when ``setup`` is
-    given.  The samples are drawn one after another, then each argument is
-    stacked over them and ``residual`` is called once on the stacks.  The
-    weights are drawn unchecked and checked as one stack; only if the stack
-    is refused are the samples drawn again by ``_points_and_weight``, which
-    redraws each refused weight, so the stacks are always the per-sample
-    draws'.  The stack must clear the floor by a margin: a stacked sigma
-    equals its scalar sum to rounding, not always bit for bit."""
-    def stacks(draw):
-        rng = np.random.default_rng(seed)
-        return list(map(_stacked, zip(*(tuple(draw(rng)) for _ in range(count)))))
-
-    if setup is None:
-        args = stacks(lambda rng: _draw_points(rng, points))
-    else:
-        args = stacks(lambda rng: _points_and_weight(rng, setup, points, checked=False))
+    given.  Each argument is stacked over the samples (``_sample_stacks``)
+    and ``residual`` is called once on the stacks.  The weights are drawn
+    unchecked and checked as one stack; only if the stack is refused are the
+    samples drawn again one by one by ``_points_and_weight``, which redraws
+    each refused weight, so the stacks are always the per-sample draws'.
+    The stack must clear the floor by a margin: a stacked sigma equals its
+    scalar sum to rounding, not always bit for bit."""
+    args = _sample_stacks(seed, count, points, setup is not None)
+    if setup is not None:
         try:
             args[-1].require_generic(setup, WEIGHT_FLOOR * (1.0 + 1e-9))
         except EllipdwError:
-            args = stacks(lambda rng: _points_and_weight(rng, setup, points))
+            rng = np.random.default_rng(seed)
+            args = list(map(_stacked, zip(*(tuple(_points_and_weight(rng, setup, points))
+                                             for _ in range(count)))))
     return float(np.max(residual(*args)))
+
+
+def _biorthogonality_defect(u, m, setup):
+    """|bar(u) phi(u) - 1| of the bar duals at weight m, from the bar rows
+    alone (the tilde rows are not built)."""
+    return max_abs(boundary._bar_duals(m, u, setup) @ boundary._column_matrix(m, u, setup)
+                   - np.eye(2))
 
 
 def identity_checks(cfg: RunConfig):
@@ -179,12 +207,8 @@ def identity_checks(cfg: RunConfig):
     checks.append(("intertwiner_det_constancy",
                    float(np.max(np.abs(ratios - ratios[0])) / abs(ratios[0])), 1e-10))
 
-    def biorthogonality_defect(u, m):
-        bar, _ = boundary.dual_intertwiners(m, u, setup)
-        return max_abs(bar @ boundary._column_matrix(m, u, setup) - np.eye(2))
-
     checks.append(("dual_biorthogonality", _sampled_max(
-        seed + 10, 100, 1, biorthogonality_defect, setup), 1e-12))
+        seed + 10, 100, 1, partial(_biorthogonality_defect, setup=setup), setup), 1e-12))
 
     seed11 = np.random.default_rng(seed + 11)
     spec3 = draw_spectral(3, seed + 11, setup, bc)

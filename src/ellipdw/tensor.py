@@ -137,11 +137,12 @@ def apply_one_site(tensor: np.ndarray, mat2: np.ndarray, ax: int) -> np.ndarray:
 
 def product_state(factors) -> np.ndarray:
     """Kron of per-site 2-vectors, first factor most significant; the empty
-    product is [1]."""
+    product is [1].  Each step is one flat outer product, whose entries are
+    the single complex products ``np.kron`` forms, so the bits are kron's."""
     if len(factors) == 0:
         return np.ones(1, dtype=complex)
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        out = np.multiply.outer(out, np.asarray(f, dtype=complex)).ravel()
     return out
 

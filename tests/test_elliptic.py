@@ -282,6 +282,20 @@ def test_numpy_loop_bit_identical_to_reference(tau, monkeypatch):
         assert any(grew)  # a sum from a second window, still the loop's bits
 
 
+def test_window_columns_are_cached_and_read_only():
+    """One k-step window's columns serve every call at (a, k, tau), so none
+    may be written; they are the loop's operands na*na*tau and 2.0*na."""
+    square, twice = elliptic._window_columns(0.5, 4, 1j)
+    assert elliptic._window_columns(0.5, 4, 1j)[0] is square
+    na = np.array([0, 1, -1, 2, -2, 3, -3, 4, -4], dtype=float)[:, None] + 0.5
+    assert square.tobytes() == (na * na * 1j).tobytes()
+    assert twice.tobytes() == (2.0 * na).tobytes()
+    for column in (square, twice):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # The separable grid evaluator sigma(p_a + s q_k + c) = X @ Y.T.
 # ---------------------------------------------------------------------------

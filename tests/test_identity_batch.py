@@ -7,6 +7,7 @@ scalar call does, and keep a nan sample visible in the check's maximum.
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from ellipdw import (BoundaryConfig, WeightVector, boundary, elliptic, parse_config,
                      rmatrices, run_identities, runner)
 from ellipdw.errors import EllipdwError, SingularityError
-from ellipdw.tensor import embed_matrix, quotient, times
+from ellipdw.tensor import embed_matrix, max_abs, product_state, quotient, times
 
 BC = BoundaryConfig(lambda1=0.41, lambda2=-0.23, zeta=0.17)
 LAM_SUM = BC.lambda1 + BC.lambda2 - 0.5   # sigma(-u + LAM_SUM) vanishes at u = LAM_SUM
@@ -158,6 +159,94 @@ def test_sampled_max_passes_the_per_sample_draws(setup, monkeypatch):
 
 def test_sampled_max_checks_the_weights_as_one_stack(setup, monkeypatch):
     _check_sampled_max_draws((), setup, monkeypatch)
+
+
+# (count, points, weighted) of every sampled check in ``runner.identity_checks``
+SAMPLED_SHAPES = {(100, 4, False), (50, 3, False), (50, 3, True), (50, 1, True),
+                  (50, 2, False), (50, 2, True), (50, 1, False), (100, 1, True)}
+
+
+def test_sampled_shapes_are_the_identity_checks(monkeypatch):
+    shapes, sampled_max = set(), runner._sampled_max
+
+    def recorded(seed, count, points, residual, setup=None):
+        shapes.add((count, points, setup is not None))
+        return sampled_max(seed, count, points, residual, setup)
+
+    monkeypatch.setattr(runner, "_sampled_max", recorded)
+    runner.identity_checks(parse_config("{mode: identities, seed: 3}"))
+    assert shapes == SAMPLED_SHAPES
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("count, points, weighted", sorted(SAMPLED_SHAPES))
+def test_one_pass_stacks_are_the_per_sample_draws(count, points, weighted, seed, setup):
+    """Bit for bit, signed zeros included, against the per-sample loop."""
+    rng = np.random.default_rng(seed)
+    draw = ((lambda: runner._points_and_weight(rng, setup, points, checked=False))
+            if weighted else (lambda: runner._draw_points(rng, points)))
+    expected = list(map(runner._stacked, zip(*(tuple(draw()) for _ in range(count)))))
+    stacks = runner._sample_stacks(seed, count, points, weighted)
+    assert len(stacks) == len(expected) == points + weighted
+    for ours, theirs in zip(stacks, expected):
+        if isinstance(ours, WeightVector):
+            ours, theirs = np.array([ours.m1, ours.m2]), np.array([theirs.m1, theirs.m2])
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_bar_only_residuals_never_build_tilde_duals(setup, monkeypatch):
+    """k_factorization and dual_biorthogonality read only the bar duals: with
+    ``_tilde_duals`` refusing, they return the values read from the bar rows
+    of the full ``dual_intertwiners``, and the report's check is the same."""
+    rng = np.random.default_rng(8)
+    u = runner._draw_points(rng, 50)
+    m = runner._stacked([runner._draw_weight(rng, setup) for _ in range(50)])
+
+    def k_factorization_from_both_duals():
+        bar = boundary.dual_intertwiners(BC.weight, -u, setup)[0]
+        kf = boundary.face_K(BC, u, setup)
+        rebuilt = 0.0
+        for i in (1, 2):
+            rebuilt = rebuilt + kf[..., i - 1, i - 1, None, None] * boundary._outer(
+                boundary.intertwiner(BC.weight, i, u, setup), bar[..., i - 1, :])
+        kv = boundary.vertex_K_matrix(u, BC, setup)
+        return max_abs(kv - rebuilt) / max_abs(kv)
+
+    def biorthogonality_from_both_duals(u, m, setup):
+        bar = boundary.dual_intertwiners(m, u, setup)[0]
+        return max_abs(bar @ boundary._column_matrix(m, u, setup) - np.eye(2))
+
+    cfg = parse_config("{mode: identities, seed: 4}")
+    sampled = partial(runner._sampled_max, cfg.seed + 10, 100, 1, setup=cfg.setup)
+    k_expected = k_factorization_from_both_duals()
+    bio_expected = biorthogonality_from_both_duals(u, m, setup)
+    check_expected = sampled(partial(biorthogonality_from_both_duals, setup=cfg.setup))
+    reported = next(c["max_residual"] for c in run_identities(cfg)["checks"]
+                    if c["name"] == "dual_biorthogonality")
+
+    def refused(*args):
+        raise AssertionError("tilde duals built")
+
+    monkeypatch.setattr(boundary, "_tilde_duals", refused)
+    assert np.array_equal(boundary.k_factorization_residual(u, BC, setup), k_expected)
+    assert np.array_equal(runner._biorthogonality_defect(u, m, setup), bio_expected)
+    check = sampled(partial(runner._biorthogonality_defect, setup=cfg.setup))
+    assert check == check_expected == reported
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_product_state_is_the_kron_chain(n):
+    factors = np.random.default_rng(n).normal(size=(n, 2, 2)) @ np.array([1, 1j])
+    factors[:, 0] *= 10.0 ** np.arange(-n, 0, dtype=float)  # a spread of magnitudes
+    expected = np.ones(1, dtype=complex)
+    if n:
+        expected = factors[0]
+        for f in factors[1:]:
+            expected = np.kron(expected, f)
+    out = product_state(factors)
+    assert out.shape == (2 ** n,) and out.dtype == complex
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_times_and_quotient_round_as_python():
