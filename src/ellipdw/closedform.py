@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .boundary import BoundaryConfig
 from .elliptic import ModularSetup
-from .errors import ConditioningWarning, SingularityError, SizeError
+from .errors import SingularityError, SizeError
 from .oracle import SpectralConfig, SpectralGrids
 from .rmatrices import GENERICITY_FLOOR, SIGMA_ETA, _checked_sigma
 
@@ -163,39 +161,29 @@ def normalized_z_permsum(spectral: SpectralConfig, bc: BoundaryConfig,
 # Determinant route (log-space).
 # ---------------------------------------------------------------------------
 
-def _log_z_det(g: SpectralGrids, lam_u, lam_xi):
-    """log of the normalized value from the single determinant, one per
-    configuration of the stack.
+def _log_det(matrix):
+    """log det over the trailing two axes: log|det| + i angle(sign) from one
+    ``np.linalg.slogdet`` (a partial-pivoted LU) over the stack, so the
+    imaginary part lies in (-pi, pi]; an exactly singular matrix is refused."""
+    sign, log_abs = np.linalg.slogdet(matrix)
+    if np.any(sign == 0):
+        raise SingularityError("singular matrix in normalized_z_determinant")
+    return log_abs + 1j * np.angle(sign)
 
-    log(det) comes from a partial-pivoted LU (one ``lu_factor`` call over the
-    stack of matrices), with a pivot-ratio digit-loss warning.  The pair
-    products are read first: a pair family below the floor (xi_a = -xi_b
-    makes two columns equal) is refused by name before the LU sees an
-    exactly singular matrix, and any other exact zero pivot is refused here
-    rather than by scipy's LinAlgWarning.
-    """
+
+def _log_z_det(g: SpectralGrids, lam_u, lam_xi):
+    """log of the normalized value, one per configuration of the stack, with
+    log(det) from ``_log_det``'s one slogdet over the stack of matrices.  The
+    pair products are read first: a pair family below the floor (xi_a = -xi_b
+    makes two columns equal) is refused by name before the LU sees an exactly
+    singular matrix."""
     log_pairs = _log_pair_products(g)
     row = g.s2u / lam_u
     s_eta = _checked_sigma(g.setup.eta, g.setup, SIGMA_ETA)
     kernel = s_eta / (g.minus * g.plus_eta * g.minus_eta * g.plus)
     matrix = row[..., :, None] * kernel * lam_xi[..., None, :]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    diag = np.diagonal(lu, axis1=-2, axis2=-1)
-    if np.any(diag == 0):
-        raise SingularityError("singular matrix in normalized_z_determinant")
-    mags = np.abs(diag)
-    # an empty matrix (N = 0) has no pivot and loses no digit
-    ratio = np.max(mags.max(axis=-1, initial=0.0) / mags.min(axis=-1, initial=math.inf))
-    if ratio >= 1e6:
-        warnings.warn(
-            f"normalized_z_determinant: pivot ratio {ratio:.2e} "
-            "indicates >= 6 digits lost", ConditioningWarning, stacklevel=3)
-    sign_flips = np.sum(piv != np.arange(diag.shape[-1]), axis=-1)
-    log_det = np.sum(np.log(diag), axis=-1) + (1j * math.pi) * (sign_flips % 2)
     log_num = _log_product(g.minus, 2) + _log_product(g.plus_eta, 2)
-    return log_num + log_det - log_pairs
+    return log_num + _log_det(matrix) - log_pairs
 
 
 def _log_normalized_z_determinant(spectral, bc, setup,

@@ -30,4 +30,4 @@ class ValidationError(EllipdwError):
 
 
 class ConditioningWarning(UserWarning):
-    """Pivot growth in a determinant factorization indicates digit loss."""
+    """A value's estimated error exceeds its tolerance; nothing emits it yet."""

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-import scipy.linalg
 
 from .boundary import BoundaryConfig
 from .closedform import _boundary_vectors, _log_uxi_ratio, _permsum_ab
@@ -190,15 +189,18 @@ def triangularity_defect(f: DenseOperator) -> float:
 
 
 def f_inverse_matrix(f: DenseOperator) -> np.ndarray:
-    """Inverse via triangular solve in the sorted basis order."""
+    """Inverse by forward substitution in the sorted basis order, where it is
+    exactly lower-triangular, as F is."""
     n = f.n_sites
     order = basis_order(n)
     lower = f.mat[np.ix_(order, order)]
     diag = np.abs(np.diag(lower))
     if float(diag.min()) < GENERICITY_FLOOR:
         raise SingularityError(f"twist near-degenerate: min |diag| = {diag.min():.2e}")
-    inv_sorted = scipy.linalg.solve_triangular(
-        lower, np.eye(2 ** n, dtype=complex), lower=True, check_finite=False)
+    inv_sorted = np.zeros_like(lower)
+    for i in range(len(lower)):
+        inv_sorted[i, :i] = -(lower[i, :i] @ inv_sorted[:i, :i]) / lower[i, i]
+        inv_sorted[i, i] = 1.0 / lower[i, i]
     out = np.empty_like(inv_sorted)
     out[np.ix_(order, order)] = inv_sorted
     return out

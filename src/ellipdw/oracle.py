@@ -30,7 +30,7 @@ to the identity as a batch of basis kets, as ``double_row_monodromy`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,12 @@ def _read_only(vals, family=None):
         _floor_checked(vals, f"sigma({family})")
     vals.flags.writeable = False
     return vals
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(n: int):
+    """The read-only indices (a, b) of the pairs a < b of n points, one copy per n."""
+    return tuple(_read_only(index) for index in np.triu_indices(n, k=1))
 
 
 class SpectralGrids:
@@ -86,9 +92,8 @@ class SpectralGrids:
         self.u = np.asarray(u, dtype=complex)
         self.xi = np.asarray(xi, dtype=complex)
         self.setup = setup
-        self.u_pairs = np.triu_indices(self.u.shape[-1], k=1)
-        self.xi_pairs = (self.u_pairs if self.xi.shape[-1] == self.u.shape[-1]
-                         else np.triu_indices(self.xi.shape[-1], k=1))
+        self.u_pairs = _pair_indices(self.u.shape[-1])
+        self.xi_pairs = _pair_indices(self.xi.shape[-1])
 
     def _product(self, p, q, family, s, c=0.0, pairs=()):
         """sigma(p_i + s*q_j + c), indexed [..., i, j], or its entries over

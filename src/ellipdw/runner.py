@@ -149,10 +149,10 @@ def _sampled_max(seed, count, points, residual, setup=None):
 
 
 def _biorthogonality_defect(u, m, setup):
-    """|bar(u) phi(u) - 1| of the bar duals at weight m, from the bar rows
-    alone (the tilde rows are not built)."""
-    return max_abs(boundary._bar_duals(m, u, setup) @ boundary._column_matrix(m, u, setup)
-                   - np.eye(2))
+    """|bar(u) phi(u) - 1| of the bar duals at weight m, from one build of
+    the columns phi(u) (the tilde rows are not built)."""
+    columns = boundary._column_matrix(m, u, setup)
+    return max_abs(boundary._inverse_rows(columns) @ columns - np.eye(2))
 
 
 def identity_checks(cfg: RunConfig):

@@ -1,5 +1,6 @@
 """Closed-form routes and the proof-step machinery."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,11 +12,11 @@ from ellipdw import (SpectralConfig, f_quasi_period_residual, full_z,
                      partition_prefactor, pole_matching_pair, pole_scan,
                      recursion_residual, residue_estimate, sigma)
 from ellipdw import closedform, oracle
-from ellipdw.closedform import (POLE_SCAN_EPS, RING_POINTS, _boundary_vectors,
+from ellipdw.closedform import (POLE_SCAN_EPS, RING_POINTS, _boundary_vectors, _log_det,
                                 _log_normalized_z_determinant, _log_product,
                                 _pair_with_last_u, _permsum, _permsum_ab, _ring)
 from ellipdw.config import draw_spectral, parse_config
-from ellipdw.errors import ConditioningWarning, SingularityError, SizeError
+from ellipdw.errors import SingularityError, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR
 
 from highprec import ref_log_z_determinant, ref_permsum
@@ -112,6 +113,31 @@ def test_log_product_matches_the_complex_log_sum():
     assert np.all(np.abs(got.real - ref.real) <= 1e-13 * np.abs(ref.real))
     phase = (got.imag - ref.imag + np.pi) % (2 * np.pi) - np.pi
     assert np.all(np.abs(phase) <= 1e-13 * np.abs(ref.imag).max())
+
+
+def test_log_det_of_a_stack_is_its_per_matrix_values():
+    """One slogdet over a stack gives each matrix its lone bits."""
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((4, 12, 12)) + 1j * rng.standard_normal((4, 12, 12))
+    got = _log_det(stack)
+    assert got.shape == (4,)
+    assert [complex(v) for v in got] == [complex(_log_det(m)) for m in stack]
+
+
+def test_log_det_of_a_swap_is_i_pi():
+    """det [[0, 1], [1, 0]] = -1: log|det| = 0 and the angle is pi mod 2 pi."""
+    log_det = complex(_log_det(np.array([[0, 1], [1, 0]], dtype=complex)))
+    assert log_det.real == 0.0
+    assert math.remainder(log_det.imag - math.pi, 2 * math.pi) == 0.0
+
+
+def test_log_det_refuses_an_exactly_singular_matrix():
+    """A zero determinant is refused by name, with no RuntimeWarning from
+    the LU or the log."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularityError, match="singular matrix"):
+            _log_det(np.array([[1, 2], [2, 4]], dtype=complex))
 
 
 def test_determinant_xi_exchange_invariance(draw, bc, setup):
@@ -274,11 +300,18 @@ def test_stacked_pair_equals_per_point_pairs(order, draw, bc, setup):
 def test_one_configuration_keeps_its_bits(draw, bc, setup):
     """One configuration runs the stack code with no leading axis; its log
     determinant at N = 16 and 64 and its permutation sum at N = 9 are
-    pinned in repr, so a last-bit change to either fails."""
-    assert repr(_log_normalized_z_determinant(draw(16, 1016, setup, bc), bc, setup)) \
-        == "(271.1266929690877-183.28127718213534j)"
-    assert repr(_log_normalized_z_determinant(draw(64, 1064, setup, bc), bc, setup)) \
-        == "(4376.993066709378+2864.110161964626j)"
+    pinned in repr, so a last-bit change to either fails.  Each log
+    determinant equals, modulo 2 pi i and within 1e-12 relative, the value
+    pinned when log(det) was a scipy LU's unwrapped sum of pivot logs."""
+    for n, pin, lu_pin in (
+            (16, "(271.1266929690877-170.71490656777615j)",
+             271.1266929690877 - 183.28127718213534j),
+            (64, "(4376.993066709378+2876.676532578985j)",
+             4376.993066709378 + 2864.110161964626j)):
+        log_z = _log_normalized_z_determinant(draw(n, 1000 + n, setup, bc), bc, setup)
+        assert repr(log_z) == pin
+        turns = round((log_z - lu_pin).imag / (2 * np.pi))
+        assert abs(log_z - lu_pin - 2j * np.pi * turns) <= 1e-12 * abs(log_z), n
     assert repr(normalized_z_permsum(draw(9, 1009, setup, bc), bc, setup)) \
         == "(-2.4975818081901177e+29+2.4986286517667156e+30j)"
 
@@ -334,26 +367,7 @@ def test_difference_quasi_period(draw, bc, setup):
     assert f_quasi_period_residual(spec, bc, setup) <= 1e-9
 
 
-def test_conditioning_warning():
-    """Clustered spectral points trigger the pivot-ratio warning."""
-    from ellipdw import BoundaryConfig, ModularSetup
-    setup = ModularSetup(tau=1j, eta=0.31)
-    bc = BoundaryConfig(0.41, -0.23, 0.17)
-    n = 6
-    rng = np.random.default_rng(296)
-    u = tuple(0.25 + 1e-5 * rng.standard_normal(n)
-              + 1j * (0.02 + 1e-5 * rng.standard_normal(n)))
-    xi = tuple(-0.2 + 1e-5 * rng.standard_normal(n)
-               + 1j * 1e-5 * rng.standard_normal(n))
-    spec = SpectralConfig(u=u, xi=xi)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        normalized_z_determinant(spec, bc, setup)
-    assert any(issubclass(w.category, ConditioningWarning) for w in caught)
-
-
 def test_saturating_overflow_value(draw, bc, setup):
-    import math
     spec = draw(64, 299, setup, bc)
     z = normalized_z_determinant(spec, bc, setup)
     assert math.isinf(abs(z))

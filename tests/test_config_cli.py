@@ -2,8 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import ellipdw
 
 from ellipdw import elliptic, parse_config, run_bench, run_compare, run_identities
 from ellipdw.cli import main
@@ -117,7 +124,7 @@ def test_lattice_zero_is_refused_under_one_name(lambda2, refusing):
 def test_run_compare_singular_determinant_is_an_error_row():
     """xi_a = -xi_b makes two columns of the determinant's matrix equal: the
     route refuses by naming the pair family, before its LU, so the report
-    gets an error row (under warnings-as-errors, no LinAlgWarning escapes)."""
+    gets an error row (under warnings-as-errors, no RuntimeWarning escapes)."""
     report = run_compare(parse_config("{N: 2, u: [0.2, 0.3], xi: [-0.1, 0.1]}"))
     status = report.routes["determinant"].status
     assert status.startswith("error: SingularityError") and "sigma(xi_a + xi_b)" in status
@@ -197,6 +204,44 @@ def test_run_bench_rows_and_guard_skip():
     assert by_key[("enumeration", 4)]["status"].startswith("skipped")
     assert by_key[("determinant", 4)]["status"] == "ok"
     assert result["pass"] is True
+
+
+_NO_SCIPY = textwrap.dedent("""
+    import sys
+
+    class Watch:
+        seen = []
+
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                self.seen.append(name)
+            return None
+
+    sys.meta_path.insert(0, Watch())
+    from ellipdw import parse_config, run_bench, run_compare, run_identities
+
+    assert run_identities(parse_config("{mode: identities}"))["pass"]
+    report = run_compare(parse_config(
+        "{N: 2, routes: [enumeration, bruteforce, face, permsum, determinant]}"))
+    assert [r.status for r in report.routes.values()] == ["ok"] * 5
+    rows = run_bench(parse_config(
+        "{mode: bench, routes: [determinant, permsum], n_sweep: [4, 16]}"))["rows"]
+    assert len(rows) == 4
+    loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+    assert not Watch.seen and not loaded, (Watch.seen, loaded)
+""")
+
+
+def test_runs_never_load_scipy():
+    """A fresh interpreter imports the package and runs identities, compare
+    with all five routes and bench without ever importing scipy, so its
+    import cost is paid neither at import nor at the first operation."""
+    src = str(Path(ellipdw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_value_digest_forms():

@@ -190,10 +190,14 @@ def test_word_not_producing_its_seq_is_refused(seq, word, draw, bc, setup, l_wei
 
 
 def test_inverse_by_triangular_solve(draw, bc, setup, l_weight):
-    spec = draw(3, 128, setup, bc)
-    f = f_matrix(l_weight, spec, setup)
-    inv = f_inverse_matrix(f)
-    assert np.max(np.abs(f.mat @ inv - np.eye(8))) <= 1e-12
+    """F F^-1 = 1, and F^-1 is exactly zero above the diagonal in the
+    sorted basis order, at N = 3 and at the guard."""
+    for n, seed in ((3, 128), (MAX_F_N, 142)):
+        f = f_matrix(l_weight, draw(n, seed, setup, bc), setup)
+        inv = f_inverse_matrix(f)
+        assert np.max(np.abs(f.mat @ inv - np.eye(2 ** n))) <= 1e-12, n
+        order = basis_order(n)
+        assert not np.triu(inv[np.ix_(order, order)], k=1).any(), n
 
 
 @pytest.mark.parametrize("n,seed,tol", [(1, 129, 1e-14), (2, 130, 1e-11), (3, 131, 1e-10),

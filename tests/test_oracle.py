@@ -488,6 +488,16 @@ def test_stacked_lu_grid_equals_its_lone_build(n, draw, bc, setup):
             assert np.array_equal(getattr(stacked, name)[i], getattr(lone[i], name)), (name, i)
 
 
+def test_pair_indices_are_shared_read_only_per_size(setup):
+    """Configurations of one size share one read-only copy of the pair
+    indices a < b, np.triu_indices(N, k=1)."""
+    first = oracle.SpectralGrids([0.1, 0.2, 0.3], [0.4, 0.5, 0.6], setup)
+    second = oracle.SpectralGrids([[0.7, 0.8, 0.9]], [0.1, 0.3, 0.5], setup)
+    assert first.u_pairs is first.xi_pairs is second.u_pairs
+    for got, want in zip(first.u_pairs, np.triu_indices(3, k=1)):
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
 def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypatch):
     """After the draw's genericity check, every closed form together
     evaluates sigma(2u) once and G's numerator as the one GEMM, and no
