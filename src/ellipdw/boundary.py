@@ -44,10 +44,23 @@ LAMBDA_ZETA_U = "sigma(lambda_i + zeta + u)"
 LAMBDA12_ETA = "sigma(lambda12 + k eta)"
 
 
+def lattice_sweep(n: int) -> np.ndarray:
+    """The k of the lattice check, |k| <= 2N+2: every shifted weight the
+    monodromy/creation chains can reach at size N."""
+    return np.arange(-(2 * n + 2), 2 * n + 3)
+
+
 @dataclass(frozen=True)
 class BoundaryConfig:
     """Boundary parameters (lambda1, lambda2, zeta) of the reflection matrix,
-    and the one place that evaluates, checks and names their sigma families."""
+    and the one place that evaluates, checks and names their sigma families.
+
+    A configuration's ``SpectralGrids`` keeps, per ``BoundaryConfig``, what
+    these evaluate over its own points (``lambda_zeta`` and ``lattice``), so
+    its draw, the oracles' check, the face route's K and the closed forms
+    evaluate each family once; the vertex K and the identity checks call
+    these methods directly.
+    """
 
     lambda1: complex
     lambda2: complex
@@ -82,11 +95,11 @@ class BoundaryConfig:
         """Reject lambda12 within eta*Z of a sigma zero and spectral points
         that put a K or face-K denominator sigma(lambda_i + zeta + u) near zero.
 
-        The lattice sweep |k| <= 2N+2 covers every shifted weight the
+        The ``lattice_sweep`` covers every shifted weight the
         monodromy/creation chains can reach at size N; routes that never
         shift lambda (the normalized closed forms) check only the k they read.
         """
-        self.sigma_lattice(setup, np.arange(-(2 * n + 2), 2 * n + 3))
+        self.sigma_lattice(setup, lattice_sweep(n))
         self.sigma_lambda_zeta(setup, spectral_u)
 
 

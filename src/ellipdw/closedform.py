@@ -6,7 +6,8 @@ xi-ratio G -- is read from the configuration's ``SpectralGrids``, which the
 genericity check of a drawn configuration has already filled and which
 refuses a family below the genericity floor when it is evaluated.  The boundary vectors sigma(l1+z+u)
 sigma(l2+z+u) and sigma(l1+z-xi) sigma(l2+z+xi) and the lambda product are
-read from the two ``BoundaryConfig`` families; this module evaluates only
+read from the configuration's kept ``BoundaryConfig`` families
+(``SpectralGrids.lambda_zeta`` and ``lattice``); this module evaluates only
 sigma(eta).
 
 The kernels -- the boundary vectors, the A/B tables, the subset DP, the
@@ -78,14 +79,14 @@ def _boundary_vectors(g: SpectralGrids, bc: BoundaryConfig):
 
     Every consumer divides by the four (u, xi) grids and by lam_u, so all
     four grids are read (each is checked against the floor when evaluated);
-    the four factors come from ``BoundaryConfig.sigma_lambda_zeta``, which
-    checks them.  Each factor is its own sigma call: the numpy series stops
-    on the largest term of the whole array, so merging them would move their
-    bits.
+    the four factors are the grids' kept ``lambda_zeta`` families, which a
+    drawn configuration's draw has already evaluated and checked.
+    Each factor is its own sigma call: the numpy series stops on the largest
+    term of the whole array, so merging them would move their bits.
     """
     g.minus, g.plus, g.minus_eta, g.plus_eta  # read, so checked
-    l1u, l2u = bc.sigma_lambda_zeta(g.setup, g.u)
-    l1xi, l2xi = bc.sigma_lambda_zeta(g.setup, -g.xi, g.xi)
+    l1u, l2u = g.lambda_zeta(bc, "u")
+    l1xi, l2xi = g.lambda_zeta(bc, "-xi", "xi")
     return l1u * l2u, l1xi * l2xi
 
 
@@ -227,8 +228,9 @@ def normalized_z_determinant(spectral: SpectralConfig, bc: BoundaryConfig,
 # Prefactor and full partition function.
 # ---------------------------------------------------------------------------
 
-def _log_lambda_factor(n: int, bc: BoundaryConfig, setup: ModularSetup) -> complex:
-    """Telescoped creation-operator scalars: the closed-form lambda product.
+def _log_lambda_factor(g: SpectralGrids, bc: BoundaryConfig) -> complex:
+    """Telescoped creation-operator scalars: the closed-form lambda product,
+    its two lattice calls kept by the grids.
 
     prod_{n'=1..N} sigma(l12 + (2n'-N) eta) / prod_{j=0..N-1} sigma(l12 - j eta):
     the n'-th creation operator in the chain contributes its scalar
@@ -236,9 +238,9 @@ def _log_lambda_factor(n: int, bc: BoundaryConfig, setup: ModularSetup) -> compl
     of the sector it acts on.  It holds at odd N as at even N: the tests
     check it against the face route at N = 1..7.
     """
+    n = g.u.shape[-1]
     k = np.arange(1, n + 1)
-    return (_log_product(bc.sigma_lattice(setup, 2 * k - n))
-            - _log_product(bc.sigma_lattice(setup, 1 - k)))
+    return _log_product(g.lattice(bc, 2 * k - n)) - _log_product(g.lattice(bc, 1 - k))
 
 
 def partition_prefactor(bc: BoundaryConfig, spectral: SpectralConfig,
@@ -246,7 +248,7 @@ def partition_prefactor(bc: BoundaryConfig, spectral: SpectralConfig,
     """lambda product times the (u, xi) ratio product; 1 at N = 0."""
     g = spectral.grids(setup)
     _boundary_vectors(g, bc)  # refuses what every closed form refuses
-    return cmath.exp(_log_lambda_factor(spectral.n, bc, setup) + _log_uxi_ratio(g))
+    return cmath.exp(_log_lambda_factor(g, bc) + _log_uxi_ratio(g))
 
 
 def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
@@ -264,8 +266,7 @@ def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
         log_norm = cmath.log(_permsum(g, lam_u, lam_xi))
     else:
         log_norm = _log_z_det(g, lam_u, lam_xi)
-    return _exp_saturating(_log_lambda_factor(n, bc, setup)
-                           + _log_uxi_ratio(g) + log_norm)
+    return _exp_saturating(_log_lambda_factor(g, bc) + _log_uxi_ratio(g) + log_norm)
 
 
 # ---------------------------------------------------------------------------

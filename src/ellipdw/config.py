@@ -2,14 +2,16 @@
 
 Configs are plain structured text (YAML; JSON documents parse too).
 Complex values are written as two-element [re, im] arrays; bare numbers are
-real.  Defaults: tau = 1.0i, eta = 0.31, zeta = 0.17, lambda1 = 0.41,
-lambda2 = -0.23, seed = 7.
+real, an exponent without a dot (1e-9) included, as YAML 1.2 reads it.
+Defaults: tau = 1.0i, eta = 0.31, zeta = 0.17, lambda1 = 0.41, lambda2 =
+-0.23, seed = 7.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,16 @@ DEFAULTS = {
 DRAW_BOX = {"u_re": (0.08, 0.45), "u_im": (-0.12, 0.12),
             "xi_re": (-0.38, -0.05), "xi_im": (-0.12, 0.12)}
 DRAW_TRIES = 200
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1 and so reads 1e-9 as a
+    string, also resolving YAML 1.2's float form with an exponent and no dot."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"), list("-+.0123456789"))
 
 
 @dataclass
@@ -117,7 +129,7 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
     validation, so they pass the same checks.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ParseError(f"config parse failure: {exc}") from exc
     if raw is None:
@@ -198,7 +210,10 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
 
 def draw_spectral(n: int, seed: int, setup: ModularSetup,
                   bc: BoundaryConfig) -> SpectralConfig:
-    """Seeded rejection sampling of a generic spectral configuration."""
+    """Seeded rejection sampling of a generic spectral configuration: the
+    accepted one keeps the grids and the boundary families sigma(lambda_i +
+    zeta + u) and sigma(lambda_i + zeta -+ xi) its check evaluated, so the
+    routes read them."""
     box = DRAW_BOX
     rng = np.random.default_rng(seed)
     if n == 0:
@@ -209,8 +224,8 @@ def draw_spectral(n: int, seed: int, setup: ModularSetup,
         spectral = SpectralConfig(u=u, xi=xi)
         try:
             spectral.require_generic(setup)
-            for v in (u, -np.asarray(xi), xi):
-                bc.sigma_lambda_zeta(setup, v)
+            for v in ("u", "-xi", "xi"):
+                spectral.grids(setup).lambda_zeta(bc, v)
         except SingularityError:
             continue
         return spectral

@@ -17,11 +17,14 @@ The vertex routes read every R and K factor of a call from one table,
 ``_vertex_factors`` (one array ``vertex_R_matrix`` build over u_a +- xi_j and
 one array ``vertex_K_matrix`` build over u_a), and their boundary states from
 ``boundary.boundary_state_factors`` (one array build per family), all built
-before the first contraction.  The face route reads every dynamical R factor
+before the first contraction; the boundary families they check and the
+face route's K read are kept by the configuration's ``SpectralGrids``.
+The face route reads every dynamical R factor
 of a call from one table, ``_face_R_table`` (one array ``sos_R_matrix``
-build laid out by ``rmatrices.spectator_layers``), and its creation scalars
-from one ``_creation_scalars`` call over its N points, all evaluated before
-the first contraction; ``_apply_face_layers`` applies a batch of one-row
+build laid out by ``rmatrices.spectator_layers``, each sigma of one point
+evaluated once per distinct point), and its creation scalars from one
+``_creation_scalars`` call over its N points, all evaluated before the
+first contraction; ``_apply_face_layers`` applies a batch of one-row
 monodromies in place, each layer one call of ``rmatrices.apply_R_layer``,
 the dynamical-R kernel the twist shares.  Dense operators apply the factors
 to the identity as a batch of basis kets, as ``double_row_monodromy`` does.
@@ -34,11 +37,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .boundary import (BoundaryConfig, boundary_state_factors, face_K,
+from .boundary import (BoundaryConfig, boundary_state_factors, lattice_sweep,
                        vertex_K_matrix)
 from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
-from .rmatrices import (WeightVector, _floor_checked, apply_R_layer, sos_R_matrix,
+from .rmatrices import (Gathered, WeightVector, _floor_checked, apply_R_layer, sos_R_matrix,
                         spectator_blocks, spectator_layers, spectator_weight, vertex_R_matrix)
 from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state, times
 
@@ -86,6 +89,12 @@ class SpectralGrids:
     evaluated if a |sigma| in it, anywhere in the stack, is below the
     genericity floor, so reading a family is its check; ``check_only`` checks
     the pair families that only the genericity check reads.
+
+    ``lambda_zeta`` and ``lattice`` keep, per ``BoundaryConfig``, the boundary
+    families over these points: each is evaluated, checked and named by
+    the ``BoundaryConfig`` on first read and then kept read-only, so the
+    draw, the oracles' check, the face route's K and the closed forms read
+    one evaluation; a refused family raises on every read and is not kept.
     """
 
     def __init__(self, u, xi, setup: ModularSetup):
@@ -94,6 +103,26 @@ class SpectralGrids:
         self.setup = setup
         self.u_pairs = _pair_indices(self.u.shape[-1])
         self.xi_pairs = _pair_indices(self.xi.shape[-1])
+        self._boundary = {}
+
+    def lambda_zeta(self, bc: BoundaryConfig, v: str, v2: str = None):
+        """(sigma(lambda1 + zeta + v), sigma(lambda2 + zeta + v2)) of ``bc``
+        over the points v and v2, each "u", "-u", "xi" or "-xi" (v2 = v
+        unless given); each is kept from the ``bc.sigma_lambda_zeta`` call
+        that first evaluated it, with that call's bits."""
+        keys = ((bc, 1, v), (bc, 2, v if v2 is None else v2))
+        if not all(key in self._boundary for key in keys):
+            points = {"u": self.u, "-u": -self.u, "xi": self.xi, "-xi": -self.xi}
+            rows = bc.sigma_lambda_zeta(self.setup, *(points[key[2]] for key in keys))
+            self._boundary.update(zip(keys, map(_read_only, rows)))
+        return tuple(self._boundary[key] for key in keys)
+
+    def lattice(self, bc: BoundaryConfig, k) -> np.ndarray:
+        """``bc.sigma_lattice`` over the integer array ``k``, kept per list of k."""
+        key = (bc, tuple(np.ravel(k).tolist()))
+        if key not in self._boundary:
+            self._boundary[key] = _read_only(bc.sigma_lattice(self.setup, k))
+        return self._boundary[key]
 
     def _product(self, p, q, family, s, c=0.0, pairs=()):
         """sigma(p_i + s*q_j + c), indexed [..., i, j], or its entries over
@@ -192,8 +221,10 @@ class SpectralConfig:
             self._grids[setup] = SpectralGrids(self.u, self.xi, setup)
         return self._grids[setup]
 
-    def require_generic(self, setup: ModularSetup):
-        """All sigma combinations entering denominators must clear the floor.
+    def require_generic(self, setup: ModularSetup, bc: BoundaryConfig = None):
+        """All sigma combinations entering denominators must clear the floor;
+        given ``bc``, also its boundary lattice ``lattice_sweep(N)`` and
+        sigma(lambda_i + zeta + u), the boundary check of the oracles.
 
         Reading each checked family of ``grids(setup)`` is its check, so a
         second check of the same configuration evaluates nothing.
@@ -202,6 +233,9 @@ class SpectralConfig:
         for family in ("minus", "plus", "minus_eta", "plus_eta", "u_diff",
                        "u_sum_eta", "xi_diff", "xi_sum", "check_only"):
             getattr(g, family)
+        if bc is not None:
+            g.lattice(bc, lattice_sweep(self.n))
+            g.lambda_zeta(bc, "u")
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +295,7 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"bruteforce route limited to N <= {MAX_BRUTEFORCE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(setup, n, spectral.u)
+    spectral.require_generic(setup, bc)
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
     # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
@@ -344,8 +377,7 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"enumeration limited to N <= {MAX_ENUMERATION_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(setup, n, spectral.u)
+    spectral.require_generic(setup, bc)
     # one after another: np.sum would add in pairs
     return complex(np.cumsum(_configuration_weights(spectral, bc, setup))[-1])
 
@@ -354,20 +386,29 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
 # Face-type route: dynamical one-row monodromy and creation operators.
 # ---------------------------------------------------------------------------
 
-def _face_R_table(weights, us, spectral: SpectralConfig, setup: ModularSetup):
-    """Every R factor of the one-row monodromies T(weights[t] | us[t][s]), as
-    one ``sos_R_matrix`` stack of shape (T, S, N(N+1)/2, 4, 4).
+def _face_R_table(weights, us, rows, spectral: SpectralConfig, setup: ModularSetup):
+    """Every R factor of the one-row monodromies T(weights[t] | us[rows[t]][s]),
+    as one ``sos_R_matrix`` stack of shape (T, S, N(N+1)/2, 4, 4).
 
     Axis 2 is ``rmatrices.spectator_layers(N)``: site k's factor is
     ``layer(k - 1)``, R(u - xi_k; l seen with n2 of the spectators 1..k-1 in
     spin 2), n2 = 0..k-1, the stack ``spectator_blocks`` gathers from.
+    Both arguments are ``Gathered``, so sigma(u - xi_k) and sigma(u - xi_k +
+    eta) are evaluated once per row of ``us`` (monodromies that share an
+    argument share a row), s and k, and the weight's families once per t and
+    shift k - 2 n2, on the distinct points of the full table.
     """
     xi = np.asarray(spectral.xi, dtype=complex)
-    spectators, n2 = spectator_layers(len(xi))  # k spectators precede site k + 1
-    m = WeightVector(np.array([l.m1 for l in weights])[:, None, None],
-                     np.array([l.m2 for l in weights])[:, None, None])
-    u = np.asarray(us, dtype=complex)[:, :, None] - xi[spectators]
-    return sos_R_matrix(u, spectator_weight(m, setup.eta, spectators, n2), setup)
+    n, us = len(xi), np.asarray(us, dtype=complex)
+    spectators, n2 = spectator_layers(n)  # k spectators precede site k + 1
+    u = Gathered(us[:, :, None] - xi, (np.asarray(rows)[:, None, None],
+                                       np.arange(us.shape[1])[:, None], spectators))
+    # layer entry (k, n2) sees the weight of shift k - 2 n2 in 1 - N..N - 1
+    m = WeightVector(np.array([l.m1 for l in weights])[:, None],
+                     np.array([l.m2 for l in weights])[:, None])
+    m = Gathered(spectator_weight(m, setup.eta, np.arange(1 - n, n), 0),
+                 (np.arange(len(weights))[:, None, None], spectators - 2 * n2 + n - 1))
+    return sos_R_matrix(u, m, setup)
 
 
 def _apply_face_layers(phi, blocks, n: int):
@@ -387,7 +428,7 @@ def face_monodromy_apply(l: WeightVector, u: complex, phi,
     ``phi`` has axes (aux, site1..siteN, batch...); entry i-1 of the result's
     aux axis is sum_j T(l|u)^i_j phi[j-1].
     """
-    blocks = spectator_blocks(_face_R_table([l], [[u]], spectral, setup)[0], spectral.n)
+    blocks = spectator_blocks(_face_R_table([l], [[u]], (0,), spectral, setup)[0], spectral.n)
     return _apply_face_layers(np.array(phi, dtype=complex, order="C")[None], blocks, spectral.n)[0]
 
 
@@ -408,12 +449,14 @@ def _creation_scalars(ms: WeightVector, bc: BoundaryConfig, a,
                       spectral: SpectralConfig, setup: ModularSetup):
     """(pref, k1, k2) of the creation operators at u_a and weights ``ms``, each
     an array over the indices ``a``: pref = sigma(m12)/sigma(l12) prod_k
-    sigma(u_a + xi_k)/sigma(u_a + xi_k + eta), the last from the grids."""
+    sigma(u_a + xi_k)/sigma(u_a + xi_k + eta), the last from the grids, and
+    k_i = sigma(lambda_i + zeta - u_a) / sigma(lambda_i + zeta + u_a), the
+    diagonal of ``face_K``, from the kept boundary families."""
     g = spectral.grids(setup)
     pref = (sigma(ms.m12, setup) / bc.sigma_lattice(setup, 0)
             * np.prod(g.plus[a] / g.plus_eta[a], axis=-1))
-    k = face_K(bc, g.u[a], setup)
-    return pref, k[..., 0, 0], k[..., 1, 1]
+    k1, k2 = np.divide(g.lambda_zeta(bc, "-u"), g.lambda_zeta(bc, "u"))[:, a]
+    return pref, k1, k2
 
 
 def _creation_R_table(bc: BoundaryConfig, us, spectral: SpectralConfig,
@@ -424,7 +467,7 @@ def _creation_R_table(bc: BoundaryConfig, us, spectral: SpectralConfig,
     lam, eta = bc.weight, setup.eta
     us = np.asarray(us, dtype=complex)
     return _face_R_table((lam.shifted(2, eta, -1), lam.shifted(1, eta, -1), lam),
-                         (-us - eta, -us - eta, us), spectral, setup)
+                         (-us - eta, us), (0, 0, 1), spectral, setup)
 
 
 def _apply_creation(psi, scalars, table, n: int):
@@ -472,8 +515,7 @@ def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"face route limited to N <= {MAX_FACE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(setup, n, spectral.u)
+    spectral.require_generic(setup, bc)
     a = np.arange(n - 1, -1, -1)
     ms = bc.weight.shifted(1, setup.eta, -(2 * a + 2 - n))
     pref, k1, k2 = _creation_scalars(ms, bc, a, spectral, setup)

@@ -5,10 +5,12 @@ dynamical shift convention: acting on a site in spin state i shifts the
 weight by -eta * e_hat_i, with e_hat_1 = (1/2, -1/2) and e_hat_2 = -e_hat_1.
 ``vertex_R_matrix`` and ``sos_R_matrix`` each build a stack of R matrices
 over array arguments in one evaluation, one array theta or sigma call per
-family, a scalar argument being a one-point stack on the same code path;
-their entries are combined by ``tensor.times`` and ``tensor.quotient``,
-which round as Python's complex arithmetic does, so a matrix of a stack has
-its one-point build's bits wherever the array sums stop at its own step.
+family, a scalar argument being a one-point stack on the same code path
+(a ``Gathered`` SOS argument has its one-point families evaluated once per
+distinct value); their entries are combined by ``tensor.times`` and
+``tensor.quotient``, which round as Python's complex arithmetic does, so a
+matrix of a stack has its one-point build's bits wherever the array sums
+stop at its own step.
 ``spectator_weight`` maps spectator spins to the shifted weight, and
 ``spectator_layers``/``layer`` lay the shifted weights of 0, 1, 2, ...
 spectators out along one table axis.  This module owns the one
@@ -149,6 +151,26 @@ def sos_R(u: complex, m: WeightVector, setup: ModularSetup) -> DenseOperator:
     return DenseOperator((1, 2), sos_R_matrix(u, m, setup))
 
 
+@dataclass(frozen=True)
+class Gathered:
+    """The argument ``values[index]`` given by the values it repeats: an array,
+    or a ``WeightVector`` of arrays, and one integer index array per axis of
+    ``values``, which broadcast together to the argument's shape."""
+
+    values: object
+    index: tuple
+
+
+def _distinct(arg, shape_of):
+    """(the values of ``arg`` that a one-point sigma family is evaluated on,
+    the function reading such a family at every entry of ``arg``, ``arg``'s
+    shape, ``shape_of`` giving that of a plain argument)."""
+    if isinstance(arg, Gathered):
+        return (arg.values, lambda family: family[arg.index],
+                np.broadcast_shapes(*map(np.shape, arg.index)))
+    return arg, lambda family: family, shape_of(arg)
+
+
 def sos_R_matrix(u, m: WeightVector, setup: ModularSetup) -> np.ndarray:
     """R(u; m) as a stack of shape broadcast(u, m12) + (4, 4), a 4x4 matrix
     for scalar arguments, from one array ``sigma`` call per family (sigma(eta)
@@ -156,18 +178,28 @@ def sos_R_matrix(u, m: WeightVector, setup: ModularSetup) -> np.ndarray:
     combined by ``tensor.times`` and ``quotient``, which round as Python's
     complex arithmetic does, so each matrix of a stack has the bits of its
     own one-point build wherever the array sigma sums stop at the element's
-    own step."""
+    own step.
+
+    ``u`` or ``m`` may be ``Gathered``: sigma(u) and sigma(u + eta), or
+    sigma(m12) and sigma(m12 - eta), sigma(m21 - eta), are then evaluated on
+    its values alone and read at its index.  A sum's window and stopping
+    step depend only on the set of points in the call, so every entry keeps
+    the bits of the build over the full argument."""
     eta = setup.eta
-    shape = np.broadcast_shapes(np.shape(u), np.shape(m.m12))
+    u, read_u, u_shape = _distinct(u, np.shape)
+    m, read_m, m_shape = _distinct(m, lambda w: np.shape(w.m12))
+    shape = np.broadcast_shapes(u_shape, m_shape)
     u, m12, m21 = (np.atleast_1d(v) for v in (u, m.m12, m.m21))
-    s_ueta = _checked_sigma(u + eta, setup, "sigma(u+eta)")
-    s_m12 = _checked_sigma(m12, setup, "sigma(m12)")
-    s_u = sigma(u, setup)
+    s_ueta = read_u(_checked_sigma(u + eta, setup, "sigma(u+eta)"))
+    s_m12 = read_m(_checked_sigma(m12, setup, "sigma(m12)"))
+    s_u = read_u(sigma(u, setup))
     s_eta = _checked_sigma(np.full(1, eta), setup, SIGMA_ETA)
     # R^{ij}_{ij} = s(u) s(m_ij - eta) / (s(u+eta) s(m_ij)) and R^{ji}_{ij} =
     # s(eta) s(u + m_ij) / (s(u+eta) s(m_ij)), s(m21) = -s(m12), as one stack
     sig = lambda *zs: np.stack([sigma(z, setup) for z in zs], axis=-1)
-    num = np.concatenate([times(s_u[..., None], sig(m12 - eta, m21 - eta)),
+    s_mm = read_m(sig(m12 - eta, m21 - eta))
+    u, m12, m21 = read_u(u), read_m(m12), read_m(m21)
+    num = np.concatenate([times(s_u[..., None], s_mm),
                           times(s_eta, sig(u + m12, u + m21))], axis=-1)
     den = times(s_ueta, s_m12)
     b12, b21, c12, c21 = np.moveaxis(quotient(num, np.stack([den, -den] * 2, axis=-1)), -1, 0)

@@ -56,6 +56,41 @@ def test_unknown_field_and_parse_error():
         parse_config("- just\n- a list\n")
 
 
+# one exponent literal without a dot per numeric field: YAML 1.2 floats
+EXPONENT_FIELDS = [
+    ("tau", "tau: [0, 9e-1]", lambda c: c.setup.tau, 0.9j),
+    ("eta", "eta: 1e-1", lambda c: c.setup.eta, 0.1),
+    ("zeta", "zeta: [2E-1, -5e-2]", lambda c: c.bc.zeta, 0.2 - 0.05j),
+    ("lambda1", "lambda1: +4e-1", lambda c: c.bc.lambda1, 0.4),
+    ("lambda2", "lambda2: -3e-1", lambda c: c.bc.lambda2, -0.3),
+    ("u", "{N: 2, u: [[0.2, 5e-2], 3e-1], xi: [[-0.2, 0.01], [-0.1, -0.03]]}",
+     lambda c: c.explicit_u, (0.2 + 0.05j, 0.3)),
+    ("xi", "{N: 2, u: [0.2, 0.3], xi: [[-2e-1, 1e-2], -1.e-1]}",
+     lambda c: c.explicit_xi, (-0.2 + 0.01j, -0.1)),
+    ("tol", "tol: 1e-9", lambda c: c.tol, 1e-9),
+]
+
+
+@pytest.mark.parametrize("field,text,get,want", EXPONENT_FIELDS,
+                         ids=[row[0] for row in EXPONENT_FIELDS])
+def test_exponent_literals_are_numbers(field, text, get, want):
+    """PyYAML follows YAML 1.1, which reads 1e-1 as a string; the config
+    loader reads YAML 1.2's float form in every numeric field."""
+    assert get(parse_config(text)) == want
+
+
+@pytest.mark.parametrize("text,match", [
+    ("eta: 1e999", "finite"), ("tol: 1e999", "finite"), ("lambda1: -1e999", "finite"),
+    ("{N: 1, u: [[1e999, 0]], xi: [0.1]}", "finite"), ("eta: e-1", "expected a number"),
+    ("tol: 1e-", "expected a number"), ("zeta: [1e-1, true]", "expected a number"),
+    ("N: 2e0", "non-negative integer"), ("seed: 7e0", "non-negative integer")])
+def test_exponent_literals_keep_the_rejections(text, match):
+    """Overflowing exponents are non-finite, and words, bools and
+    non-integer sizes stay configuration errors."""
+    with pytest.raises(ValidationError, match=match):
+        parse_config(text)
+
+
 def test_explicit_spectral_points():
     cfg = parse_config("N: 2\nu: [[0.2, 0.05], [0.3, -0.02]]\n"
                        "xi: [[-0.2, 0.01], [-0.1, -0.03]]\n")

@@ -2,8 +2,10 @@
 the face-type creation-operator route, and the spectral configuration's
 shared sigma grids."""
 
+import gc
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from ellipdw import (ModularSetup, SpectralConfig, closedform, double_row_monodr
                      partition_bruteforce, partition_enumeration,
                      partition_face_route)
 from ellipdw import elliptic, rmatrices
-from ellipdw.boundary import boundary_state_factors, vertex_K_matrix
+from ellipdw.boundary import BoundaryConfig, boundary_state_factors, face_K, vertex_K_matrix
 from ellipdw.elliptic import sigma, sigma_separable
 from ellipdw.errors import SingularityError, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR, sos_R_matrix, vertex_R_matrix
@@ -539,6 +541,93 @@ def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypat
     assert len(seen) == 2 and len(separable) == 12
 
 
+def test_draw_and_routes_evaluate_each_boundary_family_once(draw, bc, setup, monkeypatch):
+    """A draw and the four default routes at N = 6 evaluate sigma(lambda_i +
+    zeta + v) in 5 ``sigma_lambda_zeta`` calls (u, -xi and xi in the draw, -u
+    in the face route, u in the vertex K) and sigma(lambda12 + k eta) in 4
+    ``sigma_lattice`` calls (the oracles' sweep, the face route's
+    sigma(lambda12), the closed forms' lambda product); a second round on
+    the same configuration evaluates only the vertex K's family and
+    sigma(lambda12) again."""
+    calls = []
+    for name in ("sigma_lambda_zeta", "sigma_lattice"):
+        def counting(self, *args, _name=name, _call=getattr(BoundaryConfig, name)):
+            calls.append(_name)
+            return _call(self, *args)
+        monkeypatch.setattr(BoundaryConfig, name, counting)
+    spec = draw(6, 7, setup, bc)
+    routes = (partition_bruteforce, partition_face_route,
+              lambda s, b, t: closedform.full_z(s, b, t, "permsum"),
+              lambda s, b, t: closedform.full_z(s, b, t, "determinant"))
+    for route in routes:
+        route(spec, bc, setup)
+    assert (calls.count("sigma_lambda_zeta"), calls.count("sigma_lattice")) == (5, 4)
+    for route in routes:
+        route(spec, bc, setup)
+    assert (calls.count("sigma_lambda_zeta"), calls.count("sigma_lattice")) == (6, 5)
+
+
+def test_kept_families_leave_no_reference_cycle(draw, bc, setup):
+    """A configuration's grids, with every boundary family kept, are freed by
+    reference counting alone once the configuration goes: a cycle through
+    them would hold an N = 512 configuration's grids (about 27 MB) until the
+    cycle collector runs."""
+    spec = draw(4, 7, setup, bc)
+    closedform.full_z(spec, bc, setup, "permsum")
+    partition_face_route(spec, bc, setup)
+    grids = weakref.ref(spec.grids(setup))
+    gc.disable()
+    try:
+        del spec
+        assert grids() is None
+    finally:
+        gc.enable()
+
+
+def test_face_table_evaluates_each_u_point_once(draw, bc, setup, monkeypatch):
+    """At N = 10 the creation table sends sigma(u - xi_k) and sigma(u - xi_k
+    + eta) its 2 N^2 = 200 distinct points, not the 3 N^2 (N+1)/2 = 1650 of
+    the table (the inner monodromies share -u - eta, a layer's entries share
+    xi_k), and each weight family its 3 (2N - 1) = 57 shifts; the table
+    equals the build over the full arguments bit for bit."""
+    n, eta = 10, setup.eta
+    spec = draw(n, 1010, setup, bc)
+    u, xi = np.asarray(spec.u), np.asarray(spec.xi)
+    calls, sigma_ = [], rmatrices.sigma
+
+    def recording(z, s):
+        calls.append(np.asarray(z).ravel())
+        return sigma_(z, s)
+
+    monkeypatch.setattr(rmatrices, "sigma", recording)
+    table = oracle._creation_R_table(bc, u, spec, setup)
+    assert sorted(len(c) for c in calls) == [1, 57, 57, 57, 200, 200, 1650, 1650]
+    points = np.concatenate([(-u - eta)[:, None] - xi, u[:, None] - xi]).ravel()
+    for family in (points, points + eta):
+        assert [len(c) for c in calls if set(c.tolist()) == set(family.tolist())] == [200]
+    lam = bc.weight
+    spectators, n2 = rmatrices.spectator_layers(n)
+    weights = (lam.shifted(2, eta, -1), lam.shifted(1, eta, -1), lam)
+    m = rmatrices.WeightVector(np.array([l.m1 for l in weights])[:, None, None],
+                               np.array([l.m2 for l in weights])[:, None, None])
+    full = sos_R_matrix(np.stack([-u - eta, -u - eta, u])[:, :, None] - xi[spectators],
+                        rmatrices.spectator_weight(m, eta, spectators, n2), setup)
+    assert table.tobytes() == full.tobytes()
+
+
+def test_face_K_from_the_kept_families_equals_a_fresh_build(draw, bc, setup):
+    """The face route's k_1, k_2 at u_a, a = N-1..0, read from the drawn
+    configuration's kept boundary families, equal the diagonal of a fresh
+    ``face_K`` build over the same points bit for bit."""
+    n = 6
+    spec = draw(n, 7, setup, bc)
+    a = np.arange(n - 1, -1, -1)
+    _, k1, k2 = oracle._creation_scalars(bc.weight, bc, a, spec, setup)
+    fresh = face_K(bc, np.asarray(spec.u)[a], setup)
+    assert k1.tobytes() == fresh[:, 0, 0].tobytes()
+    assert k2.tobytes() == fresh[:, 1, 1].tobytes()
+
+
 @pytest.mark.parametrize("family,u,xi", [
     ("u_b - u_a", (0.2, 0.2), (-0.1, -0.3)),
     ("u_b + u_a + eta", (0.2, -0.51), (-0.1, -0.3)),
@@ -650,12 +739,16 @@ def test_require_generic_names_each_grid_family(family, u, xi, setup):
 
 def test_oracle_routes_name_the_boundary_family_alike(bc, setup):
     """sigma(lambda2 + zeta + u_a) below the floor: the vertex routes (through
-    K(u)) and the face route (through its boundary check) name one family."""
+    K(u)) and the face route (through its boundary check) name one family,
+    on fresh configurations and twice over on one shared configuration,
+    which keeps no refused family."""
     u, xi = next(row[1:3] for row in REFUSAL_MATRIX if row[0] == "lambda2 + zeta + u_a")
-    for route in (partition_bruteforce, partition_enumeration, partition_face_route):
-        with pytest.raises(SingularityError,
-                           match=re.escape("sigma(lambda_i + zeta + u)")):
-            route(SpectralConfig(u=u, xi=xi), bc, setup)
+    shared = SpectralConfig(u=u, xi=xi)
+    for spec in (None, shared, shared):
+        for route in (partition_bruteforce, partition_enumeration, partition_face_route):
+            with pytest.raises(SingularityError,
+                               match=re.escape("sigma(lambda_i + zeta + u)")):
+                route(spec or SpectralConfig(u=u, xi=xi), bc, setup)
 
 
 
