@@ -44,12 +44,6 @@ LAMBDA_ZETA_U = "sigma(lambda_i + zeta + u)"
 LAMBDA12_ETA = "sigma(lambda12 + k eta)"
 
 
-def lattice_sweep(n: int) -> np.ndarray:
-    """The k of the lattice check, |k| <= 2N+2: every shifted weight the
-    monodromy/creation chains can reach at size N."""
-    return np.arange(-(2 * n + 2), 2 * n + 3)
-
-
 @dataclass(frozen=True)
 class BoundaryConfig:
     """Boundary parameters (lambda1, lambda2, zeta) of the reflection matrix,
@@ -57,9 +51,10 @@ class BoundaryConfig:
 
     A configuration's ``SpectralGrids`` keeps, per ``BoundaryConfig``, what
     these evaluate over its own points (``lambda_zeta`` and ``lattice``), so
-    its draw, the oracles' check, the face route's K and the closed forms
-    evaluate each family once; the vertex K and the identity checks call
-    these methods directly.
+    its draw, the oracles' check (``require_generic``), the face route's K
+    and the closed forms evaluate each family once; the vertex K, a single
+    creation operator's ``face_K`` and the identity checks call these
+    methods directly.
     """
 
     lambda1: complex
@@ -91,16 +86,19 @@ class BoundaryConfig:
         return _floor_checked(sigma(self.lambda12 + np.asarray(k) * setup.eta, setup),
                               LAMBDA12_ETA)
 
-    def require_generic(self, setup: ModularSetup, n: int, spectral_u=()):
+    def require_generic(self, g):
         """Reject lambda12 within eta*Z of a sigma zero and spectral points
-        that put a K or face-K denominator sigma(lambda_i + zeta + u) near zero.
+        that put a K or face-K denominator sigma(lambda_i + zeta + u) near zero,
+        read through the configuration's ``oracle.SpectralGrids`` ``g``, which
+        keeps both families for the routes that read them.
 
-        The ``lattice_sweep`` covers every shifted weight the
+        The lattice sweep |k| <= 2N+2 covers every shifted weight the
         monodromy/creation chains can reach at size N; routes that never
         shift lambda (the normalized closed forms) check only the k they read.
         """
-        self.sigma_lattice(setup, lattice_sweep(n))
-        self.sigma_lambda_zeta(setup, spectral_u)
+        n = g.u.shape[-1]
+        g.lattice(self, np.arange(-(2 * n + 2), 2 * n + 3))
+        g.lambda_zeta(self, "u")
 
 
 def vertex_K(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> DenseOperator:

@@ -37,8 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .boundary import (BoundaryConfig, boundary_state_factors, lattice_sweep,
-                       vertex_K_matrix)
+from .boundary import BoundaryConfig, boundary_state_factors, face_K, vertex_K_matrix
 from .elliptic import ModularSetup, sigma, sigma_separable
 from .errors import SizeError
 from .rmatrices import (Gathered, WeightVector, _floor_checked, apply_R_layer, sos_R_matrix,
@@ -221,10 +220,8 @@ class SpectralConfig:
             self._grids[setup] = SpectralGrids(self.u, self.xi, setup)
         return self._grids[setup]
 
-    def require_generic(self, setup: ModularSetup, bc: BoundaryConfig = None):
-        """All sigma combinations entering denominators must clear the floor;
-        given ``bc``, also its boundary lattice ``lattice_sweep(N)`` and
-        sigma(lambda_i + zeta + u), the boundary check of the oracles.
+    def require_generic(self, setup: ModularSetup):
+        """All sigma combinations entering denominators must clear the floor.
 
         Reading each checked family of ``grids(setup)`` is its check, so a
         second check of the same configuration evaluates nothing.
@@ -233,9 +230,6 @@ class SpectralConfig:
         for family in ("minus", "plus", "minus_eta", "plus_eta", "u_diff",
                        "u_sum_eta", "xi_diff", "xi_sum", "check_only"):
             getattr(g, family)
-        if bc is not None:
-            g.lattice(bc, lattice_sweep(self.n))
-            g.lambda_zeta(bc, "u")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +289,8 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"bruteforce route limited to N <= {MAX_BRUTEFORCE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup, bc)
+    spectral.require_generic(setup)
+    bc.require_generic(spectral.grids(setup))
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
     # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
@@ -377,7 +372,8 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"enumeration limited to N <= {MAX_ENUMERATION_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup, bc)
+    spectral.require_generic(setup)
+    bc.require_generic(spectral.grids(setup))
     # one after another: np.sum would add in pairs
     return complex(np.cumsum(_configuration_weights(spectral, bc, setup))[-1])
 
@@ -448,14 +444,20 @@ def face_one_row_monodromy(l: WeightVector, u: complex,
 def _creation_scalars(ms: WeightVector, bc: BoundaryConfig, a,
                       spectral: SpectralConfig, setup: ModularSetup):
     """(pref, k1, k2) of the creation operators at u_a and weights ``ms``, each
-    an array over the indices ``a``: pref = sigma(m12)/sigma(l12) prod_k
-    sigma(u_a + xi_k)/sigma(u_a + xi_k + eta), the last from the grids, and
-    k_i = sigma(lambda_i + zeta - u_a) / sigma(lambda_i + zeta + u_a), the
-    diagonal of ``face_K``, from the kept boundary families."""
+    an array over the indices ``a``, one index or every index in some order:
+    pref = sigma(m12)/sigma(l12) prod_k sigma(u_a + xi_k)/sigma(u_a + xi_k +
+    eta), the last from the grids, and k_i = sigma(lambda_i + zeta - u_a) /
+    sigma(lambda_i + zeta + u_a), the diagonal of ``face_K``.  Every index
+    reads the kept boundary families, evaluated on the same set of points;
+    one index evaluates ``face_K`` at its own point alone, so it refuses
+    only its own sigma(lambda_i + zeta +- u_a)."""
     g = spectral.grids(setup)
     pref = (sigma(ms.m12, setup) / bc.sigma_lattice(setup, 0)
             * np.prod(g.plus[a] / g.plus_eta[a], axis=-1))
-    k1, k2 = np.divide(g.lambda_zeta(bc, "-u"), g.lambda_zeta(bc, "u"))[:, a]
+    if np.ndim(a):
+        k1, k2 = np.divide(g.lambda_zeta(bc, "-u"), g.lambda_zeta(bc, "u"))[:, a]
+    else:
+        k1, k2 = np.diagonal(face_K(bc, g.u[a], setup))
     return pref, k1, k2
 
 
@@ -515,7 +517,8 @@ def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
         raise SizeError(f"face route limited to N <= {MAX_FACE_N}, got {n}")
     if n == 0:
         return 1.0 + 0.0j
-    spectral.require_generic(setup, bc)
+    spectral.require_generic(setup)
+    bc.require_generic(spectral.grids(setup))
     a = np.arange(n - 1, -1, -1)
     ms = bc.weight.shifted(1, setup.eta, -(2 * a + 2 - n))
     pref, k1, k2 = _creation_scalars(ms, bc, a, spectral, setup)

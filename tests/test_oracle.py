@@ -628,6 +628,18 @@ def test_face_K_from_the_kept_families_equals_a_fresh_build(draw, bc, setup):
     assert k2.tobytes() == fresh[:, 1, 1].tobytes()
 
 
+def test_single_creation_operator_evaluates_face_K_at_its_own_point(bc, setup):
+    """One creation operator's k_1, k_2 are ``face_K`` at its own u_a, a
+    one-point evaluation: another u_b at a zero of sigma(lambda2 + zeta +
+    u_b) (lambda2 + zeta = -0.06) refuses only the operator at u_b."""
+    spec = SpectralConfig(u=(0.06, 0.3), xi=(-0.1, -0.2))
+    _, k1, k2 = oracle._creation_scalars(bc.weight, bc, 1, spec, setup)
+    fresh = face_K(bc, 0.3, setup)
+    assert (k1, k2) == (fresh[0, 0], fresh[1, 1])
+    with pytest.raises(SingularityError, match=re.escape("sigma(lambda_i + zeta + u)")):
+        oracle._creation_scalars(bc.weight, bc, 0, spec, setup)
+
+
 @pytest.mark.parametrize("family,u,xi", [
     ("u_b - u_a", (0.2, 0.2), (-0.1, -0.3)),
     ("u_b + u_a + eta", (0.2, -0.51), (-0.1, -0.3)),
