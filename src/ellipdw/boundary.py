@@ -51,10 +51,10 @@ class BoundaryConfig:
 
     A configuration's ``SpectralGrids`` keeps, per ``BoundaryConfig``, what
     these evaluate over its own points (``lambda_zeta`` and ``lattice``), so
-    its draw, the oracles' check (``require_generic``), the face route's K
-    and the closed forms evaluate each family once; the vertex K, a single
-    creation operator's ``face_K`` and the identity checks call these
-    methods directly.
+    its draw, the oracles' check (``require_generic``) and K, the face
+    route's K and the closed forms evaluate each family once; a lone vertex
+    K, a single creation operator's ``face_K`` and the identity checks call
+    these methods directly.
     """
 
     lambda1: complex
@@ -106,9 +106,12 @@ def vertex_K(u: complex, bc: BoundaryConfig, setup: ModularSetup) -> DenseOperat
     return DenseOperator((1,), vertex_K_matrix(u, bc, setup))
 
 
-def vertex_K_matrix(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
+def vertex_K_matrix(u, bc: BoundaryConfig, setup: ModularSetup, kept=None) -> np.ndarray:
     """K(u) as a stack of shape shape(u) + (2, 2), a 2x2 matrix for a scalar
-    ``u``, from one theta call per family.
+    ``u``, from one theta call per family.  ``kept``, given, is (sigma(2u),
+    sigma(lambda1 + zeta + u), sigma(lambda2 + zeta + u)) over the array
+    ``u``, as a configuration keeps them (``oracle.SpectralGrids``), read
+    in place of the two calls that would evaluate them on the same points.
 
     An element with |u| < 1e-12 gives the identity, the limit u -> 0 (k0 -> 1
     and kx, ky, kz -> 0, as sigma(2u)/2sigma(u) -> 1), and is left out of the
@@ -120,7 +123,9 @@ def vertex_K_matrix(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
     out = np.broadcast_to(np.eye(2, dtype=complex), u.shape + (2, 2)).copy()
     live = ~(np.abs(u) < 1e-12)
     if live.any():
-        out[live] = _k_from_paulis(u[live], bc, setup)
+        # the kept rows cover every point of u, so they stand in only when all are live
+        rows = None if kept is None or not live.all() else tuple(map(np.ravel, kept))
+        out[live] = _k_from_paulis(u[live], bc, setup, rows)
     return out
 
 
@@ -129,17 +134,18 @@ _K_TERMS = (((0, 0), 1.0, np.eye(2)), ((1, 0), 1.0, _PAULI_X),
             ((1, 1), 1j, _PAULI_Y), ((0, 1), 1.0, _PAULI_Z))
 
 
-def _k_from_paulis(u, bc: BoundaryConfig, setup: ModularSetup) -> np.ndarray:
-    """k0*1 + kx*sx + ky*sy + kz*sz over a 1-d array u, the coefficients
-    combined by ``tensor.times`` and ``quotient`` (Python's complex rounding):
+def _k_from_paulis(u, bc: BoundaryConfig, setup: ModularSetup, kept=None) -> np.ndarray:
+    """k0*1 + kx*sx + ky*sy + kz*sz over a 1-d array u (``kept`` as in
+    ``vertex_K_matrix``), the coefficients combined by ``tensor.times`` and
+    ``quotient`` (Python's complex rounding):
 
     k_alpha = extra * sigma(2u) s_alpha(l1+l2-1/2) s_alpha(l1+zeta)
     s_alpha(l2+zeta) / (s_alpha(u) * 2 sigma(-u+l1+l2-1/2) sigma(l1+zeta+u)
     sigma(l2+zeta+u)), s_alpha the sigma of characteristic alpha."""
     lam_sum = bc.lambda1 + bc.lambda2 - 0.5
-    s2u = sigma(2 * u, setup)
+    s2u = sigma(2 * u, setup) if kept is None else kept[0]
     d_lam = _checked_sigma(-u + lam_sum, setup, "sigma(-u+l1+l2-1/2)")
-    d_1, d_2 = bc.sigma_lambda_zeta(setup, u)
+    d_1, d_2 = bc.sigma_lambda_zeta(setup, u) if kept is None else kept[1:]
     owns, consts = [], []
     for alpha, extra, _ in _K_TERMS:
         # the numerators s_alpha(l_i + zeta) are K's constants, sigma itself

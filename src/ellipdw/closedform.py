@@ -1,7 +1,7 @@
 """Closed-form evaluations of the partition function and their proof steps.
 
 Every sigma table that does not depend on the boundary -- the four (u, xi)
-grids (one separable GEMM each), the pair products, sigma(2u) and the
+grids (one separable GEMM each), the pair products' log, sigma(2u) and the
 xi-ratio G -- is read from the configuration's ``SpectralGrids``, which the
 genericity check of a drawn configuration has already filled and which
 refuses a family below the genericity floor when it is evaluated.  The boundary vectors sigma(l1+z+u)
@@ -44,7 +44,7 @@ import numpy as np
 from .boundary import BoundaryConfig
 from .elliptic import ModularSetup
 from .errors import SingularityError, SizeError
-from .oracle import SpectralConfig, SpectralGrids
+from .oracle import SpectralConfig, SpectralGrids, _log_product
 from .rmatrices import GENERICITY_FLOOR, SIGMA_ETA, _checked_sigma
 
 MAX_PERMSUM_N = 9
@@ -57,16 +57,6 @@ _SIZE_GUARDS = {"permsum": MAX_PERMSUM_N, "determinant": MAX_DETERMINANT_N}
 def _require_size(route: str, n: int):
     if n > _SIZE_GUARDS[route]:
         raise SizeError(f"{route} route limited to N <= {_SIZE_GUARDS[route]}, got {n}")
-
-
-def _log_product(values, ndim: int = 1):
-    """Sum of complex logs over the trailing ``ndim`` axes, one per leading
-    index; the real part may exceed the double exp range.  Summed as the
-    real logs of the moduli plus i times the angles, which cost a sixth of
-    numpy's complex log and equal its sum to rounding."""
-    v = np.asarray(values, dtype=complex)
-    v = v.reshape(v.shape[:v.ndim - ndim] + (-1,))
-    return np.sum(np.log(np.abs(v)), axis=-1) + 1j * np.sum(np.angle(v), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +93,6 @@ def _permsum_ab(g: SpectralGrids, lam_u, lam_xi):
 def _log_uxi_ratio(g: SpectralGrids) -> complex:
     """log prod_{a,k} sigma(u_a + xi_k) / sigma(u_a + xi_k + eta)."""
     return _log_product(g.plus, 2) - _log_product(g.plus_eta, 2)
-
-
-def _log_pair_products(g: SpectralGrids):
-    """log prod_{a<b} s(u_b-u_a) s(u_a+u_b+eta) s(xi_a-xi_b) s(xi_a+xi_b)."""
-    if g.u.shape[-1] < 2:
-        return 0.0 + 0.0j
-    return (_log_product(g.u_diff) + _log_product(g.u_sum_eta)
-            + _log_product(g.xi_diff) + _log_product(g.xi_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +157,20 @@ def _log_det(matrix):
 def _log_z_det(g: SpectralGrids, lam_u, lam_xi):
     """log of the normalized value, one per configuration of the stack, with
     log(det) from ``_log_det``'s one slogdet over the stack of matrices.  The
-    pair products are read first: a pair family below the floor (xi_a = -xi_b
-    makes two columns equal) is refused by name before the LU sees an exactly
-    singular matrix."""
-    log_pairs = _log_pair_products(g)
+    pair products' kept log sum is read first: a pair family below the floor
+    (xi_a = -xi_b makes two columns equal) is refused by name before the LU
+    sees an exactly singular matrix.  The numerator's logs are taken first,
+    then the matrix is built in one buffer, in the order of its formula."""
+    log_pairs = g.log_pairs
     row = g.s2u / lam_u
     s_eta = _checked_sigma(g.setup.eta, g.setup, SIGMA_ETA)
-    kernel = s_eta / (g.minus * g.plus_eta * g.minus_eta * g.plus)
-    matrix = row[..., :, None] * kernel * lam_xi[..., None, :]
     log_num = _log_product(g.minus, 2) + _log_product(g.plus_eta, 2)
+    matrix = np.multiply(g.minus, g.plus_eta)
+    np.multiply(matrix, g.minus_eta, out=matrix)
+    np.multiply(matrix, g.plus, out=matrix)
+    np.divide(s_eta, matrix, out=matrix)
+    np.multiply(row[..., :, None], matrix, out=matrix)
+    np.multiply(matrix, lam_xi[..., None, :], out=matrix)
     return log_num + _log_det(matrix) - log_pairs
 
 

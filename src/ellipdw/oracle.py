@@ -15,7 +15,8 @@ Three independent evaluators of the same quantity:
 
 The vertex routes read every R and K factor of a call from one table,
 ``_vertex_factors`` (one array ``vertex_R_matrix`` build over u_a +- xi_j and
-one array ``vertex_K_matrix`` build over u_a), and their boundary states from
+one array ``vertex_K_matrix`` build over u_a, reading the configuration's
+kept sigma(2u) and sigma(lambda_i + zeta + u)), and their boundary states from
 ``boundary.boundary_state_factors`` (one array build per family), all built
 before the first contraction; the boundary families they check and the
 face route's K read are kept by the configuration's ``SpectralGrids``.
@@ -58,6 +59,17 @@ def _read_only(vals, family=None):
     return vals
 
 
+def _log_product(values, ndim: int = 1):
+    """Sum of complex logs over the trailing ``ndim`` axes, one per leading
+    index; the real part may exceed the double exp range.  Summed as the
+    real logs of the moduli, taken in place, plus i times the angles, which
+    cost a sixth of numpy's complex log and equal its sum to rounding."""
+    v = np.asarray(values, dtype=complex)
+    v = v.reshape(v.shape[:v.ndim - ndim] + (-1,))
+    moduli = np.abs(v)
+    return np.sum(np.log(moduli, out=moduli), axis=-1) + 1j * np.sum(np.angle(v), axis=-1)
+
+
 @lru_cache(maxsize=None)
 def _pair_indices(n: int):
     """The read-only indices (a, b) of the pairs a < b of n points, one copy per n."""
@@ -66,7 +78,8 @@ def _pair_indices(n: int):
 
 class SpectralGrids:
     """Every sigma table over (u, xi) that the genericity check and the closed
-    forms read, each evaluated on first use and then kept read-only.
+    forms read, each evaluated on first use and then kept read-only, and the
+    pair families' checked log sum.
 
     ``u`` has shape (..., N): one configuration, or a stack of them along the
     leading axes; ``xi`` is shared, shape (N,), or stacked the same way.
@@ -78,7 +91,9 @@ class SpectralGrids:
     series call.  ``u_diff``, ``u_sum_eta``, ``xi_diff``, ``xi_sum`` are
     sigma(u_b - u_a), sigma(u_b + u_a + eta), sigma(xi_a - xi_b) and
     sigma(xi_a + xi_b) over the pairs a < b, indexed [..., pair], each a
-    triangle of one full ``sigma_separable`` product.
+    triangle of one full ``sigma_separable`` product, evaluated on every
+    read and not kept: the routes read ``log_pairs``, their log sum, kept
+    from one evaluation of each.
     ``xi_ratio`` is G[..., j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k)
     with diagonal 1; its denominator is the product ``xi_diff`` is cut from.
     The xi-xi families of a shared xi are built once and broadcast against
@@ -86,14 +101,16 @@ class SpectralGrids:
 
     Every family but ``s2u`` is refused (SingularityError, naming it) when
     evaluated if a |sigma| in it, anywhere in the stack, is below the
-    genericity floor, so reading a family is its check; ``check_only`` checks
-    the pair families that only the genericity check reads.
+    genericity floor, so reading a family, or ``log_pairs``, is its check;
+    ``check_only`` checks the pair families that only the genericity check
+    reads.
 
     ``lambda_zeta`` and ``lattice`` keep, per ``BoundaryConfig``, the boundary
     families over these points: each is evaluated, checked and named by
     the ``BoundaryConfig`` on first read and then kept read-only, so the
-    draw, the oracles' check, the face route's K and the closed forms read
-    one evaluation; a refused family raises on every read and is not kept.
+    draw, the oracles' check and K, the face route's K and the closed forms
+    read one evaluation; a refused family raises on every read and is not
+    kept.
     """
 
     def __init__(self, u, xi, setup: ModularSetup):
@@ -148,12 +165,12 @@ class SpectralGrids:
     def s2u(self):
         return _read_only(sigma(2 * self.u, self.setup))
 
-    @cached_property
+    @property
     def u_diff(self):
         ia, ib = self.u_pairs
         return self._product(self.u, self.u, "u_b - u_a", -1, pairs=(ib, ia))
 
-    @cached_property
+    @property
     def u_sum_eta(self):
         ia, ib = self.u_pairs
         return self._product(self.u, self.u, "u_b + u_a + eta", 1, self.setup.eta, (ib, ia))
@@ -163,13 +180,24 @@ class SpectralGrids:
         """sigma(xi_j - xi_k) for every (j, k)."""
         return sigma_separable(self.xi, self.xi, self.setup, -1)
 
-    @cached_property
+    @property
     def xi_diff(self):
         return _read_only(self._xi_minus_xi[(...,) + self.xi_pairs], "xi_a - xi_b")
 
-    @cached_property
+    @property
     def xi_sum(self):
         return self._product(self.xi, self.xi, "xi_a + xi_b", 1, pairs=self.xi_pairs)
+
+    @cached_property
+    def log_pairs(self):
+        """log prod_{a<b} s(u_b-u_a) s(u_a+u_b+eta) s(xi_a-xi_b) s(xi_a+xi_b),
+        one per configuration of the stack, 0 below two points: each pair
+        family is evaluated, refused by name below the floor, summed by
+        ``_log_product`` and dropped, one after another."""
+        if self.u.shape[-1] < 2:
+            return 0.0 + 0.0j
+        return (_log_product(self.u_diff) + _log_product(self.u_sum_eta)
+                + _log_product(self.xi_diff) + _log_product(self.xi_sum))
 
     @cached_property
     def xi_ratio(self):
@@ -227,8 +255,8 @@ class SpectralConfig:
         second check of the same configuration evaluates nothing.
         """
         g = self.grids(setup)
-        for family in ("minus", "plus", "minus_eta", "plus_eta", "u_diff",
-                       "u_sum_eta", "xi_diff", "xi_sum", "check_only"):
+        for family in ("minus", "plus", "minus_eta", "plus_eta", "log_pairs",
+                       "check_only"):
             getattr(g, family)
 
 
@@ -236,15 +264,18 @@ class SpectralConfig:
 # Vertex-type double-row monodromy and its contraction.
 # ---------------------------------------------------------------------------
 
-def _vertex_factors(us, xi, bc: BoundaryConfig, setup: ModularSetup):
+def _vertex_factors(us, xi, bc: BoundaryConfig, setup: ModularSetup, g=None):
     """The vertex factors of the bar lines at ``us``, one tuple per line:
     ([R(u + xi_j)]_j, K(u), [R(u - xi_j)]_j), j = 1..N.  Every R comes from
     one ``vertex_R_matrix`` build over the (2, len(us), N) arguments
-    u_a +- xi_j and every K from one ``vertex_K_matrix`` build over us."""
+    u_a +- xi_j and every K from one ``vertex_K_matrix`` build over us, which
+    reads sigma(2u) and sigma(lambda_i + zeta + u) from the configuration's
+    grids ``g`` when ``us`` is its u."""
     u = np.asarray(us, dtype=complex)
     x = np.asarray(xi, dtype=complex)[None, :]
     r_plus, r_minus = vertex_R_matrix(np.stack([u[:, None] + x, u[:, None] - x]), setup)
-    return list(zip(r_plus, vertex_K_matrix(u, bc, setup), r_minus))
+    kept = None if g is None else (g.s2u, *g.lambda_zeta(bc, "u"))
+    return list(zip(r_plus, vertex_K_matrix(u, bc, setup, kept), r_minus))
 
 
 def _apply_double_row(phi, factors, aux_axis):
@@ -294,7 +325,7 @@ def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
     # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
-    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
+    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup, spectral.grids(setup))
     psi = product_state(omega2_ket).reshape((2,) * n)
     for a in range(n, 0, -1):
         phi = np.tensordot(psi, omega1bar_ket[a - 1], axes=0)  # aux on last axis
@@ -335,7 +366,7 @@ def _configuration_weights(spectral: SpectralConfig, bc: BoundaryConfig,
     n = spectral.n
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
-    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup)
+    factors = _vertex_factors(spectral.u, spectral.xi, bc, setup, spectral.grids(setup))
     state, w = np.zeros(1, dtype=np.int16), np.ones(1, dtype=complex)
     # a ket v as [out, in]: every column v, the spin set whatever it held
     for j in range(n):

@@ -293,6 +293,22 @@ def _bench_value(route: str, spectral, bc, setup):
     return value_digest(_route_value(route, spectral, bc, setup))
 
 
+def _bench_row(route: str, n: int, cfg: RunConfig) -> dict:
+    """One timed row: the seeded draw and the route.  The draw's genericity
+    check evaluates the grids the route reads, so the row times both; the
+    configuration, grids included, goes when the row returns, before the
+    next row draws."""
+    t0 = time.perf_counter()
+    try:
+        spectral = draw_spectral(n, cfg.seed + n, cfg.setup, cfg.bc)
+        digest = _bench_value(route, spectral, cfg.bc, cfg.setup)
+        status = "ok"
+    except EllipdwError as exc:
+        digest, status = "", f"error: {exc}"
+    return {"route": route, "N": n, "seconds": time.perf_counter() - t0,
+            "digest": digest, "status": status}
+
+
 def run_bench(cfg: RunConfig) -> dict:
     """Timing table over the configured N sweep; a row's seconds cover the
     seeded draw and the route."""
@@ -302,19 +318,8 @@ def run_bench(cfg: RunConfig) -> dict:
             if n > ROUTE_GUARDS[route]:
                 rows.append({"route": route, "N": n, "seconds": None,
                              "digest": "", "status": f"skipped: N > {ROUTE_GUARDS[route]}"})
-                continue
-            # the draw's genericity check evaluates the grids the route reads,
-            # so a row times both
-            t0 = time.perf_counter()
-            try:
-                spectral = draw_spectral(n, cfg.seed + n, cfg.setup, cfg.bc)
-                digest = _bench_value(route, spectral, cfg.bc, cfg.setup)
-                status = "ok"
-            except EllipdwError as exc:
-                digest, status = "", f"error: {exc}"
-            rows.append({"route": route, "N": n,
-                         "seconds": time.perf_counter() - t0,
-                         "digest": digest, "status": status})
+            else:
+                rows.append(_bench_row(route, n, cfg))
     return {"params": cfg.params_echo(), "rows": rows,
             "pass": all(r["status"] == "ok" or r["status"].startswith("skipped")
                         for r in rows)}

@@ -1,6 +1,7 @@
 """Closed-form routes and the proof-step machinery."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,6 +139,34 @@ def test_log_det_refuses_an_exactly_singular_matrix():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularityError, match="singular matrix"):
             _log_det(np.array([[1, 2], [2, 4]], dtype=complex))
+
+
+def test_determinant_holds_one_working_matrix(bc, setup):
+    """A fresh N = 256 draw and its log determinant, under tracemalloc, peak
+    below 8 and keep below 5.5 N x N complex arrays: the configuration keeps
+    the four grids and sigma(xi_j - xi_k), the pair families only as their
+    checked log sum, and the matrix is built in one buffer."""
+    n = 256
+    _log_normalized_z_determinant(draw_spectral(n, 1, setup, bc), bc, setup)  # fill caches
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        spec = draw_spectral(n, 1256, setup, bc)
+        _log_normalized_z_determinant(spec, bc, setup)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    array = n * n * np.dtype(complex).itemsize
+    assert (peak - before) / array < 8.0 and (current - before) / array < 5.5, \
+        ((peak - before) / array, (current - before) / array)
+    kept = vars(spec.grids(setup))
+    assert {"u_diff", "u_sum_eta", "xi_diff", "xi_sum"}.isdisjoint(kept)
+    assert not [v for v in kept.values()
+                if isinstance(v, np.ndarray) and v.shape[-1:] == (n * (n - 1) // 2,)]
 
 
 def test_determinant_xi_exchange_invariance(draw, bc, setup):

@@ -1,18 +1,20 @@
 """Configuration parsing, report schema, CLI subcommands, exit codes."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
 
 import ellipdw
 
-from ellipdw import elliptic, parse_config, run_bench, run_compare, run_identities
+from ellipdw import elliptic, parse_config, run_bench, run_compare, run_identities, runner
 from ellipdw.cli import main
 from ellipdw.errors import ParseError, ValidationError
 from ellipdw.report import value_digest
@@ -239,6 +241,28 @@ def test_run_bench_rows_and_guard_skip():
     assert by_key[("enumeration", 4)]["status"].startswith("skipped")
     assert by_key[("determinant", 4)]["status"] == "ok"
     assert result["pass"] is True
+
+
+def test_run_bench_releases_each_row_before_the_next_draw(monkeypatch):
+    """With the cycle collector off, every earlier row's configuration, grids
+    included, is gone when a row draws, so a sweep holds one configuration
+    at a time."""
+    drawn, draw = [], runner.draw_spectral
+
+    def recording(*args):
+        assert [ref() for ref in drawn] == [None] * len(drawn)
+        spectral = draw(*args)
+        drawn.append(weakref.ref(spectral))
+        return spectral
+
+    monkeypatch.setattr(runner, "draw_spectral", recording)
+    cfg = parse_config("{mode: bench, routes: [determinant, permsum], n_sweep: [6, 8, 6]}")
+    gc.disable()
+    try:
+        result = run_bench(cfg)
+    finally:
+        gc.enable()
+    assert len(drawn) == 6 and result["pass"]
 
 
 _NO_SCIPY = textwrap.dedent("""

@@ -543,12 +543,12 @@ def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypat
 
 def test_draw_and_routes_evaluate_each_boundary_family_once(draw, bc, setup, monkeypatch):
     """A draw and the four default routes at N = 6 evaluate sigma(lambda_i +
-    zeta + v) in 5 ``sigma_lambda_zeta`` calls (u, -xi and xi in the draw, -u
-    in the face route, u in the vertex K) and sigma(lambda12 + k eta) in 4
-    ``sigma_lattice`` calls (the oracles' sweep, the face route's
-    sigma(lambda12), the closed forms' lambda product); a second round on
-    the same configuration evaluates only the vertex K's family and
-    sigma(lambda12) again."""
+    zeta + v) in 4 ``sigma_lambda_zeta`` calls (u, -xi and xi in the draw, -u
+    in the face route; the vertex K reads the kept u family) and
+    sigma(lambda12 + k eta) in 4 ``sigma_lattice`` calls (the oracles' sweep,
+    the face route's sigma(lambda12), the closed forms' lambda product); a
+    second round on the same configuration evaluates only sigma(lambda12)
+    again."""
     calls = []
     for name in ("sigma_lambda_zeta", "sigma_lattice"):
         def counting(self, *args, _name=name, _call=getattr(BoundaryConfig, name)):
@@ -561,16 +561,16 @@ def test_draw_and_routes_evaluate_each_boundary_family_once(draw, bc, setup, mon
               lambda s, b, t: closedform.full_z(s, b, t, "determinant"))
     for route in routes:
         route(spec, bc, setup)
-    assert (calls.count("sigma_lambda_zeta"), calls.count("sigma_lattice")) == (5, 4)
+    assert (calls.count("sigma_lambda_zeta"), calls.count("sigma_lattice")) == (4, 4)
     for route in routes:
         route(spec, bc, setup)
-    assert (calls.count("sigma_lambda_zeta"), calls.count("sigma_lattice")) == (6, 5)
+    assert (calls.count("sigma_lambda_zeta"), calls.count("sigma_lattice")) == (4, 5)
 
 
 def test_kept_families_leave_no_reference_cycle(draw, bc, setup):
     """A configuration's grids, with every boundary family kept, are freed by
     reference counting alone once the configuration goes: a cycle through
-    them would hold an N = 512 configuration's grids (about 27 MB) until the
+    them would hold an N = 512 configuration's grids (20 MiB) until the
     cycle collector runs."""
     spec = draw(4, 7, setup, bc)
     closedform.full_z(spec, bc, setup, "permsum")
@@ -953,7 +953,7 @@ def test_vertex_routes_equal_per_matrix_builds(draw, bc, setup, monkeypatch):
     table = {n: repr(partition_enumeration(specs[n], bc, setup))
              for n in range(1, oracle.MAX_ENUMERATION_N + 1)}
     monkeypatch.setattr(oracle, "_vertex_factors",
-                        lambda us, xi, bc, setup: _per_matrix_factors(
+                        lambda us, xi, bc, setup, g=None: _per_matrix_factors(
                             SpectralConfig(tuple(us), tuple(xi)), bc, setup))
     for n, value in table.items():
         assert repr(partition_enumeration(specs[n], bc, setup)) == value, n
