@@ -44,19 +44,11 @@ import numpy as np
 from .boundary import BoundaryConfig
 from .elliptic import ModularSetup
 from .errors import SingularityError, SizeError
-from .oracle import SpectralConfig, SpectralGrids, _log_product
+from .oracle import SpectralConfig, SpectralGrids, _log_product, _require_size
 from .rmatrices import GENERICITY_FLOOR, SIGMA_ETA, _checked_sigma
 
-MAX_PERMSUM_N = 9
-MAX_DETERMINANT_N = 512
 RING_POINTS = 4        # points of residue_estimate's circle
 POLE_SCAN_EPS = 1e-4   # the circle's radius in pole_scan
-_SIZE_GUARDS = {"permsum": MAX_PERMSUM_N, "determinant": MAX_DETERMINANT_N}
-
-
-def _require_size(route: str, n: int):
-    if n > _SIZE_GUARDS[route]:
-        raise SizeError(f"{route} route limited to N <= {_SIZE_GUARDS[route]}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +168,13 @@ def _log_z_det(g: SpectralGrids, lam_u, lam_xi):
 
 def _log_normalized_z_determinant(spectral, bc, setup,
                                   floor: float = GENERICITY_FLOOR) -> complex:
-    """log of the normalized value.  ``floor`` is accepted only as
-    GENERICITY_FLOOR, for callers that still pass it."""
+    """log of the normalized value, refused above the determinant's guard.
+    ``floor`` is accepted only as GENERICITY_FLOOR, for callers that still
+    pass it."""
     if floor != GENERICITY_FLOOR:
         raise ValueError(f"the genericity floor is fixed at {GENERICITY_FLOOR:.0e}, "
                          f"got {floor!r}")
+    _require_size("determinant", spectral.n)
     if spectral.n == 0:
         return 0.0 + 0.0j
     g = spectral.grids(setup)
@@ -207,7 +201,6 @@ def normalized_z_determinant(spectral: SpectralConfig, bc: BoundaryConfig,
     Values beyond double range saturate to 0 or inf; bench mode reports the
     log-space digest instead.
     """
-    _require_size("determinant", spectral.n)
     return _exp_saturating(_log_normalized_z_determinant(spectral, bc, setup))
 
 
@@ -241,12 +234,11 @@ def partition_prefactor(bc: BoundaryConfig, spectral: SpectralConfig,
 def full_z(spectral: SpectralConfig, bc: BoundaryConfig, setup: ModularSetup,
            route: str = "determinant") -> complex:
     """Full partition function: prefactor x normalized value, one table build."""
-    n = spectral.n
-    if n == 0:
-        return 1.0 + 0.0j
-    if route not in _SIZE_GUARDS:
+    if route not in ("permsum", "determinant"):
         raise ValueError(f"unknown closed-form route: {route!r}")
-    _require_size(route, n)
+    _require_size(route, spectral.n)
+    if spectral.n == 0:
+        return 1.0 + 0.0j
     g = spectral.grids(setup)
     lam_u, lam_xi = _boundary_vectors(g, bc)
     if route == "permsum":
@@ -293,7 +285,6 @@ def pole_matching_pair(order: int, spectral: SpectralConfig,
     prod_a sigma(l1+z+u_a) sigma(l2+z+u_a) / (sigma(2 u_a) lam_xi_a), which
     strips the boundary row and column factors from the normalized value.
     """
-    _require_pair_order(order, spectral.n)
     b_val, f_val = _pair_with_last_u(order, spectral, spectral.u[order - 1], bc, setup)
     return complex(b_val), complex(f_val)
 

@@ -20,17 +20,8 @@ import yaml
 from .boundary import BoundaryConfig
 from .elliptic import ModularSetup
 from .errors import DomainError, ParseError, SingularityError, ValidationError
-from .oracle import (MAX_BRUTEFORCE_N, MAX_ENUMERATION_N, MAX_FACE_N,
-                     SpectralConfig)
-from .closedform import MAX_DETERMINANT_N, MAX_PERMSUM_N
+from .oracle import ROUTE_GUARDS, SpectralConfig
 
-ROUTE_GUARDS = {
-    "enumeration": MAX_ENUMERATION_N,
-    "bruteforce": MAX_BRUTEFORCE_N,
-    "face": MAX_FACE_N,
-    "permsum": MAX_PERMSUM_N,
-    "determinant": MAX_DETERMINANT_N,
-}
 MODES = ("compare", "identities", "bench")
 
 DEFAULTS = {
@@ -118,8 +109,8 @@ def _as_number(raw, where: str) -> float:
 
 
 def default_routes(n: int) -> tuple:
-    return tuple(r for r in ("enumeration", "bruteforce", "face", "permsum",
-                             "determinant") if n <= ROUTE_GUARDS[r])
+    """Every route whose guard admits N, in ``ROUTE_GUARDS`` order."""
+    return tuple(r for r, guard in ROUTE_GUARDS.items() if n <= guard)
 
 
 def parse_config(text: str, overrides: dict = None) -> RunConfig:
@@ -176,7 +167,7 @@ def parse_config(text: str, overrides: dict = None) -> RunConfig:
             if r in routes[:i]:
                 raise ValidationError(f"route {r!r} given twice")
             if n > ROUTE_GUARDS[r]:
-                raise ValidationError(f"{r} limited to N <= {ROUTE_GUARDS[r]}, got N={n}")
+                raise ValidationError(f"{r} route limited to N <= {ROUTE_GUARDS[r]}, got {n}")
 
     tol = _as_number(merged["tol"], "tol")
     if tol <= 0:

@@ -13,6 +13,10 @@ Three independent evaluators of the same quantity:
   pseudo-particle creation operators between the all-up bra and all-down
   ket, built from the dynamical one-row monodromy matrix.
 
+``ROUTE_GUARDS`` holds the size guard of every route, these three and the
+two closed forms, and ``_require_size`` is the one check of it that each
+route's entry point makes; the oracles enter through ``_oracle_entry``.
+
 The vertex routes read every R and K factor of a call from one table,
 ``_vertex_factors`` (one array ``vertex_R_matrix`` build over u_a +- xi_j and
 one array ``vertex_K_matrix`` build over u_a, reading the configuration's
@@ -45,9 +49,28 @@ from .rmatrices import (Gathered, WeightVector, _floor_checked, apply_R_layer, s
                         spectator_blocks, spectator_layers, spectator_weight, vertex_R_matrix)
 from .tensor import DenseOperator, apply_one_site, apply_two_site, product_state, times
 
-MAX_BRUTEFORCE_N = 12
-MAX_ENUMERATION_N = 2
-MAX_FACE_N = 10
+# every route's size guard, in the default route order: the one table
+ROUTE_GUARDS = {"enumeration": 2, "bruteforce": 12, "face": 10, "permsum": 9,
+                "determinant": 512}
+
+
+def _require_size(route: str, n: int):
+    """Refuse N above ``route``'s guard in ``ROUTE_GUARDS``."""
+    if n > ROUTE_GUARDS[route]:
+        raise SizeError(f"{route} route limited to N <= {ROUTE_GUARDS[route]}, got {n}")
+
+
+def _oracle_entry(route: str, spectral: SpectralConfig, bc: BoundaryConfig,
+                  setup: ModularSetup) -> bool:
+    """The oracles' one entry check: ``route``'s size guard, then False at
+    N = 0 (Z = 1, nothing to contract), else the configuration's and the
+    boundary's genericity checks, and True."""
+    _require_size(route, spectral.n)
+    if spectral.n == 0:
+        return False
+    spectral.require_generic(setup)
+    bc.require_generic(spectral.grids(setup))
+    return True
 
 
 def _read_only(vals, family=None):
@@ -315,13 +338,9 @@ def double_row_monodromy(u_i: complex, spectral: SpectralConfig,
 def partition_bruteforce(spectral: SpectralConfig, bc: BoundaryConfig,
                          setup: ModularSetup) -> complex:
     """Contract the monodromy product between the four boundary states."""
-    n = spectral.n
-    if n > MAX_BRUTEFORCE_N:
-        raise SizeError(f"bruteforce route limited to N <= {MAX_BRUTEFORCE_N}, got {n}")
-    if n == 0:
+    if not _oracle_entry("bruteforce", spectral, bc, setup):
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(spectral.grids(setup))
+    n = spectral.n
     omega1_bra, omega2bar_bra, omega1bar_ket, omega2_ket = boundary_state_factors(
         bc, spectral.xi, spectral.u, setup)
     # factors first: a complex GEMM leaves AVX state dirty, slowing scalar theta after it
@@ -398,13 +417,8 @@ def partition_enumeration(spectral: SpectralConfig, bc: BoundaryConfig,
     order.  The boundary lattice sweep runs first, as in the other oracles,
     so a zero of sigma(lambda12 + k eta) is refused under that name.
     """
-    n = spectral.n
-    if n > MAX_ENUMERATION_N:
-        raise SizeError(f"enumeration limited to N <= {MAX_ENUMERATION_N}, got {n}")
-    if n == 0:
+    if not _oracle_entry("enumeration", spectral, bc, setup):
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(spectral.grids(setup))
     # one after another: np.sum would add in pairs
     return complex(np.cumsum(_configuration_weights(spectral, bc, setup))[-1])
 
@@ -543,13 +557,9 @@ def partition_face_route(spectral: SpectralConfig, bc: BoundaryConfig,
                          setup: ModularSetup) -> complex:
     """Product of N creation operators between <1...1| and |2...2>, the one
     at u_a (a = N-1..0) at weight lambda - (2a + 2 - N) eta e_hat_1."""
-    n = spectral.n
-    if n > MAX_FACE_N:
-        raise SizeError(f"face route limited to N <= {MAX_FACE_N}, got {n}")
-    if n == 0:
+    if not _oracle_entry("face", spectral, bc, setup):
         return 1.0 + 0.0j
-    spectral.require_generic(setup)
-    bc.require_generic(spectral.grids(setup))
+    n = spectral.n
     a = np.arange(n - 1, -1, -1)
     ms = bc.weight.shifted(1, setup.eta, -(2 * a + 2 - n))
     pref, k1, k2 = _creation_scalars(ms, bc, a, spectral, setup)

@@ -240,6 +240,13 @@ def test_full_z_n0(bc, setup):
     assert full_z(SpectralConfig(u=(), xi=()), bc, setup) == 1.0
 
 
+def test_full_z_checks_its_route_before_the_empty_shortcut(bc, setup):
+    """An unknown route is refused at N = 0 as at N = 1."""
+    for spec in (SpectralConfig(u=(), xi=()), SpectralConfig(u=(0.27 + 0.06j,), xi=(-0.13,))):
+        with pytest.raises(ValueError, match="unknown closed-form route: 'bogus'"):
+            full_z(spec, bc, setup, "bogus")
+
+
 def test_recursion_n1_exact(draw, bc, setup):
     assert recursion_residual(draw(1, 280, setup, bc), bc, setup) <= 1e-12
 

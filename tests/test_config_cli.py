@@ -4,19 +4,23 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ellipdw
 
-from ellipdw import elliptic, parse_config, run_bench, run_compare, run_identities, runner
+from ellipdw import (SpectralConfig, closedform, elliptic, oracle, parse_config, run_bench,
+                     run_compare, run_identities, runner)
 from ellipdw.cli import main
-from ellipdw.errors import ParseError, ValidationError
+from ellipdw.config import DRAW_BOX, ROUTE_GUARDS, default_routes
+from ellipdw.errors import ParseError, SizeError, ValidationError
 from ellipdw.report import value_digest
 
 
@@ -47,6 +51,38 @@ def test_tau_guard():
 def test_route_guard():
     with pytest.raises(ValidationError, match="permsum"):
         parse_config("{routes: [permsum], N: 12}")
+
+
+# every public entry point of each route
+_ROUTE_ENTRIES = {
+    "enumeration": [oracle.partition_enumeration],
+    "bruteforce": [oracle.partition_bruteforce],
+    "face": [oracle.partition_face_route],
+    "permsum": [lambda s, b, t: closedform.full_z(s, b, t, "permsum"),
+                closedform.normalized_z_permsum],
+    "determinant": [lambda s, b, t: closedform.full_z(s, b, t, "determinant"),
+                    closedform.normalized_z_determinant,
+                    closedform._log_normalized_z_determinant],
+}
+
+
+@pytest.mark.parametrize("route,guard", list(ROUTE_GUARDS.items()))
+def test_every_route_refuses_one_past_its_guard(route, guard, bc, setup):
+    """At N = guard + 1 (points from the draw box, unchecked) every entry
+    point of the route raises the one SizeError, parse_config refuses the
+    route with the same message, and default_routes drops it."""
+    n = guard + 1
+    rng = np.random.default_rng(n)
+    u, xi = (tuple(rng.uniform(*DRAW_BOX[f"{v}_re"], n) + 1j * rng.uniform(*DRAW_BOX[f"{v}_im"], n))
+             for v in ("u", "xi"))
+    message = f"^{re.escape(f'{route} route limited to N <= {guard}, got {n}')}$"
+    for entry in _ROUTE_ENTRIES[route]:
+        with pytest.raises(SizeError, match=message):
+            entry(SpectralConfig(u=u, xi=xi), bc, setup)
+    with pytest.raises(ValidationError, match=message):
+        parse_config(f"{{N: {n}, routes: [{route}]}}")
+    assert route in default_routes(guard)
+    assert route not in default_routes(n)
 
 
 def test_unknown_field_and_parse_error():

@@ -313,7 +313,7 @@ def _layer_by_layer(phi, table, n):
     return phi
 
 
-@pytest.mark.parametrize("n", range(1, oracle.MAX_FACE_N + 1))
+@pytest.mark.parametrize("n", range(1, oracle.ROUTE_GUARDS["face"] + 1))
 def test_face_layer_kernel_equals_apply_R_stack(n, draw, bc, setup):
     """The face layers, one ``rmatrices.apply_R_layer`` each, equal the
     reference ``apply_R_stack`` applied layer by layer byte for byte, for
@@ -928,7 +928,7 @@ def test_bruteforce_gate_makes_the_tensordot_product(setup_name, draw, bc, reque
     Bruteforce's rounding drift is most of its distance to the other routes
     at N >= 10, so a gate that summed in another order would move it."""
     setup = request.getfixturevalue(setup_name)
-    for n in range(1, oracle.MAX_BRUTEFORCE_N + 1):
+    for n in range(1, oracle.ROUTE_GUARDS["bruteforce"] + 1):
         spec = draw(n, 600 + n, setup, bc)
         factors = oracle._vertex_factors(spec.u, spec.xi, bc, setup)
         assert repr(partition_bruteforce(spec, bc, setup)) == \
@@ -946,12 +946,13 @@ def test_bruteforce_gate_makes_the_tensordot_product(setup_name, draw, bc, reque
 def test_vertex_routes_equal_per_matrix_builds(draw, bc, setup, monkeypatch):
     """Bruteforce at N = 1..12 and enumeration at N <= 2 equal, in repr, the
     same contraction of one scalar ``vertex_R_matrix`` build per matrix."""
-    specs = {n: draw(n, 600 + n, setup, bc) for n in range(1, oracle.MAX_BRUTEFORCE_N + 1)}
+    specs = {n: draw(n, 600 + n, setup, bc)
+             for n in range(1, oracle.ROUTE_GUARDS["bruteforce"] + 1)}
     for n, spec in specs.items():
         assert repr(partition_bruteforce(spec, bc, setup)) == \
             repr(_bruteforce_reference(spec, bc, setup)), n
     table = {n: repr(partition_enumeration(specs[n], bc, setup))
-             for n in range(1, oracle.MAX_ENUMERATION_N + 1)}
+             for n in range(1, oracle.ROUTE_GUARDS["enumeration"] + 1)}
     monkeypatch.setattr(oracle, "_vertex_factors",
                         lambda us, xi, bc, setup, g=None: _per_matrix_factors(
                             SpectralConfig(tuple(us), tuple(xi)), bc, setup))
