@@ -257,7 +257,9 @@ def recursion_residual(spectral: SpectralConfig, bc: BoundaryConfig,
     """Relative residual of the N -> N-1 recursion (determinant route).
 
     Z_N = sum_i A[N-1, i] prod_{l<N-1} B[l, i] prod_{j!=i} G[j, i]
-    Z_{N-1}(u without u_N, xi without xi_i), all N from one stacked LU.
+    Z_{N-1}(u without u_N, xi without xi_i), all N from one stacked LU,
+    summed as |1 - sum_i exp(log term_i - log Z_N)| so that no Z or
+    coefficient leaves the double range.
     """
     n = spectral.n
     if n < 1:
@@ -265,14 +267,16 @@ def recursion_residual(spectral: SpectralConfig, bc: BoundaryConfig,
     _require_size("determinant", n)
     g = spectral.grids(setup)
     lam_u, lam_xi = _boundary_vectors(g, bc)
-    z_n = _exp_saturating(_log_z_det(g, lam_u, lam_xi))
+    log_z_n = _log_z_det(g, lam_u, lam_xi)
     table_a, table_b = _permsum_ab(g, lam_u, lam_xi)
-    coeff = table_a[n - 1] * table_b[:n - 1].prod(axis=0) * g.xi_ratio.prod(axis=0)
+    # column i: A[N-1, i], then B[l, i] for l < N-1, then G[j, i]
+    log_coeff = _log_product(np.concatenate([table_a[n - 1:], table_b[:n - 1],
+                                             g.xi_ratio]).T)
     # the N sub-configurations as one stack: u shared, row i the xi without xi_i
     xi = np.broadcast_to(g.xi, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     sub = SpectralGrids(g.u[:n - 1], xi, setup)
-    z_sub = _exp_saturating(_log_z_det(sub, *_boundary_vectors(sub, bc)))
-    return float(abs(z_n - np.sum(coeff * z_sub)) / abs(z_n))
+    log_z_sub = _log_z_det(sub, *_boundary_vectors(sub, bc))
+    return float(abs(1.0 - np.sum(np.exp(log_coeff + log_z_sub - log_z_n))))
 
 
 def pole_matching_pair(order: int, spectral: SpectralConfig,

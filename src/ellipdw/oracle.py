@@ -93,9 +93,10 @@ def _log_product(values, ndim: int = 1):
     return np.sum(np.log(moduli, out=moduli), axis=-1) + 1j * np.sum(np.angle(v), axis=-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _pair_indices(n: int):
-    """The read-only indices (a, b) of the pairs a < b of n points, one copy per n."""
+    """The read-only indices (a, b) of the pairs a < b of n points.  Only the
+    last size's copy is kept: the u and xi of a ``SpectralGrids`` share it."""
     return tuple(_read_only(index) for index in np.triu_indices(n, k=1))
 
 

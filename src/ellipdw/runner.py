@@ -67,84 +67,49 @@ WEIGHT_BOX = ((-0.5, 0.5), (-0.12, 0.12))
 POINT_BOX = ((-0.4, 0.4), (-0.15, 0.15))
 
 
-def _weight(rng):
-    re, im = WEIGHT_BOX
-    return rmatrices.WeightVector(rng.uniform(*re) + 1j * rng.uniform(*im),
-                                  rng.uniform(*re) + 1j * rng.uniform(*im))
-
-
-def _draw_weight(rng, setup):
-    """A seeded weight whose sigma(m12), sigma(m12 +- eta) clear WEIGHT_FLOOR."""
-    while True:
-        m = _weight(rng)
-        try:
-            m.require_generic(setup, WEIGHT_FLOOR)
-            return m
-        except EllipdwError:
-            continue
-
-
 def _draw_points(rng, count):
     re, im = POINT_BOX
     return rng.uniform(*re, count) + 1j * rng.uniform(*im, count)
 
 
-def _points_and_weight(rng, setup, count, checked=True):
-    """``count`` points, then a weight, as residual arguments; the weight is
-    drawn first, and redrawn until it clears WEIGHT_FLOOR unless ``checked``
-    is false."""
-    m = _draw_weight(rng, setup) if checked else _weight(rng)
-    return (*_draw_points(rng, count), m)
-
-
-def _stacked(values):
-    """One argument over all draws: an array, or a WeightVector of arrays."""
-    if isinstance(values[0], rmatrices.WeightVector):
-        return rmatrices.WeightVector(np.array([m.m1 for m in values], dtype=complex),
-                                      np.array([m.m2 for m in values], dtype=complex))
-    return np.array(values, dtype=complex)
-
-
-def _sample_stacks(seed, count, points, weighted):
-    """The stacked arguments of ``count`` samples, bit for bit those that the
-    per-sample loop (``_draw_points``, or ``_points_and_weight(...,
-    checked=False)`` when ``weighted``) draws from a generator seeded with
-    ``seed``, from one ``Generator.uniform`` pass over a (count, width) table:
-    row i is sample i's draws in the loop's order (the weight's m1.re, m1.im,
-    m2.re, m2.im, then the points' real parts, then their imaginary parts),
-    each column with its own bounds, joined into complex values as the loop
-    joins them."""
+def _sample_stacks(rng, count, points, setup=None):
+    """The stacked arguments of ``count`` samples of ``points`` points each,
+    preceded by a weight when ``setup`` is given, from one
+    ``Generator.uniform`` pass over a (count, width) table: row i is sample
+    i's draws (the weight's m1.re, m1.im, m2.re, m2.im, then the points' real
+    parts, then their imaginary parts), each column with its own bounds.
+    The weights are checked as one stack at WEIGHT_FLOOR; a refused table
+    is drawn again, whole, from ``rng``."""
+    weighted = setup is not None
     boxes = (WEIGHT_BOX * 2 if weighted else ()) + (POINT_BOX[0],) * points \
         + (POINT_BOX[1],) * points
     lo, hi = np.array(boxes).T
-    cols = np.random.default_rng(seed).uniform(lo, hi, (count, len(boxes))).T.copy()
     w = 4 if weighted else 0
-    args = list(cols[w:w + points] + 1j * cols[w + points:])
-    if weighted:
+    while True:
+        cols = rng.uniform(lo, hi, (count, len(boxes))).T.copy()
+        args = list(cols[w:w + points] + 1j * cols[w + points:])
+        if not weighted:
+            return args
         args.append(rmatrices.WeightVector(*(cols[0:4:2] + 1j * cols[1:4:2])))
-    return args
+        try:
+            args[-1].require_generic(setup, WEIGHT_FLOOR)
+        except EllipdwError:
+            continue
+        return args
+
+
+def _draw_weight(rng, setup):
+    """A seeded weight whose sigma(m12), sigma(m12 +- eta) clear WEIGHT_FLOOR:
+    the first four-double row that does, as scalars."""
+    m, = _sample_stacks(rng, 1, 0, setup)
+    return rmatrices.WeightVector(complex(m.m1[0]), complex(m.m2[0]))
 
 
 def _sampled_max(seed, count, points, residual, setup=None):
-    """Largest residual over ``count`` samples from one generator seeded with
-    ``seed``; a nan residual makes it nan.
-
-    A sample is ``points`` points, preceded by a weight when ``setup`` is
-    given.  Each argument is stacked over the samples (``_sample_stacks``)
-    and ``residual`` is called once on the stacks.  The weights are drawn
-    unchecked and checked as one stack; only if the stack is refused are the
-    samples drawn again one by one by ``_points_and_weight``, which redraws
-    each refused weight, so the stacks are always the per-sample draws'.
-    The stack must clear the floor by a margin: a stacked sigma equals its
-    scalar sum to rounding, not always bit for bit."""
-    args = _sample_stacks(seed, count, points, setup is not None)
-    if setup is not None:
-        try:
-            args[-1].require_generic(setup, WEIGHT_FLOOR * (1.0 + 1e-9))
-        except EllipdwError:
-            rng = np.random.default_rng(seed)
-            args = list(map(_stacked, zip(*(tuple(_points_and_weight(rng, setup, points))
-                                             for _ in range(count)))))
+    """Largest residual over ``count`` samples (``_sample_stacks``, weighted
+    when ``setup`` is given) from one generator seeded with ``seed``, from
+    one ``residual`` call on the stacks; a nan residual makes it nan."""
+    args = _sample_stacks(np.random.default_rng(seed), count, points, setup)
     return float(np.max(residual(*args)))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellipdw import BoundaryConfig, ModularSetup, WeightVector
+from ellipdw import BoundaryConfig, ModularSetup, WeightVector, runner
 from ellipdw.config import draw_spectral
 from ellipdw.rmatrices import _BLOCK, sos_R_matrix
 from ellipdw.tensor import embed_matrix
@@ -40,19 +40,18 @@ def draw():
 
 
 def random_points(rng, count):
-    return rng.uniform(-0.4, 0.4, count) + 1j * rng.uniform(-0.15, 0.15, count)
+    return runner._draw_points(rng, count)
 
 
-def random_weight(rng, setup, floor=1e-3):
-    from ellipdw.errors import EllipdwError
-    while True:
-        m = WeightVector(rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.12, 0.12),
-                         rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.12, 0.12))
-        try:
-            m.require_generic(setup, floor)
-            return m
-        except EllipdwError:
-            continue
+def random_weight(rng, setup):
+    return runner._draw_weight(rng, setup)
+
+
+def sample_row(stacks, k):
+    """Sample k of ``runner._sample_stacks``' stacks, as the scalar arguments
+    of one residual call."""
+    return tuple(WeightVector(complex(a.m1[k]), complex(a.m2[k]))
+                 if isinstance(a, WeightVector) else a[k] for a in stacks)
 
 
 def _popcount(k: int) -> np.ndarray:

@@ -256,6 +256,15 @@ def test_recursion_sweep(n, tol, draw, bc, setup):
     assert recursion_residual(draw(n, 281 + n, setup, bc), bc, setup) <= tol
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_recursion_is_finite_past_the_double_range(n, draw, bc, setup):
+    """Summed relative to log Z_N, the residual stays finite, with no
+    warning, at sizes where Z_N and its coefficients leave the double range."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(recursion_residual(draw(n, 281 + n, setup, bc), bc, setup))
+
+
 def test_pole_pair_base_case(draw, bc, setup):
     spec = draw(1, 290, setup, bc)
     b, f = pole_matching_pair(1, spec, bc, setup)

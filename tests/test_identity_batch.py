@@ -17,24 +17,21 @@ from ellipdw import (BoundaryConfig, WeightVector, boundary, elliptic, parse_con
 from ellipdw.errors import EllipdwError, SingularityError
 from ellipdw.tensor import embed_matrix, max_abs, product_state, quotient, times
 
+from conftest import sample_row
+
 BC = BoundaryConfig(lambda1=0.41, lambda2=-0.23, zeta=0.17)
 LAM_SUM = BC.lambda1 + BC.lambda2 - 0.5   # sigma(-u + LAM_SUM) vanishes at u = LAM_SUM
 
-# name -> (draw(rng, setup), residual(*args, setup))
+# name -> (points per sample, weighted, residual(*args, setup))
 RESIDUALS = {
-    "riemann": (lambda rng, s: runner._draw_points(rng, 4), elliptic.riemann_residual),
-    "qybe": (lambda rng, s: runner._draw_points(rng, 3), rmatrices.qybe_residual),
-    "dybe": (lambda rng, s: runner._points_and_weight(rng, s, 3), rmatrices.dybe_residual),
-    "unitarity": (lambda rng, s: runner._points_and_weight(rng, s, 1),
-                  rmatrices.unitarity_residual),
-    "crossing": (lambda rng, s: runner._points_and_weight(rng, s, 1),
-                 rmatrices.crossing_residual),
-    "re": (lambda rng, s: runner._draw_points(rng, 2),
-           lambda u1, u2, s: boundary.re_residual(u1, u2, BC, s)),
-    "face_vertex": (lambda rng, s: runner._points_and_weight(rng, s, 2),
-                    boundary.face_vertex_residual),
-    "k_factorization": (lambda rng, s: runner._draw_points(rng, 1),
-                        lambda u, s: boundary.k_factorization_residual(u, BC, s)),
+    "riemann": (4, False, elliptic.riemann_residual),
+    "qybe": (3, False, rmatrices.qybe_residual),
+    "dybe": (3, True, rmatrices.dybe_residual),
+    "unitarity": (1, True, rmatrices.unitarity_residual),
+    "crossing": (1, True, rmatrices.crossing_residual),
+    "re": (2, False, lambda u1, u2, s: boundary.re_residual(u1, u2, BC, s)),
+    "face_vertex": (2, True, boundary.face_vertex_residual),
+    "k_factorization": (1, False, lambda u, s: boundary.k_factorization_residual(u, BC, s)),
 }
 
 # name -> the arguments of one sample whose scalar call is refused
@@ -52,34 +49,40 @@ BELOW_FLOOR = {
 
 
 def _draws(name, setup, count=8, seed=5):
-    draw = RESIDUALS[name][0]
-    rng = np.random.default_rng(seed)
-    return [tuple(draw(rng, setup)) for _ in range(count)]
+    """The stacked arguments of ``count`` samples, and the samples."""
+    points, weighted, _ = RESIDUALS[name]
+    stacks = runner._sample_stacks(np.random.default_rng(seed), count, points,
+                                   setup if weighted else None)
+    return stacks, [sample_row(stacks, k) for k in range(count)]
 
 
 @pytest.mark.parametrize("setup_name", ["setup", "setup_complex_eta"])
 @pytest.mark.parametrize("name", sorted(RESIDUALS))
 def test_residual_stack_equals_per_sample_calls(name, setup_name, request):
     setup = request.getfixturevalue(setup_name)
-    residual = RESIDUALS[name][1]
-    samples = _draws(name, setup)
+    residual = RESIDUALS[name][2]
+    stacks, samples = _draws(name, setup)
     scalar = [residual(*s, setup) for s in samples]
     assert all(type(r) is float for r in scalar)
-    stacked = residual(*map(runner._stacked, zip(*samples)), setup)
+    stacked = residual(*stacks, setup)
     assert stacked.shape == (len(samples),)
     assert np.max(np.abs(stacked - np.array(scalar))) <= 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(BELOW_FLOOR))
 def test_below_floor_sample_raises_the_scalar_error(name, setup):
-    residual = RESIDUALS[name.removesuffix("_domain")][1]
+    residual = RESIDUALS[name.removesuffix("_domain")][2]
     bad = BELOW_FLOOR[name](setup)
     with pytest.raises(EllipdwError) as scalar_exc:
         residual(*bad, setup)
-    samples = _draws(name.removesuffix("_domain"), setup)
-    samples[3] = bad
+    stacks, _ = _draws(name.removesuffix("_domain"), setup)
+    for stack, value in zip(stacks, bad):  # sample 3 is the bad one
+        if isinstance(stack, WeightVector):
+            stack.m1[3], stack.m2[3] = value.m1, value.m2
+        else:
+            stack[3] = value
     with pytest.raises(EllipdwError) as stack_exc:
-        residual(*map(runner._stacked, zip(*samples)), setup)
+        residual(*stacks, setup)
     assert type(stack_exc.value) is type(scalar_exc.value)
 
 
@@ -111,54 +114,75 @@ def test_weight_stack_require_generic_names_the_family(setup):
                 weight.require_generic(setup)
 
 
-def _check_sampled_max_draws(refused, setup, monkeypatch):
-    """The stacks are the points and weights the per-sample loop drew, also
-    through rejected weight draws: the ``refused`` candidates (counted from 1)
-    of the sequential stream are refused by value, so the stacked check
-    sees them as well as the replayed per-sample loop.  With no refusal the
-    weights are checked as one stack and never one by one."""
-    count, generic = 20, WeightVector.require_generic
-    calls, bad = [], set()
+def _table(rng, count, points, weighted):
+    """One ``Generator.uniform`` draw of a (count, width) sample table: the
+    weight's m1.re, m1.im, m2.re, m2.im columns, then the points' real
+    parts, then their imaginary parts."""
+    boxes = ((runner.WEIGHT_BOX * 2 if weighted else ()) + (runner.POINT_BOX[0],) * points
+             + (runner.POINT_BOX[1],) * points)
+    lo, hi = np.array(boxes).T
+    return rng.uniform(lo, hi, (count, len(boxes)))
 
-    def by_count(self, s, floor=rmatrices.GENERICITY_FLOOR):
-        calls.append(0)
-        if len(calls) in refused:
-            bad.add(self.m1)
-            raise SingularityError("rejected")
+
+def _as_table(stacks):
+    """The stacks' real and imaginary parts in ``_table``'s column order."""
+    *points, m = stacks if isinstance(stacks[-1], WeightVector) else (*stacks, None)
+    weight = [] if m is None else [p for z in (m.m1, m.m2) for p in (z.real, z.imag)]
+    return np.stack(weight + [z.real for z in points] + [z.imag for z in points], axis=1)
+
+
+def _refuse_first(refused, monkeypatch):
+    """Refuse the first ``refused`` weight checks; the list records each
+    check's (shape of m1, floor)."""
+    checks, generic = [], WeightVector.require_generic
+
+    def refusing(self, s, floor=rmatrices.GENERICITY_FLOOR):
+        checks.append((np.shape(self.m1), floor))
+        if len(checks) <= refused:
+            raise SingularityError("refused")
         return generic(self, s, floor)
 
-    def by_value(self, s, floor=rmatrices.GENERICITY_FLOOR):
-        calls.append(np.size(self.m1) if np.ndim(self.m1) else 0)
-        if bad.intersection(np.ravel(self.m1).tolist()):
-            raise SingularityError("rejected")
-        return generic(self, s, floor)
+    monkeypatch.setattr(WeightVector, "require_generic", refusing)
+    return checks
 
-    monkeypatch.setattr(WeightVector, "require_generic", by_count)
-    rng = np.random.default_rng(7)
-    expected = [runner._points_and_weight(rng, setup, 2) for _ in range(count)]
-    assert calls == [0] * (count + len(refused)) and len(bad) == len(refused)
-    monkeypatch.setattr(WeightVector, "require_generic", by_value)
-    calls.clear()
+
+def _check_sampled_max_tables(refused, setup, monkeypatch):
+    """The first ``refused`` tables are refused, and each is drawn again,
+    whole, from the continuing generator; the weights are checked once per
+    table, as one stack at WEIGHT_FLOOR, and the residual is called once,
+    on the accepted table."""
+    count, points = 20, 2
+    checks = _refuse_first(refused, monkeypatch)
     seen = []
-    worst = runner._sampled_max(7, count, 2,
+    worst = runner._sampled_max(7, count, points,
                                 lambda *args: seen.append(args) or np.arange(count) / 4.0,
                                 setup)
     assert worst == (count - 1) / 4.0
-    # one stacked check, then the per-sample replay only if it was refused
-    assert calls == [count] + ([0] * (count + len(refused)) if refused else [])
-    (u1, u2, m), = seen
-    assert np.array_equal(u1, [e[0] for e in expected])
-    assert np.array_equal(u2, [e[1] for e in expected])
-    assert np.array_equal(m.m1, [e[2].m1 for e in expected])
-    assert np.array_equal(m.m2, [e[2].m2 for e in expected])
-
-
-def test_sampled_max_passes_the_per_sample_draws(setup, monkeypatch):
-    _check_sampled_max_draws((2, 5), setup, monkeypatch)
+    assert checks == [((count,), runner.WEIGHT_FLOOR)] * (refused + 1)
+    rng = np.random.default_rng(7)
+    tables = [_table(rng, count, points, True) for _ in range(refused + 1)]
+    (args,) = seen
+    assert _as_table(args).tobytes() == tables[-1].tobytes()
 
 
 def test_sampled_max_checks_the_weights_as_one_stack(setup, monkeypatch):
-    _check_sampled_max_draws((), setup, monkeypatch)
+    _check_sampled_max_tables(0, setup, monkeypatch)
+
+
+def test_sampled_max_draws_a_refused_table_again_whole(setup, monkeypatch):
+    _check_sampled_max_tables(2, setup, monkeypatch)
+
+
+@pytest.mark.parametrize("refused", [0, 3])
+def test_draw_weight_is_the_first_row_that_clears_the_floor(refused, setup, monkeypatch):
+    """Each try draws one four-double row, the rows a (tries, 4) table holds,
+    and the first row that clears the floor is returned as scalars."""
+    checks = _refuse_first(refused, monkeypatch)
+    m = runner._draw_weight(np.random.default_rng(11), setup)
+    assert checks == [((1,), runner.WEIGHT_FLOOR)] * (refused + 1)
+    assert type(m.m1) is complex and type(m.m2) is complex
+    row = _table(np.random.default_rng(11), refused + 1, 0, True)[-1]
+    assert np.array([m.m1.real, m.m1.imag, m.m2.real, m.m2.imag]).tobytes() == row.tobytes()
 
 
 # (count, points, weighted) of every sampled check in ``runner.identity_checks``
@@ -181,18 +205,17 @@ def test_sampled_shapes_are_the_identity_checks(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 9])
 @pytest.mark.parametrize("count, points, weighted", sorted(SAMPLED_SHAPES))
 def test_one_pass_stacks_are_the_per_sample_draws(count, points, weighted, seed, setup):
-    """Bit for bit, signed zeros included, against the per-sample loop."""
-    rng = np.random.default_rng(seed)
-    draw = ((lambda: runner._points_and_weight(rng, setup, points, checked=False))
-            if weighted else (lambda: runner._draw_points(rng, points)))
-    expected = list(map(runner._stacked, zip(*(tuple(draw()) for _ in range(count)))))
-    stacks = runner._sample_stacks(seed, count, points, weighted)
-    assert len(stacks) == len(expected) == points + weighted
-    for ours, theirs in zip(stacks, expected):
-        if isinstance(ours, WeightVector):
-            ours, theirs = np.array([ours.m1, ours.m2]), np.array([theirs.m1, theirs.m2])
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-        assert ours.tobytes() == theirs.tobytes()
+    """Row i of one uniform(lo, hi, (count, width)) call is sample i's draws:
+    the stacks are that table bit for bit, signed zeros included, when its
+    weights clear the floor."""
+    stacks = runner._sample_stacks(np.random.default_rng(seed), count, points,
+                                   setup if weighted else None)
+    assert len(stacks) == points + weighted
+    for stack in stacks:
+        for z in ((stack.m1, stack.m2) if isinstance(stack, WeightVector) else (stack,)):
+            assert z.dtype == complex and z.shape == (count,)
+    table = _table(np.random.default_rng(seed), count, points, weighted)
+    assert _as_table(stacks).tobytes() == table.tobytes()
 
 
 def test_bar_only_residuals_never_build_tilde_duals(setup, monkeypatch):
@@ -201,7 +224,7 @@ def test_bar_only_residuals_never_build_tilde_duals(setup, monkeypatch):
     of the full ``dual_intertwiners``, and the report's check is the same."""
     rng = np.random.default_rng(8)
     u = runner._draw_points(rng, 50)
-    m = runner._stacked([runner._draw_weight(rng, setup) for _ in range(50)])
+    m, = runner._sample_stacks(rng, 50, 0, setup)
 
     def k_factorization_from_both_duals():
         bar = boundary.dual_intertwiners(BC.weight, -u, setup)[0]
@@ -274,10 +297,11 @@ def test_unitarity_stack_max_equals_per_sample_max_at_small_im_tau(seed):
     residuals equal the per-sample ones, so the check reads the per-sample
     maximum (9.585e-12 at seed 7, below its 1e-11 tolerance)."""
     setup = parse_config(f"{{seed: {seed}, tau: [0, 0.2]}}").setup
-    rng = np.random.default_rng(seed + 4)  # the check's generator
-    samples = [runner._points_and_weight(rng, setup, 1) for _ in range(50)]
-    stacked = rmatrices.unitarity_residual(*map(runner._stacked, zip(*samples)), setup)
-    per_sample = [rmatrices.unitarity_residual(*sample, setup) for sample in samples]
+    # the check's generator
+    stacks = runner._sample_stacks(np.random.default_rng(seed + 4), 50, 1, setup)
+    stacked = rmatrices.unitarity_residual(*stacks, setup)
+    per_sample = [rmatrices.unitarity_residual(*sample_row(stacks, k), setup)
+                  for k in range(50)]
     assert np.array_equal(stacked, per_sample)
     if seed == 7:
         assert 9.58e-12 < stacked.max() < 1e-11
@@ -300,16 +324,16 @@ def test_intertwiner_stacks_equal_scalar_builds(setup):
     formed by ``tensor.times``, as a single matrix's is."""
     rng = np.random.default_rng(4)
     u = runner._draw_points(rng, 6)
-    weights = [runner._draw_weight(rng, setup) for _ in range(6)]
-    m = runner._stacked(weights)
+    m, = runner._sample_stacks(rng, 6, 0, setup)
+    samples = [sample_row((u, m), k) for k in range(6)]
     for j in (1, 2):
         phi = boundary.intertwiner(m, j, u, setup)
         assert phi.shape == (6, 2)
-        for k, w in enumerate(weights):
-            assert np.allclose(phi[k], boundary.intertwiner(w, j, u[k], setup), rtol=1e-14)
+        for k, (u_k, w) in enumerate(samples):
+            assert np.allclose(phi[k], boundary.intertwiner(w, j, u_k, setup), rtol=1e-14)
     bar, tilde = boundary.dual_intertwiners(m, u, setup)
-    for k, w in enumerate(weights):
-        bar_k, tilde_k = boundary.dual_intertwiners(w, u[k], setup)
+    for k, (u_k, w) in enumerate(samples):
+        bar_k, tilde_k = boundary.dual_intertwiners(w, u_k, setup)
         assert np.array_equal(bar[k], bar_k) and np.array_equal(tilde[k], tilde_k)
 
 

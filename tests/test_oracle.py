@@ -500,6 +500,17 @@ def test_pair_indices_are_shared_read_only_per_size(setup):
         assert np.array_equal(got, want) and not got.flags.writeable
 
 
+def test_pair_indices_keep_only_the_last_size(setup):
+    """A grid at N = 512 and then one at N = 16 leave one size cached, N = 16."""
+    rng = np.random.default_rng(0)
+    for n in (512, 16):
+        oracle.SpectralGrids(rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n), setup)
+    info = oracle._pair_indices.cache_info()
+    assert info.currsize == 1
+    oracle._pair_indices(16)
+    assert oracle._pair_indices.cache_info().hits == info.hits + 1
+
+
 def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypatch):
     """After the draw's genericity check, every closed form together
     evaluates sigma(2u) once and G's numerator as the one GEMM, and no

@@ -11,7 +11,7 @@ from ellipdw.rmatrices import (apply_R_layer, layer, sos_R_matrix, spectator_blo
                                spectator_layers, spectator_weight, vertex_R_matrix)
 from ellipdw.tensor import embed_matrix, max_abs
 
-from conftest import apply_R_stack, dense_sos_R, random_points, random_weight
+from conftest import apply_R_stack, dense_sos_R, random_points, random_weight, sample_row
 
 P_MATRIX = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                     dtype=complex)
@@ -163,12 +163,11 @@ def test_dybe_is_one_R_build(monkeypatch):
     monkeypatch.setattr(rmatrices, "sos_R_matrix", counting_build)
     for seed in range(1, 11):
         cfg = parse_config(f"{{seed: {seed}}}")
-        rng = np.random.default_rng(seed + 3)
-        samples = [runner._points_and_weight(rng, cfg.setup, 3) for _ in range(50)]
-        stacked = [runner._stacked(arg) for arg in zip(*samples)]
+        stacked = runner._sample_stacks(np.random.default_rng(seed + 3), 50, 3, cfg.setup)
+        samples = [sample_row(stacked, k) for k in range(3)]
         builds.clear()
         residual = dybe_residual(*stacked, cfg.setup)
-        scalars = [dybe_residual(*sample, cfg.setup) for sample in samples[:3]]
+        scalars = [dybe_residual(*sample, cfg.setup) for sample in samples]
         assert builds == [(3, 1, 50)] + [(3, 1)] * 3
         assert np.max(np.abs(residual - _dybe_nine_builds(*stacked, cfg.setup))) <= 1e-15
         for sample, value in zip(samples, scalars):
