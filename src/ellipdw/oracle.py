@@ -96,7 +96,8 @@ def _log_product(values, ndim: int = 1):
 @lru_cache(maxsize=1)
 def _pair_indices(n: int):
     """The read-only indices (a, b) of the pairs a < b of n points.  Only the
-    last size's copy is kept: the u and xi of a ``SpectralGrids`` share it."""
+    last size requested is kept: a grid whose u and xi differ in size (the
+    twist's one-point u against its N xi) builds its indices anew."""
     return tuple(_read_only(index) for index in np.triu_indices(n, k=1))
 
 

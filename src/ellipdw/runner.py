@@ -72,30 +72,36 @@ def _draw_points(rng, count):
     return rng.uniform(*re, count) + 1j * rng.uniform(*im, count)
 
 
+def _refused_rows(table, setup):
+    """Mask of the rows of ``table`` (m1.re, m1.im, m2.re, m2.im first) whose
+    weight puts sigma(m12) or sigma(m12 +- eta) below WEIGHT_FLOOR."""
+    m12 = (table[:, 0] + 1j * table[:, 1]) - (table[:, 2] + 1j * table[:, 3])
+    least = np.min([np.abs(elliptic.sigma(z, setup))
+                    for z in (m12, m12 + setup.eta, m12 - setup.eta)], axis=0)
+    return least < WEIGHT_FLOOR
+
+
 def _sample_stacks(rng, count, points, setup=None):
     """The stacked arguments of ``count`` samples of ``points`` points each,
     preceded by a weight when ``setup`` is given, from one
     ``Generator.uniform`` pass over a (count, width) table: row i is sample
     i's draws (the weight's m1.re, m1.im, m2.re, m2.im, then the points' real
     parts, then their imaginary parts), each column with its own bounds.
-    The weights are checked as one stack at WEIGHT_FLOOR; a refused table
-    is drawn again, whole, from ``rng``."""
+    A row whose weight is refused at WEIGHT_FLOOR is drawn again from
+    ``rng``, the refused rows in order as one table, until none is."""
     weighted = setup is not None
     boxes = (WEIGHT_BOX * 2 if weighted else ()) + (POINT_BOX[0],) * points \
         + (POINT_BOX[1],) * points
     lo, hi = np.array(boxes).T
+    table = rng.uniform(lo, hi, (count, len(boxes)))
+    while weighted and (refused := np.flatnonzero(_refused_rows(table, setup))).size:
+        table[refused] = rng.uniform(lo, hi, (refused.size, len(boxes)))
+    cols = table.T.copy()
     w = 4 if weighted else 0
-    while True:
-        cols = rng.uniform(lo, hi, (count, len(boxes))).T.copy()
-        args = list(cols[w:w + points] + 1j * cols[w + points:])
-        if not weighted:
-            return args
+    args = list(cols[w:w + points] + 1j * cols[w + points:])
+    if weighted:
         args.append(rmatrices.WeightVector(*(cols[0:4:2] + 1j * cols[1:4:2])))
-        try:
-            args[-1].require_generic(setup, WEIGHT_FLOOR)
-        except EllipdwError:
-            continue
-        return args
+    return args
 
 
 def _draw_weight(rng, setup):

@@ -114,75 +114,101 @@ def test_weight_stack_require_generic_names_the_family(setup):
                 weight.require_generic(setup)
 
 
-def _table(rng, count, points, weighted):
-    """One ``Generator.uniform`` draw of a (count, width) sample table: the
-    weight's m1.re, m1.im, m2.re, m2.im columns, then the points' real
-    parts, then their imaginary parts."""
-    boxes = ((runner.WEIGHT_BOX * 2 if weighted else ()) + (runner.POINT_BOX[0],) * points
-             + (runner.POINT_BOX[1],) * points)
-    lo, hi = np.array(boxes).T
-    return rng.uniform(lo, hi, (count, len(boxes)))
+# (low, high) of each table column: a weight's m1.re, m1.im, m2.re, m2.im,
+# and a point's real and imaginary part
+WEIGHT_COLUMNS = [(-0.5, 0.5), (-0.12, 0.12), (-0.5, 0.5), (-0.12, 0.12)]
+POINT_RE, POINT_IM = (-0.4, 0.4), (-0.15, 0.15)
+
+
+def _bounds(points, weighted):
+    """(lo, hi) of a sample table's columns: the weight's four, then the
+    points' real parts, then their imaginary parts."""
+    columns = (WEIGHT_COLUMNS if weighted else []) + [POINT_RE] * points + [POINT_IM] * points
+    return np.array(columns).T
 
 
 def _as_table(stacks):
-    """The stacks' real and imaginary parts in ``_table``'s column order."""
+    """The stacks' real and imaginary parts in the table's column order."""
     *points, m = stacks if isinstance(stacks[-1], WeightVector) else (*stacks, None)
     weight = [] if m is None else [p for z in (m.m1, m.m2) for p in (z.real, z.imag)]
     return np.stack(weight + [z.real for z in points] + [z.imag for z in points], axis=1)
 
 
-def _refuse_first(refused, monkeypatch):
-    """Refuse the first ``refused`` weight checks; the list records each
-    check's (shape of m1, floor)."""
-    checks, generic = [], WeightVector.require_generic
+def _refuse_rows(masks, monkeypatch):
+    """The first weight checks refuse the rows each of ``masks`` names; the
+    list records the shape of each checked table."""
+    checks, refused_rows = [], runner._refused_rows
 
-    def refusing(self, s, floor=rmatrices.GENERICITY_FLOOR):
-        checks.append((np.shape(self.m1), floor))
-        if len(checks) <= refused:
-            raise SingularityError("refused")
-        return generic(self, s, floor)
+    def refusing(table, s):
+        checks.append(table.shape)
+        real = refused_rows(table, s)
+        if len(checks) > len(masks):
+            return real
+        forced = np.zeros(len(table), dtype=bool)
+        forced[masks[len(checks) - 1]] = True
+        return forced
 
-    monkeypatch.setattr(WeightVector, "require_generic", refusing)
+    monkeypatch.setattr(runner, "_refused_rows", refusing)
     return checks
 
 
-def _check_sampled_max_tables(refused, setup, monkeypatch):
-    """The first ``refused`` tables are refused, and each is drawn again,
-    whole, from the continuing generator; the weights are checked once per
-    table, as one stack at WEIGHT_FLOOR, and the residual is called once,
-    on the accepted table."""
+def _check_sampled_max_tables(masks, setup, monkeypatch):
+    """Each round's refused rows are drawn again, in order, as one table from
+    the continuing generator; the residual is called once, on the table
+    whose rows all clear the floor."""
     count, points = 20, 2
-    checks = _refuse_first(refused, monkeypatch)
+    checks = _refuse_rows(masks, monkeypatch)
     seen = []
     worst = runner._sampled_max(7, count, points,
                                 lambda *args: seen.append(args) or np.arange(count) / 4.0,
                                 setup)
     assert worst == (count - 1) / 4.0
-    assert checks == [((count,), runner.WEIGHT_FLOOR)] * (refused + 1)
-    rng = np.random.default_rng(7)
-    tables = [_table(rng, count, points, True) for _ in range(refused + 1)]
+    width = 4 + 2 * points
+    assert checks == [(count, width)] * (len(masks) + 1)
+    rng, (lo, hi) = np.random.default_rng(7), _bounds(points, True)
+    table = rng.uniform(lo, hi, (count, width))
+    for rows in masks:
+        table[rows] = rng.uniform(lo, hi, (len(rows), width))
     (args,) = seen
-    assert _as_table(args).tobytes() == tables[-1].tobytes()
+    assert _as_table(args).tobytes() == table.tobytes()
 
 
 def test_sampled_max_checks_the_weights_as_one_stack(setup, monkeypatch):
-    _check_sampled_max_tables(0, setup, monkeypatch)
+    _check_sampled_max_tables([], setup, monkeypatch)
 
 
-def test_sampled_max_draws_a_refused_table_again_whole(setup, monkeypatch):
-    _check_sampled_max_tables(2, setup, monkeypatch)
+def test_sampled_max_draws_refused_rows_again(setup, monkeypatch):
+    _check_sampled_max_tables([[3, 7, 11], [7], [0, 19]], setup, monkeypatch)
 
 
 @pytest.mark.parametrize("refused", [0, 3])
 def test_draw_weight_is_the_first_row_that_clears_the_floor(refused, setup, monkeypatch):
     """Each try draws one four-double row, the rows a (tries, 4) table holds,
     and the first row that clears the floor is returned as scalars."""
-    checks = _refuse_first(refused, monkeypatch)
+    checks = _refuse_rows([[0]] * refused, monkeypatch)
     m = runner._draw_weight(np.random.default_rng(11), setup)
-    assert checks == [((1,), runner.WEIGHT_FLOOR)] * (refused + 1)
+    assert checks == [(1, 4)] * (refused + 1)
     assert type(m.m1) is complex and type(m.m2) is complex
-    row = _table(np.random.default_rng(11), refused + 1, 0, True)[-1]
+    lo, hi = _bounds(0, True)
+    row = np.random.default_rng(11).uniform(lo, hi, (refused + 1, 4))[-1]
     assert np.array([m.m1.real, m.m1.imag, m.m2.real, m.m2.imag]).tobytes() == row.tobytes()
+
+
+def test_refused_rows_at_min_im_tau_are_drawn_until_all_clear():
+    """At Im tau = MIN_IM_TAU most weight rows are refused (sigma(m12) falls
+    below the floor near its zeros), so only redrawing the refused rows,
+    not whole tables, ends; the report then reaches the enumeration
+    oracle's near-singular intertwiner matrix."""
+    cfg = parse_config(f"{{mode: identities, tau: [0, {elliptic.MIN_IM_TAU}]}}")
+    m, = runner._sample_stacks(np.random.default_rng(3), 50, 0, cfg.setup)
+    table = _as_table([m])
+    assert not runner._refused_rows(table, cfg.setup).any()
+    lo, hi = _bounds(0, True)
+    first = np.random.default_rng(3).uniform(lo, hi, (50, 4))
+    assert runner._refused_rows(first, cfg.setup).mean() > 0.5
+    result = run_identities(cfg)
+    assert result["pass"] is False
+    assert "intertwiner matrix near singular" in result["error"]
 
 
 # (count, points, weighted) of every sampled check in ``runner.identity_checks``
@@ -205,16 +231,18 @@ def test_sampled_shapes_are_the_identity_checks(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 9])
 @pytest.mark.parametrize("count, points, weighted", sorted(SAMPLED_SHAPES))
 def test_one_pass_stacks_are_the_per_sample_draws(count, points, weighted, seed, setup):
-    """Row i of one uniform(lo, hi, (count, width)) call is sample i's draws:
-    the stacks are that table bit for bit, signed zeros included, when its
-    weights clear the floor."""
+    """The stacks are one uniform(lo, hi, (count, width)) table bit for bit,
+    signed zeros included, when its weights clear the floor: row i is
+    sample i, its columns the weight's m1.re, m1.im, m2.re, m2.im, then the
+    points' real parts, then their imaginary parts."""
     stacks = runner._sample_stacks(np.random.default_rng(seed), count, points,
                                    setup if weighted else None)
     assert len(stacks) == points + weighted
     for stack in stacks:
         for z in ((stack.m1, stack.m2) if isinstance(stack, WeightVector) else (stack,)):
             assert z.dtype == complex and z.shape == (count,)
-    table = _table(np.random.default_rng(seed), count, points, weighted)
+    lo, hi = _bounds(points, weighted)
+    table = np.random.default_rng(seed).uniform(lo, hi, (count, len(lo)))
     assert _as_table(stacks).tobytes() == table.tobytes()
 
 
