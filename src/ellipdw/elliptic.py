@@ -222,6 +222,51 @@ def _separable_window(tau: complex, im_max: float) -> int:
         f"N_MAX = {N_MAX} (Im tau = {t:.3g}, |Im z| <= {im_max:.3g})")
 
 
+def separable_windows(tau: complex, p, q):
+    """(k, mask) for sigma(p_a + s*q_k), p of shape (..., A), q (..., K): k is
+    the widest ``_separable_window`` of the configurations of the broadcast
+    leading axes, each from its own |Im p| + |Im q|; mask is None when all
+    are k, else (leading shape, their half-widths in its C order)."""
+    im_max = (np.abs(p.imag).max(axis=-1, initial=0.0)
+              + np.abs(q.imag).max(axis=-1, initial=0.0))
+    ks = [_separable_window(tau, y) for y in np.ravel(im_max).tolist()]
+    k = max(ks)
+    return k, (None if min(ks) == k else (np.shape(im_max), tuple(ks)))
+
+
+def sigma_x_table(p, tau: complex, k: int) -> np.ndarray:
+    """X[..., a, n] = exp(i pi [(n+1/2)^2 tau + 2 (n+1/2)(p_a + 1/2)]),
+    n = -k .. k-1, for ``p`` already shifted by c."""
+    m = np.arange(-k, k) + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(1j * np.pi * (m * m * tau + 2.0 * m * (p[..., None] + 0.5)))
+
+
+def sigma_y_table(q, s: int, k: int, mask=None) -> np.ndarray:
+    """Y[..., k, n] = exp(2 pi i s (n+1/2) q_k), n = -k .. k-1, zero past each
+    configuration's own window under a ``separable_windows`` mask."""
+    m = np.arange(-k, k) + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.exp((2j * np.pi * s) * m * q[..., None])
+    if mask is not None:
+        shape, ks = mask
+        y = np.where(np.abs(m) < np.reshape(ks, shape + (1, 1)), y, 0.0)
+    return y
+
+
+def separable_gemm(x, y) -> np.ndarray:
+    """sum_n X[..., a, n] Y[..., k, n], indexed [..., a, k], as one stacked matmul."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x @ np.swapaxes(y, -1, -2)
+
+
+def require_finite(values):
+    """``values``, refused as ``sigma``'s own series when one is inf or nan."""
+    if not np.isfinite(values).all():
+        _not_finite(0.5, 0.5)
+    return values
+
+
 def sigma_separable(p, q, setup: ModularSetup, s: int = 1, c: complex = 0.0):
     """sigma(p_a + s*q_k + c) for every (a, k), as one complex GEMM X @ Y.T.
 
@@ -237,24 +282,15 @@ def sigma_separable(p, q, setup: ModularSetup, s: int = 1, c: complex = 0.0):
     a stack sums the terms of its lone evaluation.  Raises DomainError below
     MIN_IM_TAU and ConvergenceError when a window exceeds N_MAX (worded as
     ``sigma``'s own unconverged series) or a value is not finite.
+
+    Built from the helpers above, which ``oracle.SpectralGrids`` runs over
+    its kept tables, so both give the same bits.
     """
     tau = complex(setup.tau)
     p = np.asarray(p, dtype=complex) + complex(c)
     q = np.asarray(q, dtype=complex)
-    im_max = (np.abs(p.imag).max(axis=-1, initial=0.0)
-              + np.abs(q.imag).max(axis=-1, initial=0.0))
-    ks = [_separable_window(tau, y) for y in np.ravel(im_max).tolist()]
-    k = max(ks)
-    m = np.arange(-k, k) + 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(1j * np.pi * (m * m * tau + 2.0 * m * (p[..., None] + 0.5)))
-        y = np.exp((2j * np.pi * s) * m * q[..., None])
-        if min(ks) < k:  # zero each configuration's terms past its own window
-            y = np.where(np.abs(m) < np.reshape(ks, np.shape(im_max) + (1, 1)), y, 0.0)
-        out = x @ np.swapaxes(y, -1, -2)
-    if not np.isfinite(out).all():
-        _not_finite(0.5, 0.5)
-    return out
+    k, mask = separable_windows(tau, p, q)
+    return require_finite(separable_gemm(sigma_x_table(p, tau, k), sigma_y_table(q, s, k, mask)))
 
 
 def sigma_char(alpha1: int, alpha2: int, u, setup: ModularSetup):

@@ -37,13 +37,15 @@ to the identity as a batch of basis kets, as ``double_row_monodromy`` does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .boundary import BoundaryConfig, boundary_state_factors, face_K, vertex_K_matrix
-from .elliptic import ModularSetup, sigma, sigma_separable
+from .elliptic import (ModularSetup, require_finite, separable_gemm, separable_windows, sigma,
+                       sigma_x_table, sigma_y_table)
 from .errors import SizeError
 from .rmatrices import (Gathered, WeightVector, _floor_checked, apply_R_layer, sos_R_matrix,
                         spectator_blocks, spectator_layers, spectator_weight, vertex_R_matrix)
@@ -74,12 +76,21 @@ def _oracle_entry(route: str, spectral: SpectralConfig, bc: BoundaryConfig,
 
 
 def _read_only(vals, family=None):
-    """``vals``, made read-only; given a ``family`` name, refused first when
-    a |sigma| in it is below the genericity floor."""
+    """``vals``, made read-only; given a ``family`` name, refused first by
+    ``_checked_family``."""
     if family is not None:
-        _floor_checked(vals, f"sigma({family})")
+        _checked_family(vals, f"sigma({family})")
     vals.flags.writeable = False
     return vals
+
+
+def _checked_family(vals, what):
+    """Refuse ``vals`` from one pass of moduli: ConvergenceError when a value
+    is not finite (the largest modulus is inf or nan), then SingularityError,
+    naming ``what``, when the least is below the genericity floor."""
+    moduli = np.abs(vals)
+    require_finite(moduli.max(initial=0.0))
+    _floor_checked(moduli.min(initial=math.inf), what)
 
 
 def _log_product(values, ndim: int = 1):
@@ -108,25 +119,33 @@ class SpectralGrids:
 
     ``u`` has shape (..., N): one configuration, or a stack of them along the
     leading axes; ``xi`` is shared, shape (N,), or stacked the same way.
+    Every family sigma(p_i + s q_j + c), p and q each u or xi, is one
+    ``separable_gemm`` of ``sigma_separable``'s factor tables, X over p + c
+    and Y over q and s, with its bits.  Each table is kept read-only, keyed
+    by point set, shift c or sign s and window (and Y by a stack's window
+    mask), so a draw and its determinant build 7 tables for their 10
+    products: X over (u, 0), (u, eta), (xi, 0), Y over (xi, -+1), (u, -+1).
+
     ``minus``, ``plus``, ``minus_eta``, ``plus_eta`` are sigma(u_a -+ xi_k)
     and sigma(u_a -+ xi_k + eta), indexed [..., a, k]: the determinant's
-    matrix entries, each one ``sigma_separable`` product (O(N W) exps and a
-    GEMM for a window of W terms), and a stacked grid equals its lone build
-    bit for bit.  ``s2u``, sigma(2 u_a), has N points and stays one ``sigma``
-    series call.  ``u_diff``, ``u_sum_eta``, ``xi_diff``, ``xi_sum`` are
-    sigma(u_b - u_a), sigma(u_b + u_a + eta), sigma(xi_a - xi_b) and
-    sigma(xi_a + xi_b) over the pairs a < b, indexed [..., pair], each a
-    triangle of one full ``sigma_separable`` product, evaluated on every
-    read and not kept: the routes read ``log_pairs``, their log sum, kept
-    from one evaluation of each.
+    matrix entries, and a stacked grid equals its lone build bit for bit.
+    ``s2u``, sigma(2 u_a), has N points and stays one ``sigma`` series call.
+    ``u_diff``, ``u_sum_eta``, ``xi_diff``, ``xi_sum`` are sigma(u_b - u_a),
+    sigma(u_b + u_a + eta), sigma(xi_a - xi_b) and sigma(xi_a + xi_b) over
+    the pairs a < b, indexed [..., pair], each a triangle of one full
+    product, evaluated on every read and not kept: the routes read
+    ``log_pairs``, their log sum, kept from one evaluation of each.
     ``xi_ratio`` is G[..., j, k] = sigma(xi_j - xi_k + eta) / sigma(xi_j - xi_k)
     with diagonal 1; its denominator is the product ``xi_diff`` is cut from.
     The xi-xi families of a shared xi are built once and broadcast against
     the stack.
 
-    Every family but ``s2u`` is refused (SingularityError, naming it) when
-    evaluated if a |sigma| in it, anywhere in the stack, is below the
-    genericity floor, so reading a family, or ``log_pairs``, is its check;
+    Every family but ``s2u`` is refused when evaluated by one pass of its
+    moduli (``_checked_family``): ConvergenceError if a value in it,
+    anywhere in the stack, is not finite, then SingularityError, naming it,
+    if a |sigma| is below the genericity floor, so reading a family, or
+    ``log_pairs``, is its check and no product scans itself for finiteness;
+    G's numerator and denominator, read in full, are tested for it.
     ``check_only`` checks the pair families that only the genericity check
     reads.
 
@@ -145,6 +164,7 @@ class SpectralGrids:
         self.u_pairs = _pair_indices(self.u.shape[-1])
         self.xi_pairs = _pair_indices(self.xi.shape[-1])
         self._boundary = {}
+        self._tables, self._windows = {}, {}
 
     def lambda_zeta(self, bc: BoundaryConfig, v: str, v2: str = None):
         """(sigma(lambda1 + zeta + v), sigma(lambda2 + zeta + v2)) of ``bc``
@@ -165,26 +185,45 @@ class SpectralGrids:
             self._boundary[key] = _read_only(bc.sigma_lattice(self.setup, k))
         return self._boundary[key]
 
+    def _table(self, key, build):
+        """The factor table kept under ``key``, built by ``build()`` on first use."""
+        if key not in self._tables:
+            self._tables[key] = _read_only(build())
+        return self._tables[key]
+
+    def _gemm(self, p: str, q: str, s: int, c=0.0):
+        """sigma(p_i + s*q_j + c) over the point sets ``p``, ``q`` ("u" or "xi"):
+        one ``separable_gemm`` of the kept tables, the window of (p, q, c)
+        kept too, with no scan for finiteness."""
+        tau, c = complex(self.setup.tau), complex(c)
+        points = {"u": self.u, "xi": self.xi}
+        if (p, q, c) not in self._windows:
+            self._windows[p, q, c] = separable_windows(tau, points[p] + c, points[q])
+        k, mask = self._windows[p, q, c]
+        x = self._table(("x", p, c, k), lambda: sigma_x_table(points[p] + c, tau, k))
+        y = self._table(("y", q, s, k, mask), lambda: sigma_y_table(points[q], s, k, mask))
+        return separable_gemm(x, y)
+
     def _product(self, p, q, family, s, c=0.0, pairs=()):
         """sigma(p_i + s*q_j + c), indexed [..., i, j], or its entries over
-        the index ``pairs``."""
-        return _read_only(sigma_separable(p, q, self.setup, s, c)[(...,) + pairs], family)
+        the index ``pairs``, checked as ``family``."""
+        return _read_only(self._gemm(p, q, s, c)[(...,) + pairs], family)
 
     @cached_property
     def minus(self):
-        return self._product(self.u, self.xi, "u_a - xi_k", -1)
+        return self._product("u", "xi", "u_a - xi_k", -1)
 
     @cached_property
     def plus(self):
-        return self._product(self.u, self.xi, "u_a + xi_k", 1)
+        return self._product("u", "xi", "u_a + xi_k", 1)
 
     @cached_property
     def minus_eta(self):
-        return self._product(self.u, self.xi, "u_a - xi_k + eta", -1, self.setup.eta)
+        return self._product("u", "xi", "u_a - xi_k + eta", -1, self.setup.eta)
 
     @cached_property
     def plus_eta(self):
-        return self._product(self.u, self.xi, "u_a + xi_k + eta", 1, self.setup.eta)
+        return self._product("u", "xi", "u_a + xi_k + eta", 1, self.setup.eta)
 
     @cached_property
     def s2u(self):
@@ -193,17 +232,17 @@ class SpectralGrids:
     @property
     def u_diff(self):
         ia, ib = self.u_pairs
-        return self._product(self.u, self.u, "u_b - u_a", -1, pairs=(ib, ia))
+        return self._product("u", "u", "u_b - u_a", -1, pairs=(ib, ia))
 
     @property
     def u_sum_eta(self):
         ia, ib = self.u_pairs
-        return self._product(self.u, self.u, "u_b + u_a + eta", 1, self.setup.eta, (ib, ia))
+        return self._product("u", "u", "u_b + u_a + eta", 1, self.setup.eta, (ib, ia))
 
     @cached_property
     def _xi_minus_xi(self):
-        """sigma(xi_j - xi_k) for every (j, k)."""
-        return sigma_separable(self.xi, self.xi, self.setup, -1)
+        """sigma(xi_j - xi_k) for every (j, k), unchecked."""
+        return self._gemm("xi", "xi", -1)
 
     @property
     def xi_diff(self):
@@ -211,7 +250,7 @@ class SpectralGrids:
 
     @property
     def xi_sum(self):
-        return self._product(self.xi, self.xi, "xi_a + xi_b", 1, pairs=self.xi_pairs)
+        return self._product("xi", "xi", "xi_a + xi_b", 1, pairs=self.xi_pairs)
 
     @cached_property
     def log_pairs(self):
@@ -227,10 +266,10 @@ class SpectralGrids:
     @cached_property
     def xi_ratio(self):
         self.xi_diff  # G's denominators, refused below the floor
-        num = sigma_separable(self.xi, self.xi, self.setup, -1, self.setup.eta)
+        den = require_finite(self._xi_minus_xi)  # read in full: both triangles
+        num = require_finite(self._gemm("xi", "xi", -1, self.setup.eta))
         ratio = np.ones_like(num)
-        np.divide(num, self._xi_minus_xi, out=ratio,
-                  where=~np.eye(self.xi.shape[-1], dtype=bool))
+        np.divide(num, den, out=ratio, where=~np.eye(self.xi.shape[-1], dtype=bool))
         return _read_only(ratio)
 
     @cached_property
@@ -240,11 +279,11 @@ class SpectralGrids:
         keeps only the outcome, so a second check evaluates nothing."""
         if self.u.shape[-1] < 2:
             return True
-        u, setup, (ia, ib) = self.u, self.setup, self.u_pairs
-        _floor_checked(sigma_separable(u, u, setup)[..., ia, ib], "sigma(u_a + u_b)")
-        minus_eta = sigma_separable(u, u, setup, -1, setup.eta)
-        _floor_checked(minus_eta[..., ia, ib], "sigma(u_a - u_b + eta)")
-        _floor_checked(minus_eta[..., ib, ia], "sigma(u_b - u_a + eta)")
+        ia, ib = self.u_pairs
+        _checked_family(self._gemm("u", "u", 1)[..., ia, ib], "sigma(u_a + u_b)")
+        minus_eta = self._gemm("u", "u", -1, self.setup.eta)
+        _checked_family(minus_eta[..., ia, ib], "sigma(u_a - u_b + eta)")
+        _checked_family(minus_eta[..., ib, ia], "sigma(u_b - u_a + eta)")
         return True
 
 

@@ -89,7 +89,7 @@ class WeightVector:
 
 def _least_modulus(vals) -> float:
     """The least |v| of a scalar or an array; inf for an empty array."""
-    return (abs(vals) if isinstance(vals, complex)
+    return (abs(vals) if isinstance(vals, (complex, float))
             else float(np.abs(vals).min(initial=math.inf)))
 
 

@@ -17,7 +17,7 @@ from ellipdw import (ModularSetup, SpectralConfig, closedform, double_row_monodr
 from ellipdw import elliptic, rmatrices
 from ellipdw.boundary import BoundaryConfig, boundary_state_factors, face_K, vertex_K_matrix
 from ellipdw.elliptic import sigma, sigma_separable
-from ellipdw.errors import SingularityError, SizeError
+from ellipdw.errors import ConvergenceError, SingularityError, SizeError
 from ellipdw.rmatrices import GENERICITY_FLOOR, sos_R_matrix, vertex_R_matrix
 from ellipdw.tensor import embed_matrix, product_state
 
@@ -490,6 +490,78 @@ def test_stacked_lu_grid_equals_its_lone_build(n, draw, bc, setup):
             assert np.array_equal(getattr(stacked, name)[i], getattr(lone[i], name)), (name, i)
 
 
+def _one_shot_families(u, xi, setup):
+    """The families of ``SpectralGrids`` spelled with one one-shot
+    ``sigma_separable`` call per product, no factor table shared."""
+    eta, n = setup.eta, u.shape[-1]
+    ia, ib = np.triu_indices(n, k=1)
+    product = lambda p, q, s, c=0.0: sigma_separable(p, q, setup, s, c)
+    xi_minus_xi = product(xi, xi, -1)
+    ratio = np.ones_like(xi_minus_xi)
+    np.divide(product(xi, xi, -1, eta), xi_minus_xi, out=ratio,
+              where=~np.eye(n, dtype=bool))
+    log_pairs = 0.0 + 0.0j
+    if n >= 2:
+        log_pairs = (oracle._log_product(product(u, u, -1)[..., ib, ia])
+                     + oracle._log_product(product(u, u, 1, eta)[..., ib, ia])
+                     + oracle._log_product(xi_minus_xi[..., ia, ib])
+                     + oracle._log_product(product(xi, xi, 1)[..., ia, ib]))
+    triangles = ((product(u, u, 1)[..., ia, ib],) if n >= 2 else ()) + tuple(
+        product(u, u, -1, eta)[..., i, j] for i, j in ((ia, ib), (ib, ia)) if n >= 2)
+    return {"minus": product(u, xi, -1), "plus": product(u, xi, 1),
+            "minus_eta": product(u, xi, -1, eta), "plus_eta": product(u, xi, 1, eta),
+            "log_pairs": log_pairs, "xi_ratio": ratio,
+            "check_only": all(np.abs(t).min() >= GENERICITY_FLOOR for t in triangles)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 64, "stack", "masks"])
+def test_shared_tables_equal_one_shot_products(n, draw, bc, setup):
+    """Every family built from the kept factor tables equals, bit for bit,
+    its build from one-shot ``sigma_separable`` products: lone drawn
+    configurations, the 4-configuration stack of
+    ``test_stacked_lu_grid_equals_its_lone_build``, whose configurations
+    differ in window, so some Y tables carry a window mask, and a shared u
+    against 4 xi whose (u, xi) and (xi, xi) products have one widest window
+    (k = 5) but different masks, [4, 4, 5, 5] and [3, 4, 4, 5], over one
+    point set of Y."""
+    if n == "stack":
+        spec = draw(6, 1006, setup, bc)
+        shift = np.array([0.0, 0.25j, 0.5j, 0.75j])[:, None]
+        u, xi = np.asarray(spec.u) + shift, np.asarray(spec.xi) - 0.5 * shift
+    elif n == "masks":
+        u = np.array([0.1 + 0.6j, 0.3 + 0.2j, 0.2 - 0.1j])
+        xi = (np.array([-0.1 + 0.05j, -0.3 - 0.02j, -0.2 + 0.0j])
+              + np.array([0.0, 0.25j, 0.4j, 0.55j])[:, None])
+    else:
+        spec = draw(n, 1000 + n, setup, bc)
+        u, xi = np.asarray(spec.u, dtype=complex), np.asarray(spec.xi, dtype=complex)
+    grids = oracle.SpectralGrids(u, xi, setup)
+    for name, want in _one_shot_families(u, xi, setup).items():
+        got = getattr(grids, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    if n == "masks":
+        assert grids._windows["u", "xi", 0j] == (5, ((4,), (4, 4, 5, 5)))
+        assert grids._windows["xi", "xi", 0j] == (5, ((4,), (3, 4, 4, 5)))
+    elif n == "stack":
+        assert any(key[-1] is not None for key in grids._tables if key[0] == "y")
+
+
+def test_non_finite_family_is_refused_before_its_floor_check(setup):
+    """A family holding an overflowed value is refused by its one modulus
+    pass as not finite (ConvergenceError, ``sigma_separable``'s own error),
+    before its floor check, though a value in it is also below the floor;
+    so is a pair family, and G, whose products are read in full."""
+    with pytest.raises(ConvergenceError, match="not finite"):
+        oracle.SpectralGrids([20j], [0.2], setup).minus
+    with pytest.raises(ConvergenceError, match="not finite"):  # sigma(0.2 - 0.2) = 0
+        oracle.SpectralGrids([20j, 0.2], [0.2, 0.3], setup).minus
+    # sigma(u_b - u_a) overflows at the pairs with 8.5i and is 0 at (0.1, 0.1)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        oracle.SpectralGrids([8.5j, 0.1, 0.1], [-0.1, -0.2, -0.3], setup).log_pairs
+    with pytest.raises(ConvergenceError, match="not finite"):
+        oracle.SpectralGrids([0.1, 0.2], [8.5j, -0.2], setup).xi_ratio
+
+
 def test_pair_indices_are_shared_read_only_per_size(setup):
     """Configurations of one size share one read-only copy of the pair
     indices a < b, np.triu_indices(N, k=1)."""
@@ -512,44 +584,95 @@ def test_pair_indices_keep_only_the_last_size(setup):
 
 
 def test_drawn_configuration_evaluates_each_grid_once(draw, bc, setup, monkeypatch):
-    """After the draw's genericity check, every closed form together
-    evaluates sigma(2u) once and G's numerator as the one GEMM, and no
-    second check evaluates a shared grid again, by either evaluator; a
-    fresh configuration with the same points evaluates each family once,
-    the four (u, xi) grids first, one GEMM each."""
+    """The draw evaluates its 10 families one GEMM each and builds each of
+    their 7 exponential factor tables once, testing finiteness only on one
+    largest modulus per family; after it, every closed form together
+    evaluates sigma(2u) once and G's numerator as the one GEMM (from one
+    more table, X over xi + eta), and no second check evaluates a shared
+    grid again; a fresh configuration with the same points evaluates each
+    family once, the four (u, xi) grids first, one GEMM each, again from 7
+    tables built once."""
+    eta = setup.eta
+    made, gemms, finite = {}, [], []
+
+    def counting_x(p, tau, k):
+        table = elliptic.sigma_x_table(p, tau, k)
+        made[id(table)] = (table, "x", p.tobytes())
+        return table
+
+    def counting_y(q, s, *args):
+        table = elliptic.sigma_y_table(q, s, *args)
+        made[id(table)] = (table, "y", q.tobytes(), s)
+        return table
+
+    def counting_gemm(x, y):
+        gemms.append((id(x), id(y)))
+        return elliptic.separable_gemm(x, y)
+
+    def counting_finite(values):
+        finite.append(np.ndim(values))
+        return elliptic.require_finite(values)
+
+    monkeypatch.setattr(oracle, "sigma_x_table", counting_x)
+    monkeypatch.setattr(oracle, "sigma_y_table", counting_y)
+    monkeypatch.setattr(oracle, "separable_gemm", counting_gemm)
+    monkeypatch.setattr(oracle, "require_finite", counting_finite)
     spec = draw(5, 402, setup, bc)
+    u, xi = (np.asarray(v, dtype=complex) for v in (spec.u, spec.xi))
+    # a table of this configuration's points, ("x", points, c) over the points
+    # + c or ("y", points, s); the tables of the draw's refused tries are None
+    x_names = {(v + complex(c)).tobytes(): (name, c)
+               for name, v in (("u", u), ("xi", xi)) for c in (0.0, eta)}
+    y_names = {u.tobytes(): "u", xi.tobytes(): "xi"}
+
+    def key(table_id):
+        _, kind, values, *sign = made[table_id]
+        if kind == "x":
+            return ("x",) + x_names[values] if values in x_names else None
+        return ("y", y_names[values], sign[0]) if values in y_names else None
+
+    tables = lambda: [k for k in map(key, made) if k is not None]
+    # each GEMM of this configuration as (p, q, s, c)
+    products = lambda: [(kx[1], ky[1], ky[2], kx[2])
+                        for kx, ky in (map(key, ids) for ids in gemms) if kx and ky]
+    draw_gemms = [("u", "xi", -1, 0.0), ("u", "xi", 1, 0.0), ("u", "xi", -1, eta),
+                  ("u", "xi", 1, eta), ("u", "u", -1, 0.0), ("u", "u", 1, eta),
+                  ("xi", "xi", -1, 0.0), ("xi", "xi", 1, 0.0),
+                  ("u", "u", 1, 0.0), ("u", "u", -1, eta)]
+    draw_tables = [("x", "u", 0.0), ("y", "xi", -1), ("y", "xi", 1), ("x", "u", eta),
+                   ("y", "u", -1), ("y", "u", 1), ("x", "xi", 0.0)]
+    assert products() == draw_gemms and tables() == draw_tables
+    assert set(finite) == {0}
     s2u = _grid_expressions(spec, setup)["s2u"].tobytes()
-    points = {np.asarray(v, dtype=complex).tobytes() for v in (spec.u, spec.xi)}
-    seen, separable = [], []
+    seen = []
 
-    def counting_sigma(u, s):
-        if np.ndim(u) and np.asarray(u).tobytes() == s2u:
+    def counting_sigma(v, s):
+        if np.ndim(v) and np.asarray(v).tobytes() == s2u:
             seen.append("s2u")
-        return sigma(u, s)
-
-    def counting_separable(p, q, s, *args):
-        if np.asarray(p).tobytes() in points:
-            separable.append(args)
-        return sigma_separable(p, q, s, *args)
+        return sigma(v, s)
 
     monkeypatch.setattr(oracle, "sigma", counting_sigma)  # closedform calls no sigma
-    monkeypatch.setattr(oracle, "sigma_separable", counting_separable)
     closedform.normalized_z_permsum(spec, bc, setup)
     closedform.normalized_z_determinant(spec, bc, setup)
     for route in ("permsum", "determinant"):
         closedform.full_z(spec, bc, setup, route)
     closedform.recursion_residual(spec, bc, setup)
     spec.require_generic(setup)
-    assert seen == ["s2u"] and separable == [(-1, setup.eta)]
+    assert seen == ["s2u"] and products()[10:] == [("xi", "xi", -1, eta)]
+    assert tables()[7:] == [("x", "xi", eta)]
+    assert [d for d in finite if d] == [2, 2]  # G's denominator and numerator
     fresh = SpectralConfig(spec.u, spec.xi)
     closedform.normalized_z_determinant(fresh, bc, setup)
-    assert separable[1:5] == [(-1, 0.0), (1, 0.0), (-1, setup.eta), (1, setup.eta)]
-    assert seen == ["s2u"] * 2 and len(separable) == 9
+    assert products()[11:] == draw_gemms[:8] and tables()[8:] == draw_tables
+    assert seen == ["s2u"] * 2
     fresh.require_generic(setup)
     fresh.require_generic(setup)
+    assert products()[19:] == draw_gemms[8:]
     closedform.normalized_z_permsum(fresh, bc, setup)
     closedform.normalized_z_permsum(fresh, bc, setup)
-    assert len(seen) == 2 and len(separable) == 12
+    assert len(seen) == 2 and products()[21:] == [("xi", "xi", -1, eta)]
+    assert len(tables()) == 16 and tables()[15:] == [("x", "xi", eta)]
+    assert [d for d in finite if d] == [2, 2, 2, 2]
 
 
 def test_draw_and_routes_evaluate_each_boundary_family_once(draw, bc, setup, monkeypatch):
